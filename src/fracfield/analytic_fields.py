@@ -105,7 +105,6 @@ _METHOD_TAGS = (
     "var_quadrature",
     "var_series",
     "var_closed",
-    "mc_ensemble",
     "mc_ensemble_mean",
     "mc_ensemble_var",
 )
@@ -146,12 +145,11 @@ def _fourier_tail(alpha: float, lam: float, t: float, x: float, cutoff: float) -
     """Analytic tail (1/pi) int_K^inf cos(kx) E_alpha(-a(k) t^alpha) dk.
 
     Uses the algebraic large-argument behavior E_alpha(-u) ~ u^(-1)/Gamma(1-alpha)
-    with a(k) ~ lam k^2, valid for 0 < alpha < 1; the closed form of
-    int_K^inf cos(kx)/k^2 dk involves the sine integral.  For alpha >= 1 the
-    integrand decays (super)exponentially and the tail is negligible at the
-    default cutoff.
+    with a(k) ~ lam k^2, valid on all of 0 < alpha < 2 except alpha = 1, where
+    E_1(-u) = exp(-u) leaves no algebraic tail; the closed form of
+    int_K^inf cos(kx)/k^2 dk involves the sine integral.
     """
-    if alpha >= 1.0:
+    if alpha == 1.0:
         return 0.0
     c = 1.0 / (math.pi * gamma_fn(1.0 - alpha) * lam * t**alpha)
     kx = cutoff * abs(x)
@@ -170,7 +168,7 @@ def mean_fourier(
     """Mean field by Fourier inversion: (1/pi) int_0^K cos(kx) E_alpha(-a(k) t^alpha) dk.
 
     Even-symmetry reduction of the full inverse transform; an analytic tail
-    correction covers k > K in the subdiffusive range.
+    correction covers k > K for every alpha != 1.
     """
     if not t > 0:
         raise DomainError("mean_fourier requires t > 0")

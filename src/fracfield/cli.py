@@ -28,6 +28,7 @@ import numpy as np
 
 from . import analytic_fields as af
 from . import mildness, simulate, special_fn
+from .analytic_fields import _fmt
 from .errors import (
     DegenerateParametersError,
     DomainError,
@@ -35,7 +36,7 @@ from .errors import (
     NotMildError,
     ResonanceError,
 )
-from .symbol import DiffusionParams, KernelSpec, kernel_from_json
+from .symbol import DiffusionParams, KernelSpec, kernel_from_json, kernel_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,10 +71,6 @@ def _parse_tlist(spec: str):
     if not ts:
         raise DomainError("empty time list")
     return ts
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _emit(text: str, out_path):
@@ -350,7 +347,7 @@ def cmd_simulate(args) -> int:
     meta = {
         "params": {"alpha": params.alpha, "lambda": params.lam, "mu": params.mu,
                    "sigma": params.sigma, "dim": params.dim},
-        "kernel": {"type": kernel.kind, "scale": kernel.scale},
+        "kernel": kernel_to_json(kernel),
         "grid": {"half_length": grid.half_length, "n_points": grid.n_points,
                  "n_steps": grid.n_steps, "t_end": grid.t_end, "ic": grid.ic},
         "seed": seed,

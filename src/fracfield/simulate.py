@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,28 +154,34 @@ def noise_increments(grid: GridSpec, seed: int, step: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _cell_avg_weights(
+def _kernel_tables(
     params: DiffusionParams,
     kernel: KernelSpec,
     grid: GridSpec,
     policy: EvalPolicy,
-) -> np.ndarray:
-    """Abar[l, k] for lags l = 1..n_steps: exact cell averages of Lambda.
+):
+    """(E, Abar): E[l, k] = E_alpha(-a(xi_k) T_l^alpha) for l = 0..n_steps, and
+    Abar[l-1, k] for lags l = 1..n_steps, the exact cell averages of Lambda.
 
-    Row l holds (E_alpha(-a T_{l-1}^alpha) - E_alpha(-a T_l^alpha)) / (a dt);
-    for a = 0 the limit (T_l^alpha - T_{l-1}^alpha) / (Gamma(alpha+1) dt).
+    Row l of E is the Dirac part of a snapshot at step l.  Row l-1 of Abar
+    holds (E[l-1] - E[l]) / (a dt); for a = 0 the limit
+    (T_l^alpha - T_{l-1}^alpha) / (Gamma(alpha+1) dt).
     """
     a = symbol_a(params, kernel, grid.frequencies())
     t_alpha = (grid.dt * np.arange(grid.n_steps + 1)) ** params.alpha
     order = MLOrder(params.alpha, 1.0)
-    e = ml_eval(order, -np.outer(t_alpha, a), policy)  # (n_steps+1, n_points)
+    # a is even in xi, so columns k and n-k agree bit for bit: evaluate k <= n/2
+    half = ml_eval(order, -np.outer(t_alpha, a[: grid.n_points // 2 + 1]), policy)
+    e = np.concatenate([half, half[:, -2:0:-1]], axis=1)  # (n_steps+1, n_points)
     zero = a == 0.0
     a_safe = np.where(zero, 1.0, a)
     weights = (e[:-1] - e[1:]) / (a_safe[None, :] * grid.dt)
     if np.any(zero):
         limit = (t_alpha[1:] - t_alpha[:-1]) / (gamma_fn(params.alpha + 1.0) * grid.dt)
         weights[:, zero] = limit[:, None]
-    return weights
+    e.setflags(write=False)  # shared by every path through the cache
+    weights.setflags(write=False)
+    return e, weights
 
 
 def _default_snapshot_steps(grid: GridSpec, n_out: int = 8):
@@ -212,21 +218,19 @@ def simulate_path(
     n = grid.n_points
     phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     inv_scale = n / (2.0 * grid.half_length)
-    a = symbol_a(params, kernel, grid.frequencies())
-    order = MLOrder(params.alpha, 1.0)
+    dirac, weights = _kernel_tables(params, kernel, grid, policy)
 
     max_step = max(snapshot_steps)
     if params.sigma != 0.0:
         w_hat = np.empty((max_step, n), dtype=complex)
         for m in range(max_step):
             w_hat[m] = noise_increments(grid, seed, m)
-        weights = _cell_avg_weights(params, kernel, grid, policy)
     snapshots = []
     for step in snapshot_steps:
         t_n = step * grid.dt
         z_hat = np.zeros(n, dtype=complex)
         if grid.ic == "dirac_spectral":
-            z_hat += ml_eval(order, -a * t_n**params.alpha, policy)
+            z_hat += dirac[step]
         if params.sigma != 0.0:
             # lag of increment slab m (covering (tau_m, tau_{m+1})) is step - m
             z_hat += params.sigma * np.sum(

@@ -106,6 +106,15 @@ class TestMeanFourier:
         ratio = mean_fourier(p, GAUSS, 4.0, 0.0) / mean_fourier(p, GAUSS, 1.0, 0.0)
         assert ratio == pytest.approx(4.0 ** (-0.3), abs=1e-4)
 
+    @pytest.mark.parametrize("alpha", [0.6, 1.2, 1.5])
+    def test_peak_closed_form(self, alpha):
+        # mu = 0: Z0(t, 0) = 1 / (2 Gamma(1 - alpha/2) sqrt(lam t^alpha)); the
+        # frequency tail beyond the cutoff is algebraic on both sides of alpha = 1
+        p = local_params(alpha)
+        for t in (0.5, 1.0):
+            ref = 1.0 / (2.0 * gamma_fn(1.0 - alpha / 2.0) * math.sqrt(t**alpha))
+            assert mean_fourier(p, GAUSS, t, 0.0) == pytest.approx(ref, rel=1e-5)
+
 
 class TestMainardiRoutes:
     def test_mainardi_peak(self):

@@ -8,6 +8,7 @@ import pytest
 
 from fracfield.analytic_fields import heat_kernel
 from fracfield.cli import EXIT_NOT_MILD, EXIT_OK, EXIT_RESONANCE, EXIT_USAGE, main
+from fracfield.symbol import KernelSpec, kernel_from_json
 
 
 def run(capsys, *argv):
@@ -222,6 +223,23 @@ class TestSimulateCli:
         assert code == EXIT_OK
         _, out_flags, _ = run(capsys, *self.ARGS)
         assert out_cfg == out_flags
+
+    def test_meta_out_kernel_round_trip(self, capsys, tmp_path):
+        cfg = {
+            "version": 1,
+            "params": {"alpha": 1.0, "lambda": 1.0, "mu": 0.5, "sigma": 1.0},
+            "kernel": {"type": "uniform", "half_width": 2.0},
+            "grid": {"half_length": 5.0, "n_points": 64, "n_steps": 16},
+            "seed": 42,
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        meta_path = tmp_path / "meta.json"
+        code, _, _ = run(capsys, "simulate", "--config", str(path), "--meta-out", str(meta_path))
+        assert code == EXIT_OK
+        meta = json.loads(meta_path.read_text())
+        assert meta["kernel"] == cfg["kernel"]
+        assert kernel_from_json(meta["kernel"]) == KernelSpec("uniform", 2.0)
 
     def test_config_unknown_key(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

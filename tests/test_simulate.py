@@ -159,6 +159,25 @@ class TestSimulatePath:
         _, f = path.snapshots[0]
         assert np.max(np.abs(f - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    def test_dirac_part_is_table_row(self, alpha):
+        # the Dirac part of a snapshot at step l is row l of the cached table,
+        # bit for bit what a per-path evaluation of that row would give
+        from fracfield.special_fn import MLOrder, ml_eval
+        from fracfield.symbol import symbol_a
+
+        prm = params(alpha, mu=0.5, sigma=0.0)
+        a = symbol_a(prm, GAUSS, SMALL.frequencies())
+        t_alpha = (SMALL.dt * np.arange(SMALL.n_steps + 1)) ** alpha
+        steps = [1, 5, 16]
+        path = simulate_path(prm, GAUSS, SMALL, seed=1, snapshot_steps=steps, force=True)
+        phase = np.where(np.arange(SMALL.n_points) % 2 == 0, 1.0, -1.0)
+        for step, (_, f) in zip(steps, path.snapshots):
+            z_hat = np.zeros(SMALL.n_points, dtype=complex)
+            z_hat += ml_eval(MLOrder(alpha, 1.0), -a * t_alpha[step])
+            ref = np.real(np.fft.ifft(phase * z_hat)) * (SMALL.n_points / (2 * SMALL.half_length))
+            assert np.array_equal(f, ref)
+
     def test_snapshot_step_validation(self):
         with pytest.raises(DomainError):
             simulate_path(params(1.0), GAUSS, SMALL, seed=1, snapshot_steps=[0])

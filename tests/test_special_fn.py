@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfield.errors import DomainError, NoConvergenceError, UnsupportedOrderError
+from fracfield.errors import DomainError, NoConvergenceError
 from fracfield.special_fn import (
     DEFAULT_POLICY,
     EvalPolicy,
@@ -64,7 +64,7 @@ class TestSeries:
         )
 
     def test_no_convergence(self):
-        tight = EvalPolicy(rel_tol=1e-12, max_terms=10, asymptotic_switch=50.0)
+        tight = EvalPolicy(rel_tol=1e-12, max_terms=10)
         with pytest.raises(NoConvergenceError):
             ml_series(MLOrder(0.5, 1.0), 40.0, tight)
 
@@ -113,11 +113,10 @@ class TestEval:
     @pytest.mark.parametrize("beta_kind", ["one", "alpha"])
     def test_against_oracle_superdiffusive(self, alpha, beta_kind):
         beta = 1.0 if beta_kind == "one" else alpha
-        # the 30..50 hand-off window trades accuracy for coverage; tested looser
-        for x, tol in [(3.0, 1e-9), (10.0, 1e-9), (30.0, 1e-4), (80.0, 1e-4), (200.0, 1e-6)]:
+        for x in [3.0, 10.0, 30.0, 48.0, 49.5, 50.0, 51.0, 80.0, 200.0]:
             ref = ml_oracle(alpha, beta, -x)
             assert ml_eval(MLOrder(alpha, beta), -x) == pytest.approx(
-                ref, rel=tol, abs=1e-12
+                ref, rel=1e-9, abs=1e-12
             )
 
     def test_beta_alpha_plus_one_recurrence(self):
@@ -128,9 +127,53 @@ class TestEval:
                 rhs = (1.0 - ml_eval(MLOrder(alpha, 1.0), -x)) / x
                 assert lhs == pytest.approx(rhs, rel=1e-10)
 
-    def test_unsupported_order_far_negative(self):
-        with pytest.raises(UnsupportedOrderError):
-            ml_eval(MLOrder(0.5, 1.7), -1e6)
+    def test_far_negative_general_beta(self):
+        ref = ml_oracle(0.5, 1.7, -1e6)
+        assert ml_eval(MLOrder(0.5, 1.7), -1e6) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_oracle_sweep(self):
+        # alpha on both sides of 1, beta off {1, alpha, alpha+1}, both signs of
+        # x, wherever the oracle's series reaches (the full 11-order sweep
+        # takes minutes; this subset keeps its extremes)
+        worst = 0.0
+        for alpha in (0.1, 0.7, 1.05, 1.5, 1.95):
+            for beta in (1.0, alpha, alpha + 1.0, 0.5, 1.7):
+                for x in np.logspace(-3, 4, 8):
+                    for z in (-float(x), float(x)):
+                        if abs(z) ** (1.0 / alpha) > 600:
+                            continue  # oracle needs > 260 extra digits, or overflow
+                        ref = ml_oracle(alpha, beta, z)
+                        err = abs(ml_eval(MLOrder(alpha, beta), z) - ref)
+                        # relative where |ref| > 1e-3, absolute below
+                        worst = max(worst, err / (abs(ref) if abs(ref) > 1e-3 else 1.0))
+        assert worst <= 1e-11
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+    def test_subdiffusive_large_argument(self, alpha):
+        for beta in (1.0, alpha):
+            for x in (1e3, 1e4, 1e5, 1e6):
+                ref = ml_oracle(alpha, beta, -x)
+                assert ml_eval(MLOrder(alpha, beta), -x) == pytest.approx(
+                    ref, rel=1e-12, abs=0.0
+                )
+
+    def test_positive_axis_beyond_series(self):
+        for alpha, beta, x in [(0.6, 1.0, 20.0), (0.8, 0.8, 60.0), (1.5, 0.5, 300.0)]:
+            ref = ml_oracle(alpha, beta, x)
+            assert ml_eval(MLOrder(alpha, beta), x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert ml_eval(MLOrder(0.6, 1.0), 20.0) == pytest.approx(1.66e64, rel=1e-2)
+        assert ml_eval(MLOrder(0.8, 0.8), 60.0) == pytest.approx(1.16e73, rel=1e-2)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.8, 1.0), (0.6, 0.6), (1.5, 1.0), (1.05, 0.5),
+                                            (0.3, 2.4), (1.9, 1.9)])
+    def test_array_matches_scalar_bitwise(self, alpha, beta):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([-np.exp(rng.uniform(-7.0, 9.0, 300)),
+                            np.exp(rng.uniform(-7.0, 2.0, 60)), [0.0, 0.5, -0.5]])
+        order = MLOrder(alpha, beta)
+        vals = ml_eval(order, x)
+        assert np.array_equal(vals, [ml_eval(order, float(v)) for v in x])
+        assert np.array_equal(vals[::-1], ml_eval(order, x[::-1].reshape(-1, 3)).ravel())
 
     def test_complete_monotonicity_proxy(self):
         for alpha in (0.3, 0.5, 0.8):
