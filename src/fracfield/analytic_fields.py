@@ -37,6 +37,7 @@ from .special_fn import (
     MLOrder,
     erfc,
     gamma_fn,
+    gl_panels,
     mainardi_series,
     ml_eval,
 )
@@ -67,7 +68,6 @@ __all__ = [
 class QuadSpec:
     """Precision contract for the adaptive quadratures."""
 
-    freq_cutoff: float = 60.0
     panels: int = 16
     rel_tol: float = 1e-8
     max_refinements: int = 8
@@ -77,8 +77,6 @@ class QuadSpec:
             raise DomainError("panels must be >= 8")
         if not 0 < self.rel_tol < 1e-2:
             raise DomainError("rel_tol must lie in (0, 1e-2)")
-        if self.freq_cutoff <= 0:
-            raise DomainError("freq_cutoff must be positive")
 
 
 DEFAULT_QUAD = QuadSpec()
@@ -130,6 +128,9 @@ class Profile:
             raise DomainError("profile values must be finite")
 
 
+_CHUNK_ELEMS = 1 << 20  # bounds the (points x nodes) temporaries to 8 MB
+
+
 def heat_kernel(t: float, x, lam: float):
     """Gaussian heat kernel (4 pi lam t)^(-1/2) exp(-x^2/(4 lam t))."""
     if not t > 0:
@@ -141,34 +142,44 @@ def heat_kernel(t: float, x, lam: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _fourier_tail(alpha: float, lam: float, t: float, x: float, cutoff: float) -> float:
-    """Analytic tail (1/pi) int_K^inf cos(kx) E_alpha(-a(k) t^alpha) dk.
+def _fourier_tail(alpha: float, lam: float, t: float, x, cutoff: float):
+    """Analytic tail (1/pi) int_K^inf cos(kx) E_alpha(-a(k) t^alpha) dk, x >= 0.
 
-    Uses the algebraic large-argument behavior E_alpha(-u) ~ u^(-1)/Gamma(1-alpha)
-    with a(k) ~ lam k^2, valid on all of 0 < alpha < 2 except alpha = 1, where
-    E_1(-u) = exp(-u) leaves no algebraic tail; the closed form of
-    int_K^inf cos(kx)/k^2 dk involves the sine integral.
+    Keeps three terms of E_alpha(-u) ~ sum_j (-1)^(j+1) u^(-j) / Gamma(1 - j alpha)
+    with a(k) ~ lam k^2; a term vanishes where 1 - j alpha is a pole of Gamma,
+    so alpha = 1 has no tail.  C_m = int_K^inf cos(kx) k^(-m) dk and its sine
+    twin S_m follow by parts from C_1 = -Ci(Kx), S_1 = pi/2 - Si(Kx).
     """
-    if alpha == 1.0:
-        return 0.0
-    c = 1.0 / (math.pi * gamma_fn(1.0 - alpha) * lam * t**alpha)
-    kx = cutoff * abs(x)
-    si, _ = special.sici(kx)
-    return c * (math.cos(kx) / cutoff - abs(x) * (0.5 * math.pi - si))
+    kx = cutoff * x
+    si, ci = special.sici(kx)
+    c_m, s_m = np.where(kx > 0, -ci, 0.0), 0.5 * math.pi - si  # x C_1 -> 0 as x -> 0
+    ta = lam * t**alpha
+    total = 0.0
+    for m in range(2, 7):
+        edge = cutoff ** (1 - m)
+        c_m, s_m = ((np.cos(kx) * edge - x * s_m) / (m - 1),
+                    (np.sin(kx) * edge + x * c_m) / (m - 1))
+        if m % 2 == 0:
+            j = m // 2
+            total = total + (-1) ** (j + 1) * special.rgamma(1.0 - j * alpha) / ta**j * c_m
+    return total / math.pi
 
 
 def mean_fourier(
     params: DiffusionParams,
     kernel: KernelSpec,
     t: float,
-    x: float,
-    quad: QuadSpec = DEFAULT_QUAD,
+    x,
     policy: EvalPolicy = DEFAULT_POLICY,
-) -> float:
-    """Mean field by Fourier inversion: (1/pi) int_0^K cos(kx) E_alpha(-a(k) t^alpha) dk.
+):
+    """Mean field by Fourier inversion, (1/pi) int_0^inf cos(kx) E_alpha(-a(k) t^alpha) dk.
 
-    Even-symmetry reduction of the full inverse transform; an analytic tail
-    correction covers k > K for every alpha != 1.
+    Even-symmetry reduction of the full inverse transform, for scalar or
+    array x: E_alpha is evaluated once on a Gauss-Legendre grid over [0, K]
+    and an analytic tail covers k > K.  K >= 240 makes u = lam K^2 t^alpha
+    >= 1e4, where the tail's first omitted term is ~u^-4 of it; for alpha > 1
+    it also lets the poles' residue pair, which the tail omits, decay by 40
+    e-folds: exp(r cos(pi/alpha)), r = u^(1/alpha), and a(k) >= lam k^2.
     """
     if not t > 0:
         raise DomainError("mean_fourier requires t > 0")
@@ -177,41 +188,44 @@ def mean_fourier(
             "lambda=0: the mean's Fourier transform is not integrable, "
             "no pointwise mean field exists"
         )
-    order = MLOrder(params.alpha, 1.0)
-    ta = t**params.alpha
-
-    def integrand(k):
-        return ml_eval(order, -symbol_a(params, kernel, k) * ta, policy) / math.pi
-
-    val, err = integrate.quad(
-        integrand,
-        0.0,
-        quad.freq_cutoff,
-        weight="cos",
-        wvar=x,
-        epsabs=1e-13,
-        epsrel=quad.rel_tol * 1e-2,
-        limit=400,
-    )
-    if not math.isfinite(val):
+    alpha, lam, ta = params.alpha, params.lam, t**params.alpha
+    u = 1e4
+    if alpha > 1.0:
+        u = max(u, (40.0 / abs(math.cos(math.pi / alpha))) ** alpha)
+    cutoff = max(240.0, math.sqrt(u / (lam * ta)))
+    ax = np.abs(np.asarray(x, dtype=float))
+    # a 32-node panel spans at most 4 widths of E near k = 0, 32 radians of
+    # cos(kx) and 4 widths of the kernel's transform
+    rate = max(math.sqrt((lam + params.mu * kernel.scale**2) * ta),
+               ax.max(initial=0.0) / 8.0, kernel.scale if params.mu > 0 else 0.0)
+    panels = math.ceil(cutoff * rate / 4.0)
+    if panels > 1 << 16:
+        raise QuadratureError(f"frequency cutoff {cutoff:.3g} needs {panels} panels")
+    k, w = gl_panels(np.linspace(0.0, cutoff, panels + 1), 32)
+    wf = w * ml_eval(MLOrder(alpha, 1.0), -symbol_a(params, kernel, k) * ta, policy)
+    flat, step = ax.ravel(), max(1, _CHUNK_ELEMS // k.size)
+    val = np.concatenate([np.cos(np.outer(flat[i : i + step], k)) @ wf
+                          for i in range(0, flat.size, step)])
+    out = val.reshape(ax.shape) / math.pi + _fourier_tail(alpha, lam, t, ax, cutoff)
+    if not np.all(np.isfinite(out)):
         raise QuadratureError("frequency quadrature failed")
-    return val + _fourier_tail(params.alpha, params.lam, t, x, quad.freq_cutoff)
+    return float(out) if out.ndim == 0 else out
 
 
 def mean_mainardi(
     t: float,
-    x: float,
+    x,
     alpha: float,
     lam: float,
     policy: EvalPolicy = DEFAULT_POLICY,
-) -> float:
+):
     """Mean field via the Mainardi scaling form (local operator, mu = 0):
 
-    (4 pi lam t^alpha)^(-1/2) M_alpha(|x| / sqrt(lam t^alpha)).
+    (4 pi lam t^alpha)^(-1/2) M_alpha(|x| / sqrt(lam t^alpha)), scalar or array x.
     """
     if not t > 0 or not lam > 0:
         raise DomainError("mean_mainardi requires t > 0 and lambda > 0")
-    u = abs(x) / math.sqrt(lam * t**alpha)
+    u = np.abs(x) / math.sqrt(lam * t**alpha)
     return mainardi_series(alpha, u, policy) / math.sqrt(4.0 * math.pi * lam * t**alpha)
 
 
@@ -229,17 +243,18 @@ def mean_half_closed(t: float, x: float, lam: float) -> float:
 
 def var_classical_quadrature(
     t: float,
-    x: float,
+    x,
     lam: float,
     sigma: float,
     quad: QuadSpec = DEFAULT_QUAD,
-) -> float:
+):
     """Variance at alpha = 1 by direct quadrature of
 
     sigma^2 int_0^t int_R (4 pi lam (t-tau))^(-1) exp(-(x-y)^2/(2 lam (t-tau))) dy dtau.
 
     The substitution v = sqrt(t - tau) removes the endpoint singularity of
-    the outer integral; the inner integral runs over the whole line.
+    the outer integral; the inner integral runs over the whole line, so the
+    value does not depend on x and is computed once for scalar or array x.
     """
     if not t > 0 or not lam > 0:
         raise DomainError("var_classical_quadrature requires t > 0 and lambda > 0")
@@ -260,10 +275,11 @@ def var_classical_quadrature(
     )
     if not math.isfinite(val):
         raise QuadratureError("classical variance quadrature failed")
-    return sigma * sigma * val
+    out = np.full(np.shape(x), sigma * sigma * val)
+    return float(out) if out.ndim == 0 else out
 
 
-def var_classical_closed(t: float, x: float, lam: float, sigma: float) -> float:
+def var_classical_closed(t: float, x, lam: float, sigma: float):
     """Closed-form variance expression at alpha = 1:
 
     sigma^2 / (4 lam sqrt(pi t)) * erfc(|x| / (4 sqrt(lam t))).
@@ -278,7 +294,7 @@ def var_classical_closed(t: float, x: float, lam: float, sigma: float) -> float:
         sigma
         * sigma
         / (4.0 * lam * math.sqrt(math.pi * t))
-        * erfc(abs(x) / (4.0 * math.sqrt(lam * t)))
+        * erfc(np.abs(x) / (4.0 * math.sqrt(lam * t)))
     )
 
 
@@ -307,82 +323,65 @@ def fluct_kernel_frac(
     )
 
 
-_GL32 = np.polynomial.legendre.leggauss(32)
-
-
-def _panel(lo, hi):
-    nodes, weights = _GL32
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + half * nodes, half * weights
-
-
-def _var_frac_once(t, x, alpha, lam, sigma, panels, policy):
+def _var_frac_once(t, x, alpha, lam, panels, policy):
     """One evaluation of the fractional variance integral at fixed panel count.
 
     Time variable s = t - tau on geometric panels accumulating at s = 0
     (resolves s^{-alpha}); for each s the inner y-integral is rescaled to
     u = (x - y)/sqrt(4 lam s^alpha), where the squared kernel decays
-    algebraically, and integrated on a split [0,1] + geometric tail.
+    algebraically, and runs to u_max = x / sqrt(4 lam s^alpha).  With the
+    u_max of every (s, x) pair and the edges 0, 1, 4, 16, ... sorted into
+    one grid, a 32-node panel per gap and a cumulative sum give all inner
+    integrals.  Returns one value per x, without sigma^2 / (4 pi lam).
     """
-    order = MLOrder(alpha, alpha)
-    s_edges = np.concatenate(([0.0], np.geomspace(t * 1e-12, t, panels)))
-    total = 0.0
-    for s_lo, s_hi in zip(s_edges[:-1], s_edges[1:]):
-        if s_hi <= t * 1e-12:
-            continue
-        s_nodes, s_w = _panel(max(s_lo, t * 1e-14), s_hi)
-        col = 0.0
-        for s, ws in zip(s_nodes, s_w):
-            c = math.sqrt(4.0 * lam * s**alpha)
-            u_max = x / c
-            u_edges = [0.0, min(1.0, u_max)]
-            u = min(1.0, u_max)
-            while u < u_max:
-                u = min(u * 4.0, u_max)
-                u_edges.append(u)
-            acc = 0.0
-            for u_lo, u_hi in zip(u_edges[:-1], u_edges[1:]):
-                if u_hi <= u_lo:
-                    continue
-                un, uw = _panel(u_lo, u_hi)
-                e = ml_eval(order, -(un * un), policy)
-                acc += float(np.dot(uw, e * e))
-            col += ws * s ** (-alpha) * c * acc
-        total += col
-    return sigma * sigma / (4.0 * math.pi * lam) * total
+    s, ws = gl_panels(np.geomspace(t * 1e-12, t, panels), 32)
+    c = np.sqrt(4.0 * lam * s**alpha)
+    u_max = (x[:, None] / c).ravel()
+    whole = 4.0 ** np.arange(math.ceil(math.log(max(u_max.max(), 1.0), 4.0)) + 1)
+    edges = np.sort(np.concatenate(([0.0], whole, u_max)))
+    gaps = np.empty(edges.size - 1)
+    step = 128  # gaps per ml_eval call
+    for i in range(0, gaps.size, step):
+        u, w = gl_panels(edges[i : i + step + 1], 32)
+        e = ml_eval(MLOrder(alpha, alpha), -(u * u), policy)
+        gaps[i : i + step] = (e * e * w).reshape(-1, 32).sum(axis=1)
+    inner = np.concatenate(([0.0], np.cumsum(gaps)))[np.searchsorted(edges, u_max)]
+    return (inner.reshape(x.size, -1) * (ws * s ** (-alpha) * c)).sum(axis=1)
 
 
 def var_frac_quadrature(
     t: float,
-    x: float,
+    x,
     alpha: float,
     lam: float,
     sigma: float,
     quad: QuadSpec = DEFAULT_QUAD,
     policy: EvalPolicy = DEFAULT_POLICY,
-) -> float:
-    """Fractional variance integral (0 < alpha < 1):
+):
+    """Fractional variance integral (0 < alpha < 1), scalar or array x >= 0:
 
     sigma^2/(4 pi lam) int_0^t int_0^x (t-tau)^(-alpha)
         [E_{alpha,alpha}(-(x-y)^2/(4 lam (t-tau)^alpha))]^2 dy dtau,
 
-    self-refined until the relative change drops below quad.rel_tol.
+    self-refined until the relative change drops below quad.rel_tol at
+    every x.
     """
     if not t > 0 or not lam > 0:
         raise DomainError("var_frac_quadrature requires t > 0 and lambda > 0")
     if not 0 < alpha < 1:
         raise DomainError("var_frac_quadrature requires 0 < alpha < 1")
-    if x < 0:
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < 0):
         raise DomainError("var_frac_quadrature requires x >= 0")
-    if x == 0:
-        return 0.0  # empty inner integration range
+    flat = xa.ravel()
     panels = quad.panels
-    prev = _var_frac_once(t, x, alpha, lam, sigma, panels, policy)
+    prev = _var_frac_once(t, flat, alpha, lam, panels, policy)
     for _ in range(quad.max_refinements):
         panels *= 2
-        cur = _var_frac_once(t, x, alpha, lam, sigma, panels, policy)
-        if abs(cur - prev) <= quad.rel_tol * abs(cur):
-            return cur
+        cur = _var_frac_once(t, flat, alpha, lam, panels, policy)
+        if np.all(np.abs(cur - prev) <= quad.rel_tol * np.abs(cur)):
+            out = (sigma * sigma / (4.0 * math.pi * lam) * cur).reshape(xa.shape)
+            return float(out) if out.ndim == 0 else out
         prev = cur
     raise QuadratureError(
         f"fractional variance quadrature did not self-converge at {panels} panels"
@@ -407,13 +406,13 @@ def resonance_set(
 
 def var_series(
     t: float,
-    x: float,
+    x,
     alpha: float,
     lam: float,
     sigma: float,
     spec: VarianceSeriesSpec = DEFAULT_SERIES,
-) -> float:
-    """Variance power series in |x| (0 < alpha < 1):
+):
+    """Variance power series in |x| (0 < alpha < 1), scalar or array x:
 
     sigma^2/(4 pi lam) sum_m (-1)^m beta_m |x|^(2m+1) t^(1-(m+1) alpha)
         / (4^m (2m+1) (1 - (m+1) alpha)).
@@ -429,7 +428,7 @@ def var_series(
     res = resonance_set(alpha, spec.max_terms - 1, spec.resonance_guard)
     if res:
         raise ResonanceError(res[0], alpha)
-    ax = abs(x)
+    ax = np.abs(x)
     total = 0.0
     for m in range(spec.max_terms):
         term = (
@@ -448,10 +447,15 @@ def var_series(
 
 
 def make_profile(times, positions, fn, method: str, meta: dict | None = None) -> Profile:
-    """Sample fn(t, x) over the grid into a Profile."""
+    """Sample fn over the grid into a Profile.
+
+    fn(t, xs) is called once per time with the array of all positions and
+    returns their values; a scalar return is broadcast across the positions.
+    """
     times = tuple(float(t) for t in times)
     positions = tuple(float(x) for x in positions)
-    values = np.array([[fn(t, x) for x in positions] for t in times], dtype=float)
+    xs = np.array(positions)
+    values = np.array([np.broadcast_to(fn(t, xs), xs.shape) for t in times], dtype=float)
     return Profile(times, positions, values, method, meta or {})
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -100,11 +99,13 @@ def cmd_ml(args) -> int:
     if args.asymptotic:
         header.append("asymptotic")
     lines = [",".join(header)]
-    for x in xs:
-        row = [_fmt(x), _fmt(special_fn.ml_eval(order, float(x)))]
+    values = special_fn.ml_eval(order, xs)
+    if args.bounds:
+        lower, upper = special_fn.ml_bounds(args.alpha, np.maximum(-xs, 0.0))
+    for i, x in enumerate(xs):
+        row = [_fmt(x), _fmt(values[i])]
         if args.bounds:
-            lo, hi = special_fn.ml_bounds(args.alpha, max(-float(x), 0.0))
-            row += [_fmt(lo), _fmt(hi)]
+            row += [_fmt(lower[i]), _fmt(upper[i])]
         if args.asymptotic:
             row.append(_fmt(special_fn.ml_asymptotic_neg(order, -float(x))))
         lines.append(",".join(row))
@@ -168,8 +169,13 @@ def _crosscheck_path(out_path):
     return root + ".crosscheck" + (ext or ".csv")
 
 
-def _emit_crosscheck(rows, out_path):
-    text = af.crosscheck_to_csv(rows)
+def _emit_crosscheck(profile, check, out_path):
+    """Cross-check two profiles on one grid: next to out_path, else to stderr."""
+    text = af.crosscheck_to_csv([
+        (t, x, profile.method, profile.values[i, j], check.method, check.values[i, j])
+        for i, t in enumerate(profile.times)
+        for j, x in enumerate(profile.positions)
+    ])
     target = _crosscheck_path(out_path)
     if target:
         with open(target, "w") as fh:
@@ -187,9 +193,8 @@ def cmd_mean(args) -> int:
     kernel = KernelSpec()
     ts = _parse_tlist(args.t_list)
     xs = _parse_range(args.x_range)
-    quad = af.QuadSpec()
     if args.method == "fourier":
-        fn = lambda t, x: af.mean_fourier(params, kernel, t, x, quad)
+        fn = lambda t, x: af.mean_fourier(params, kernel, t, x)
         tag = "fourier"
     elif args.method == "mainardi":
         fn = lambda t, x: af.mean_mainardi(t, x, args.alpha, args.lam)
@@ -204,13 +209,9 @@ def cmd_mean(args) -> int:
     profile = af.make_profile(ts, xs, fn, tag, {"alpha": args.alpha})
     _emit(af.profile_to_csv(profile), args.out)
     if tag == "mainardi":
-        rows = [
-            (t, x, "mainardi", profile.values[i, j],
-             "fourier", af.mean_fourier(params, kernel, t, x, quad))
-            for i, t in enumerate(profile.times)
-            for j, x in enumerate(profile.positions)
-        ]
-        _emit_crosscheck(rows, args.out)
+        check = af.make_profile(ts, xs, lambda t, x: af.mean_fourier(params, kernel, t, x),
+                                "fourier")
+        _emit_crosscheck(profile, check, args.out)
     return EXIT_OK
 
 
@@ -234,7 +235,7 @@ def cmd_variance(args) -> int:
             fn = lambda t, x: af.var_classical_quadrature(t, x, args.lam, args.sigma, quad)
         else:
             fn = lambda t, x: af.var_frac_quadrature(
-                t, abs(x), args.alpha, args.lam, args.sigma, quad
+                t, np.abs(x), args.alpha, args.lam, args.sigma, quad
             )
         tag = "var_quadrature"
     elif args.method == "closed":
@@ -253,12 +254,8 @@ def cmd_variance(args) -> int:
     profile = af.make_profile(ts, xs, fn, tag, {"alpha": args.alpha})
     _emit(af.profile_to_csv(profile), args.out)
     if crosscheck is not None:
-        rows = [
-            (t, x, tag, profile.values[i, j], "var_quadrature", crosscheck(t, x))
-            for i, t in enumerate(profile.times)
-            for j, x in enumerate(profile.positions)
-        ]
-        _emit_crosscheck(rows, args.out)
+        check = af.make_profile(ts, xs, crosscheck, "var_quadrature")
+        _emit_crosscheck(profile, check, args.out)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParametersError, DomainError
-from .special_fn import DEFAULT_POLICY, MLOrder, ml_eval
+from .special_fn import DEFAULT_POLICY, MLOrder, gl_panels, ml_eval
 from .symbol import DiffusionParams, KernelSpec, symbol_a
 
 __all__ = [
@@ -148,15 +148,6 @@ def prop_superdiffusive_condition(alpha: float, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # numerical probes
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-def _panel_nodes(a: float, b: float):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid + half * _GL_NODES, half * _GL_WEIGHTS
-
-
 def _geometric_edges(lo: float, hi: float, panels_per_decade: int):
     """Panel edges geometric between lo and hi (lo > 0)."""
     decades = math.log10(hi / lo)
@@ -169,39 +160,18 @@ def _surface_factor(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _radial_m1(params, kernel, t, cutoff, panels_per_decade):
-    """omega_{N-1} * int_0^K E_alpha(-a(r) t^alpha) r^(N-1) dr."""
-    edges = np.concatenate(
-        ([0.0], _geometric_edges(min(1.0, cutoff), cutoff, panels_per_decade))
-    )
-    order = MLOrder(params.alpha, 1.0)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        r, w = _panel_nodes(lo, hi)
-        a = symbol_a(params, kernel, r)
-        f = ml_eval(order, -(t**params.alpha) * a, DEFAULT_POLICY)
-        total += float(np.dot(w, f * r ** (params.dim - 1)))
-    return _surface_factor(params.dim) * total
+def _radial(params, kernel, order, power, s_alpha, cutoff, panels_per_decade):
+    """omega_{N-1} * int_0^K (E_order(-s^alpha a(r)))^power r^(N-1) dr per s^alpha.
 
-
-def _radial_sq(params, kernel, s_alpha_col, cutoff, panels_per_decade):
-    """Radial part of the second-moment integrand for a column of s^alpha values.
-
-    Returns omega_{N-1} * int_0^K (E_{alpha,alpha}(-s^alpha a(r)))^2 r^(N-1) dr
-    for each entry of s_alpha_col, as a vector.
+    Radial Gauss-Legendre nodes on [0, min(1, K)] plus geometric panels up
+    to K; one ml_eval call covers every (s, r) pair.
     """
     edges = np.concatenate(
         ([0.0], _geometric_edges(min(1.0, cutoff), cutoff, panels_per_decade))
     )
-    order = MLOrder(params.alpha, params.alpha)
-    out = np.zeros_like(s_alpha_col)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        r, w = _panel_nodes(lo, hi)
-        a = symbol_a(params, kernel, r)
-        arg = -np.outer(s_alpha_col, a)  # (n_s, n_r)
-        e = ml_eval(order, arg, DEFAULT_POLICY)
-        out += (e * e * r ** (params.dim - 1)) @ w
-    return _surface_factor(params.dim) * out
+    r, w = gl_panels(edges, 10)
+    e = ml_eval(order, -np.outer(s_alpha, symbol_a(params, kernel, r)), DEFAULT_POLICY)
+    return _surface_factor(params.dim) * ((e**power * r ** (params.dim - 1)) @ w)
 
 
 def _trend(cutoff_scales, values, tol):
@@ -235,7 +205,9 @@ def probe_m1(
     ks = [float(k) for k in cutoff_schedule]
     if len(ks) < 3 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise DomainError("cutoff schedule must be >= 3 strictly increasing values")
-    values = [_radial_m1(params, kernel, t, k, panels_per_decade) for k in ks]
+    order, t_alpha = MLOrder(params.alpha, 1.0), [t**params.alpha]
+    values = [float(_radial(params, kernel, order, 1, t_alpha, k, panels_per_decade)[0])
+              for k in ks]
     slope, status = _trend(ks, values, tol)
     return ProbeReport(
         quantity="M1_L1_tail",
@@ -272,14 +244,11 @@ def probe_m2(
         if k1 < k0 or e1 > e0 or (k1 == k0 and e1 == e0):
             raise DomainError("schedule must refine: K nondecreasing, eps nonincreasing")
 
-    values = []
+    order, values = MLOrder(params.alpha, params.alpha), []
     for k, eps in sched:
-        edges = _geometric_edges(eps, t, panels_per_decade)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            s, w = _panel_nodes(lo, hi)
-            radial = _radial_sq(params, kernel, s**params.alpha, k, panels_per_decade)
-            total += float(np.dot(w, s ** (2.0 * params.alpha - 2.0) * radial))
+        s, w = gl_panels(_geometric_edges(eps, t, panels_per_decade), 10)
+        radial = _radial(params, kernel, order, 2, s**params.alpha, k, panels_per_decade)
+        total = float(np.dot(w, s ** (2.0 * params.alpha - 2.0) * radial))
         values.append(
             params.sigma**2 * (2.0 * math.pi) ** (-params.dim) * total
         )

@@ -46,6 +46,7 @@ __all__ = [
     "ml_real_zeros",
     "mainardi_series",
     "mainardi_half_closed",
+    "gl_panels",
 ]
 
 
@@ -115,6 +116,7 @@ def kappa_alpha(alpha: float) -> float:
 
 _SERIES_RADIUS = 0.5
 _SERIES_BLOCK = 64
+_SERIES_CHUNK = 256
 
 
 def _series(coef, z, policy):
@@ -123,8 +125,12 @@ def _series(coef, z, policy):
     A point stops once three consecutive terms fall below rel_tol times its
     running sum (guards alternating near-cancellation), so its value does not
     depend on the other points.  Points still running after a block of terms
-    are redone with twice as many, up to max_terms.
+    are redone with twice as many, up to max_terms.  Long inputs run in
+    chunks, which bounds the (points x terms) temporaries.
     """
+    if z.size > _SERIES_CHUNK:
+        return np.concatenate([_series(coef, z[i : i + _SERIES_CHUNK], policy)
+                               for i in range(0, z.size, _SERIES_CHUNK)])
     out = np.empty_like(z)
     todo = np.arange(z.size)
     n = min(_SERIES_BLOCK, policy.max_terms)
@@ -179,7 +185,7 @@ _LOG_MACH = math.log(np.finfo(float).eps)
 _PHI_CAP = 4.0 * (_LOG_TOL - _LOG_MACH)  # ~6.02; round-off caps the contour there
 _N_BINS = 50
 _BIN_EDGES = _PHI_CAP * 2.0 ** np.arange(1.0 - _N_BINS, 1.0)
-_CHUNK_ELEMS = 1 << 18  # bounds the (points x nodes) temporaries to 2 MB
+_CHUNK_ELEMS = 1 << 14  # bounds the (points x nodes) temporaries to 128 KB
 
 
 def _params_left_of_pole(phi, p):
@@ -457,22 +463,24 @@ def ml_real_zeros(
     return ZeroList(alpha, tuple(sorted(zeros)), (x_min, 0.0))
 
 
-def mainardi_series(alpha: float, u: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """sum_n (-1)^n u^(2n) / ((2n)! Gamma(alpha n - alpha + 1)).
+def mainardi_series(alpha: float, u, policy: EvalPolicy = DEFAULT_POLICY):
+    """sum_n (-1)^n u^(2n) / ((2n)! Gamma(alpha n - alpha + 1)), scalar or array u.
 
     For alpha in (0,1) the Gamma argument alpha(n-1)+1 is never a
     non-positive integer, so each term is well defined.
     """
     if not (0 < alpha < 1):
         raise DomainError(f"mainardi_series requires alpha in (0,1), got {alpha}")
-    if u < 0:
+    u = np.asarray(u, dtype=float)
+    if np.any(u < 0):
         raise DomainError("mainardi_series requires u >= 0")
 
     def coef(n):
         k = np.arange(n)
         return special.rgamma(alpha * k + 1.0 - alpha) * special.rgamma(2.0 * k + 1.0)
 
-    return float(_series(coef, np.array([-u * u]), policy)[0])
+    out = _series(coef, -(u * u).ravel(), policy).reshape(u.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def mainardi_half_closed(u) -> float:
@@ -482,3 +490,20 @@ def mainardi_half_closed(u) -> float:
         raise DomainError("mainardi_half_closed requires u >= 0")
     out = (1.0 + u) * np.exp(-u * u / 4.0) / math.sqrt(math.pi)
     return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def gl_panels(edges, n: int):
+    """Gauss-Legendre rule of order n on each panel [edges[i], edges[i+1]].
+
+    Returns the nodes and weights of all panels, flattened in panel order.
+    """
+    nodes, weights = _leggauss(n)
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * nodes).ravel(), (half * weights).ravel()

@@ -58,3 +58,32 @@ def ml_oracle(alpha: float, beta: float, z: float) -> float:
     if alpha >= 1:
         raise RuntimeError("oracle asymptotic route is for 0 < alpha < 1")
     return _asymptotic(alpha, beta, -z)
+
+
+def mainardi_oracle(nu: float, z: float) -> float:
+    """M-Wright function M_nu(z) = sum_n (-z)^n / (n! Gamma(1 - nu - nu n)), 0 < nu < 1.
+
+    The terms grow far beyond the sum before they cancel, so the working
+    precision is raised until it covers the largest term with 25 digits to
+    spare.  1/Gamma vanishes at its poles, so single terms can be exactly
+    zero; the sum stops only after several consecutive negligible terms.
+    """
+    dps = 40
+    while True:
+        with mp.workdps(dps):
+            zm, num = mp.mpf(z), mp.mpf(nu)
+            total, power, peak, n, quiet = mp.mpf(0), mp.mpf(1), mp.mpf(0), 0, 0
+            while quiet < 6 or n < 10:
+                term = power * mp.rgamma(1 - num - num * n)
+                total += term
+                peak = max(peak, abs(term))
+                tiny = abs(term) < mp.mpf(10) ** (5 - dps) * max(abs(total), 1)
+                quiet = quiet + 1 if tiny else 0
+                n += 1
+                power *= -zm / n
+                if n > 20000:
+                    raise RuntimeError("oracle M-Wright series did not converge")
+            need = int(mp.log10(peak / abs(total))) + 25 if total else dps + 40
+        if need <= dps:
+            return float(total)
+        dps = need + 10

@@ -32,6 +32,7 @@ from fracfield.errors import (
 )
 from fracfield.special_fn import gamma_fn
 from fracfield.symbol import DiffusionParams, KernelSpec
+from ml_oracle import mainardi_oracle
 
 GAUSS = KernelSpec("gaussian", 1.0)
 FAST_QUAD = QuadSpec(rel_tol=1e-6)
@@ -106,14 +107,34 @@ class TestMeanFourier:
         ratio = mean_fourier(p, GAUSS, 4.0, 0.0) / mean_fourier(p, GAUSS, 1.0, 0.0)
         assert ratio == pytest.approx(4.0 ** (-0.3), abs=1e-4)
 
-    @pytest.mark.parametrize("alpha", [0.6, 1.2, 1.5])
+    @pytest.mark.parametrize("alpha", [0.6, 1.2, 1.5, 1.8])
     def test_peak_closed_form(self, alpha):
         # mu = 0: Z0(t, 0) = 1 / (2 Gamma(1 - alpha/2) sqrt(lam t^alpha)); the
         # frequency tail beyond the cutoff is algebraic on both sides of alpha = 1
         p = local_params(alpha)
         for t in (0.5, 1.0):
             ref = 1.0 / (2.0 * gamma_fn(1.0 - alpha / 2.0) * math.sqrt(t**alpha))
-            assert mean_fourier(p, GAUSS, t, 0.0) == pytest.approx(ref, rel=1e-5)
+            assert mean_fourier(p, GAUSS, t, 0.0) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.2, 1.5])
+    def test_against_mainardi_oracle(self, alpha):
+        # mu = 0: Z0(t, x) = M_{alpha/2}(|x| / sqrt(lam t^alpha)) / (2 sqrt(lam t^alpha))
+        # (Mainardi, Mura & Pagnini 2010), summed in mpmath
+        p = local_params(alpha)
+        xs = np.array([0.0, 0.5, -0.5, 1.0, 2.0])
+        for t in (0.5, 1.0):
+            scale = math.sqrt(t**alpha)
+            for x, got in zip(xs, mean_fourier(p, GAUSS, t, xs)):
+                ref = mainardi_oracle(alpha / 2.0, abs(x) / scale) / (2.0 * scale)
+                err = abs(got - ref) / (abs(ref) if abs(ref) > 1e-3 else 1.0)
+                assert err <= 1e-10, (t, x, got, ref)
+
+    def test_array_matches_pointwise(self):
+        # per-point calls pick their own panel width from |x|
+        p = DiffusionParams(alpha=0.8, lam=1.0, mu=0.5, sigma=1.0, dim=1)
+        xs = np.linspace(-12.0, 12.0, 25)
+        pts = [mean_fourier(p, GAUSS, 0.7, float(x)) for x in xs]
+        np.testing.assert_allclose(mean_fourier(p, GAUSS, 0.7, xs), pts, rtol=0, atol=1e-14)
 
 
 class TestMainardiRoutes:
@@ -228,6 +249,12 @@ class TestFracVariance:
         v2 = var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 2.0, FAST_QUAD)
         assert v2 == 4.0 * v1
 
+    def test_array_matches_pointwise(self):
+        xs = np.array([0.0, 0.3, 1.0, 2.5])
+        pts = [var_frac_quadrature(1.0, float(x), 0.6, 1.0, 1.0, FAST_QUAD) for x in xs]
+        arr = var_frac_quadrature(1.0, xs, 0.6, 1.0, 1.0, FAST_QUAD)
+        np.testing.assert_allclose(arr, pts, rtol=FAST_QUAD.rel_tol, atol=0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             var_frac_quadrature(1.0, 1.0, 1.2, 1.0, 1.0)
@@ -267,7 +294,35 @@ class TestSeriesRoute:
         assert vs > 0 and vq > 0 and math.isfinite(vs / vq)
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda t, x: heat_kernel(t, x, 1.0),
+        lambda t, x: mean_mainardi(t, x, 0.6, 1.0),
+        lambda t, x: var_series(t, x, 0.6, 1.0, 1.0),
+        lambda t, x: var_classical_closed(t, x, 1.0, 1.0),
+        lambda t, x: var_classical_quadrature(t, x, 1.0, 1.0),
+    ],
+    ids=["heat_kernel", "mainardi", "var_series", "var_closed", "var_quadrature"],
+)
+def test_routes_accept_arrays(route):
+    xs = np.linspace(-3.0, 3.0, 7)
+    pts = [route(1.0, float(x)) for x in xs]
+    np.testing.assert_allclose(route(1.0, xs), pts, rtol=1e-14, atol=0)
+
+
 class TestProfiles:
+    def test_fn_called_once_per_time(self):
+        shapes = []
+
+        def fn(t, xs):
+            shapes.append(np.shape(xs))
+            return heat_kernel(t, xs, 1.0)
+
+        prof = make_profile([0.5, 1.0], [-1.0, 0.0, 1.0], fn, "heat_kernel")
+        assert shapes == [(3,), (3,)]
+        assert prof.values[1, 2] == heat_kernel(1.0, 1.0, 1.0)
+
     def test_method_tag_validated(self):
         with pytest.raises(DomainError):
             make_profile([1.0], [0.0], lambda t, x: 1.0, "nonsense")

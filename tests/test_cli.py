@@ -8,6 +8,7 @@ import pytest
 
 from fracfield.analytic_fields import heat_kernel
 from fracfield.cli import EXIT_NOT_MILD, EXIT_OK, EXIT_RESONANCE, EXIT_USAGE, main
+from fracfield.special_fn import MLOrder, ml_bounds, ml_eval
 from fracfield.symbol import KernelSpec, kernel_from_json
 
 
@@ -52,6 +53,18 @@ class TestMl:
         for r in rows:
             x, v, lo, hi, asym = (float(c) for c in r)
             assert lo <= v <= hi
+
+    def test_bounds_match_pointwise(self, capsys):
+        code, out, _ = run(
+            capsys, "ml", "--alpha", "0.7", "--x-range", "-20:2:12", "--bounds"
+        )
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        order = MLOrder(0.7, 1.0)
+        for r in rows:
+            x, v, lo, hi = (float(c) for c in r)
+            assert v == ml_eval(order, x)
+            assert (lo, hi) == ml_bounds(0.7, max(-x, 0.0))
 
     def test_cos_zeros(self, capsys):
         code, out, _ = run(
