@@ -142,26 +142,30 @@ def heat_kernel(t: float, x, lam: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _fourier_tail(alpha: float, lam: float, t: float, x, cutoff: float):
+def _fourier_tail(alpha: float, lam: float, mu: float, t: float, x, cutoff: float):
     """Analytic tail (1/pi) int_K^inf cos(kx) E_alpha(-a(k) t^alpha) dk, x >= 0.
 
     Keeps three terms of E_alpha(-u) ~ sum_j (-1)^(j+1) u^(-j) / Gamma(1 - j alpha)
-    with a(k) ~ lam k^2; a term vanishes where 1 - j alpha is a pole of Gamma,
-    so alpha = 1 has no tail.  C_m = int_K^inf cos(kx) k^(-m) dk and its sine
-    twin S_m follow by parts from C_1 = -Ci(Kx), S_1 = pi/2 - Si(Kx).
+    with a(k) ~ lam k^2 + mu, each (lam k^2 + mu)^(-j) expanded in k^(-2) up to
+    k^(-6); a term vanishes where 1 - j alpha is a pole of Gamma, so alpha = 1
+    has no tail.  C_m = int_K^inf cos(kx) k^(-m) dk and its sine twin S_m
+    follow by parts from C_1 = -Ci(Kx), S_1 = pi/2 - Si(Kx).
     """
     kx = cutoff * x
     si, ci = special.sici(kx)
     c_m, s_m = np.where(kx > 0, -ci, 0.0), 0.5 * math.pi - si  # x C_1 -> 0 as x -> 0
-    ta = lam * t**alpha
+    ta, ratio = lam * t**alpha, mu / lam
     total = 0.0
     for m in range(2, 7):
         edge = cutoff ** (1 - m)
         c_m, s_m = ((np.cos(kx) * edge - x * s_m) / (m - 1),
                     (np.sin(kx) * edge + x * c_m) / (m - 1))
         if m % 2 == 0:
-            j = m // 2
-            total = total + (-1) ** (j + 1) * special.rgamma(1.0 - j * alpha) / ta**j * c_m
+            # coefficient of k^(-m): binom(-j, r) = (-1)^r binom(j+r-1, r), r = m/2 - j
+            coef = sum((-1) ** (j + 1) * special.rgamma(1.0 - j * alpha) / ta**j
+                       * (-ratio) ** (m // 2 - j) * math.comb(m // 2 - 1, j - 1)
+                       for j in range(1, m // 2 + 1))
+            total = total + coef * c_m
     return total / math.pi
 
 
@@ -206,7 +210,8 @@ def mean_fourier(
     flat, step = ax.ravel(), max(1, _CHUNK_ELEMS // k.size)
     val = np.concatenate([np.cos(np.outer(flat[i : i + step], k)) @ wf
                           for i in range(0, flat.size, step)])
-    out = val.reshape(ax.shape) / math.pi + _fourier_tail(alpha, lam, t, ax, cutoff)
+    tail = _fourier_tail(alpha, lam, params.mu, t, ax, cutoff)
+    out = val.reshape(ax.shape) / math.pi + tail
     if not np.all(np.isfinite(out)):
         raise QuadratureError("frequency quadrature failed")
     return float(out) if out.ndim == 0 else out

@@ -16,9 +16,12 @@ each time cell.  The cell average has the exact closed form
 
 because Lambda is minus the time derivative of E_alpha(-a s^alpha)/a.  This
 removes the s^(alpha-1) singularity at zero lag and, at alpha = 1, makes
-the scheme the exact exponential-Euler integrator.  Physical-space fields
-are recovered by  z(x_j) = (n / 2L) * ifft((-1)^k zhat_k),  the Riemann sum
-of the inverse Fourier integral on the xi_k grid (spacing pi/L).
+the scheme the exact exponential-Euler integrator.  The field is real and
+a(xi) is even, so the engine works on the rfft half-spectrum k = 0..n/2 and
+recovers fields by  z(x_j) = (n / 2L) * irfft(zhat)_j,  the Riemann sum of
+the inverse Fourier integral on the xi_k grid (spacing pi/L).  The noise
+DFT and the synthesis each carry the phase (-1)^k of x_0 = -L; the two
+cancel exactly, so only the Dirac row is multiplied by (-1)^k.
 
 The Mittag-Leffler kernel is non-Markov: no recursive update exists, so all
 noise increments are kept and each requested snapshot re-weights the full
@@ -130,6 +133,12 @@ def _rng_for_step(grid: GridSpec, seed: int, step: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
+def _cell_increments(grid: GridSpec, seed: int, step: int) -> np.ndarray:
+    """Real white-noise cell increments of one time slab, i.i.d. N(0, dt*dx)."""
+    rng = _rng_for_step(grid, seed, step)
+    return rng.standard_normal(grid.n_points) * math.sqrt(grid.dt * grid.dx)
+
+
 def noise_increments(grid: GridSpec, seed: int, step: int) -> np.ndarray:
     """DFT of one time slab of white-noise cell increments.
 
@@ -137,17 +146,12 @@ def noise_increments(grid: GridSpec, seed: int, step: int) -> np.ndarray:
     is dW_hat_k = sum_j exp(-i xi_k x_j) dB_j, Hermitian-symmetric with
     E|dW_hat_k|^2 = n_points * dt * dx.
     """
-    rng = _rng_for_step(grid, seed, step)
-    db = rng.standard_normal(grid.n_points) * math.sqrt(grid.dt * grid.dx)
     n = grid.n_points
-    half = np.fft.rfft(db)
+    half = np.fft.rfft(_cell_increments(grid, seed, step))
     # assemble the full spectrum by explicit mirroring so Hermitian symmetry
     # holds bit-exactly, with real DC and Nyquist entries
-    out = np.empty(n, dtype=complex)
-    out[: n // 2 + 1] = half
-    out[0] = half[0].real
-    out[n // 2] = half[n // 2].real
-    out[n // 2 + 1 :] = np.conj(out[1 : n // 2][::-1])
+    half[[0, -1]] = half[[0, -1]].real
+    out = np.concatenate([half, np.conj(half[-2:0:-1])])
     phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     # exp(-i xi_k x_j) = (-1)^k exp(-2 pi i j k / n) since x_j starts at -L
     return phase * out
@@ -160,19 +164,17 @@ def _kernel_tables(
     grid: GridSpec,
     policy: EvalPolicy,
 ):
-    """(E, Abar): E[l, k] = E_alpha(-a(xi_k) T_l^alpha) for l = 0..n_steps, and
-    Abar[l-1, k] for lags l = 1..n_steps, the exact cell averages of Lambda.
+    """(E, Abar) on the half-spectrum k = 0..n/2, shape (n_steps+1, n/2+1):
+    E[l, k] = E_alpha(-a(xi_k) T_l^alpha) for l = 0..n_steps, and Abar[l-1, k]
+    for lags l = 1..n_steps, the exact cell averages of Lambda.
 
     Row l of E is the Dirac part of a snapshot at step l.  Row l-1 of Abar
     holds (E[l-1] - E[l]) / (a dt); for a = 0 the limit
     (T_l^alpha - T_{l-1}^alpha) / (Gamma(alpha+1) dt).
     """
-    a = symbol_a(params, kernel, grid.frequencies())
+    a = symbol_a(params, kernel, grid.frequencies()[: grid.n_points // 2 + 1])
     t_alpha = (grid.dt * np.arange(grid.n_steps + 1)) ** params.alpha
-    order = MLOrder(params.alpha, 1.0)
-    # a is even in xi, so columns k and n-k agree bit for bit: evaluate k <= n/2
-    half = ml_eval(order, -np.outer(t_alpha, a[: grid.n_points // 2 + 1]), policy)
-    e = np.concatenate([half, half[:, -2:0:-1]], axis=1)  # (n_steps+1, n_points)
+    e = ml_eval(MLOrder(params.alpha, 1.0), -np.outer(t_alpha, a), policy)
     zero = a == 0.0
     a_safe = np.where(zero, 1.0, a)
     weights = (e[:-1] - e[1:]) / (a_safe[None, :] * grid.dt)
@@ -216,40 +218,42 @@ def simulate_path(
         raise DomainError("snapshot steps must lie in 1..n_steps")
 
     n = grid.n_points
-    phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    phase = np.where(np.arange(n // 2 + 1) % 2 == 0, 1.0, -1.0)
     inv_scale = n / (2.0 * grid.half_length)
     dirac, weights = _kernel_tables(params, kernel, grid, policy)
 
-    max_step = max(snapshot_steps)
     if params.sigma != 0.0:
-        w_hat = np.empty((max_step, n), dtype=complex)
-        for m in range(max_step):
-            w_hat[m] = noise_increments(grid, seed, m)
+        db = [_cell_increments(grid, seed, m) for m in range(max(snapshot_steps))]
+        w_half = np.fft.rfft(db, axis=1)
     snapshots = []
     for step in snapshot_steps:
-        t_n = step * grid.dt
-        z_hat = np.zeros(n, dtype=complex)
+        z_half = np.zeros(n // 2 + 1, dtype=complex)
         if grid.ic == "dirac_spectral":
-            z_hat += dirac[step]
+            z_half += phase * dirac[step]
         if params.sigma != 0.0:
             # lag of increment slab m (covering (tau_m, tau_{m+1})) is step - m
-            z_hat += params.sigma * np.sum(
-                weights[step - 1 :: -1][: step] * w_hat[:step], axis=0
+            z_half += params.sigma * np.sum(
+                weights[step - 1 :: -1][: step] * w_half[:step], axis=0
             )
-        field_c = np.fft.ifft(phase * z_hat) * inv_scale
-        snapshots.append((t_n, np.real(field_c)))
+        snapshots.append((step * grid.dt, np.fft.irfft(z_half, n) * inv_scale))
     return SamplePath(grid=grid, snapshots=tuple(snapshots), seed=seed)
 
 
+def _merge(a, b):
+    """Chan-Golub-LeVeque merge of (count, mean, M2) summaries; M2 is the
+    sum of squared deviations, so no mean^2 >> variance cancellation occurs."""
+    (na, ma, qa), (nb, mb, qb) = a, b
+    n, delta = na + nb, mb - ma
+    return n, ma + delta * (nb / n), qa + qb + delta * delta * (na * nb / n)
+
+
 def _pairwise_merge(stack, item):
-    """Binary-counter pairwise reduction step; stack holds (level, sum, sumsq)."""
-    level, s, q = 0, item[0], item[1]
+    """Binary-counter pairwise reduction step; stack holds (level, summary)."""
+    level = 0
     while stack and stack[-1][0] == level:
-        l2, s2, q2 = stack.pop()
-        s = s2 + s
-        q = q2 + q
+        item = _merge(stack.pop()[1], item)
         level += 1
-    stack.append((level, s, q))
+    stack.append((level, item))
 
 
 def ensemble_stats(
@@ -264,9 +268,9 @@ def ensemble_stats(
 ) -> EnsembleStats:
     """Monte Carlo mean and unbiased variance over n_samples independent paths.
 
-    Per-sample seeds come from mix_seed(master_seed, i); sums are combined
-    in a fixed pairwise tree, so the result is independent of any execution
-    schedule.
+    Per-sample seeds come from mix_seed(master_seed, i); (count, mean, M2)
+    summaries are merged in a fixed pairwise tree, so the result is
+    independent of any execution schedule.
     """
     if n_samples < 2:
         raise DomainError("ensemble_stats requires n_samples >= 2")
@@ -282,14 +286,12 @@ def ensemble_stats(
         if times is None:
             times = tuple(t for t, _ in path.snapshots)
         fields = np.array([f for _, f in path.snapshots])
-        _pairwise_merge(stack, (fields, fields * fields))
-    total = None
-    total_sq = None
-    for _, s, q in reversed(stack):
-        total = s if total is None else total + s
-        total_sq = q if total_sq is None else total_sq + q
-    mean = total / n_samples
-    variance = np.maximum(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
+        _pairwise_merge(stack, (1, fields, 0.0))
+    total = stack.pop()[1]
+    while stack:
+        total = _merge(stack.pop()[1], total)
+    _, mean, m2 = total
+    variance = m2 / (n_samples - 1)
     return EnsembleStats(
         grid=grid,
         n_samples=n_samples,

@@ -129,6 +129,37 @@ class TestMeanFourier:
                 err = abs(got - ref) / (abs(ref) if abs(ref) > 1e-3 else 1.0)
                 assert err <= 1e-10, (t, x, got, ref)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    def test_mu_tail_against_long_quadrature(self, kind):
+        # mu > 0: Gauss-Legendre over [0, 2e4] plus a QUADPACK tail of the exact
+        # integrand; the default cutoff's analytic tail must carry the mu part
+        from scipy import integrate
+
+        from fracfield.special_fn import MLOrder, ml_eval
+        from fracfield.symbol import symbol_a
+
+        p = DiffusionParams(alpha=0.8, lam=1.0, mu=0.5, sigma=1.0, dim=1)
+        kernel = KernelSpec(kind, 1.0)
+        cutoff = 2e4
+        u, w = np.polynomial.legendre.leggauss(32)
+        edges = np.concatenate([np.arange(0.0, 64.0), np.arange(64.0, cutoff + 1.0, 8.0)])
+        lo, hi = edges[:-1, None], edges[1:, None]
+        k = (0.5 * (hi - lo) * u + 0.5 * (hi + lo)).ravel()
+        wk = (0.5 * (hi - lo) * w).ravel()
+        for t in (0.25, 0.5):
+            def mean_hat(kk):
+                return ml_eval(MLOrder(p.alpha, 1.0), -symbol_a(p, kernel, kk) * t**p.alpha)
+
+            head = wk * mean_hat(k)
+            for x in (0.0, 1.0):
+                if x == 0.0:
+                    tail = integrate.quad(mean_hat, cutoff, np.inf, epsabs=1e-16)[0]
+                else:
+                    tail = integrate.quad(mean_hat, cutoff, np.inf, weight="cos",
+                                          wvar=x, epsabs=1e-16)[0]
+                ref = (np.sum(head * np.cos(k * x)) + tail) / math.pi
+                assert abs(mean_fourier(p, kernel, t, x) - ref) <= 1e-12, (t, x)
+
     def test_array_matches_pointwise(self):
         # per-point calls pick their own panel width from |x|
         p = DiffusionParams(alpha=0.8, lam=1.0, mu=0.5, sigma=1.0, dim=1)

@@ -171,12 +171,38 @@ class TestSimulatePath:
         t_alpha = (SMALL.dt * np.arange(SMALL.n_steps + 1)) ** alpha
         steps = [1, 5, 16]
         path = simulate_path(prm, GAUSS, SMALL, seed=1, snapshot_steps=steps, force=True)
-        phase = np.where(np.arange(SMALL.n_points) % 2 == 0, 1.0, -1.0)
+        n = SMALL.n_points
+        phase = np.where(np.arange(n // 2 + 1) % 2 == 0, 1.0, -1.0)
         for step, (_, f) in zip(steps, path.snapshots):
             z_hat = np.zeros(SMALL.n_points, dtype=complex)
             z_hat += ml_eval(MLOrder(alpha, 1.0), -a * t_alpha[step])
-            ref = np.real(np.fft.ifft(phase * z_hat)) * (SMALL.n_points / (2 * SMALL.half_length))
+            ref = np.fft.irfft(phase * z_hat[: n // 2 + 1], n) * (n / (2 * SMALL.half_length))
             assert np.array_equal(f, ref)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    def test_matches_full_spectrum_reference(self, alpha):
+        # the half-spectrum engine against the full-width scheme written out:
+        # tables on all n frequencies, per-step noise_increments, phased ifft
+        from fracfield.special_fn import MLOrder, gamma_fn, ml_eval
+        from fracfield.symbol import symbol_a
+
+        prm = params(alpha, mu=0.5)
+        grid, seed = SMALL, 21
+        n, dt = grid.n_points, grid.dt
+        a = symbol_a(prm, GAUSS, grid.frequencies())
+        t_alpha = (dt * np.arange(grid.n_steps + 1)) ** alpha
+        e = ml_eval(MLOrder(alpha, 1.0), -np.outer(t_alpha, a))
+        abar = (e[:-1] - e[1:]) / (np.where(a == 0, 1.0, a) * dt)
+        limit = (t_alpha[1:] - t_alpha[:-1]) / (gamma_fn(alpha + 1.0) * dt)
+        abar[:, a == 0] = limit[:, None]
+        w_hat = np.array([noise_increments(grid, seed, m) for m in range(grid.n_steps)])
+        phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        steps = [1, 5, 16]
+        path = simulate_path(prm, GAUSS, grid, seed=seed, snapshot_steps=steps, force=True)
+        for step, (_, f) in zip(steps, path.snapshots):
+            z_hat = e[step] + sum(abar[step - 1 - m] * w_hat[m] for m in range(step))
+            ref = np.real(np.fft.ifft(phase * z_hat)) * n / (2 * grid.half_length)
+            assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_snapshot_step_validation(self):
         with pytest.raises(DomainError):
@@ -195,6 +221,16 @@ class TestEnsemble:
     def test_requires_two_samples(self):
         with pytest.raises(DomainError):
             ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 1, master_seed=1)
+
+    def test_variance_scales_with_sigma_squared(self):
+        # Dirac initial condition: mean^2 >> variance at small sigma, where a
+        # sum-of-squares accumulation loses the variance to cancellation
+        sigma = 2.0**-20
+        one = ensemble_stats(params(0.8), GAUSS, SMALL, 16, master_seed=4, force=True)
+        small = ensemble_stats(params(0.8, sigma=sigma), GAUSS, SMALL, 16,
+                               master_seed=4, force=True)
+        ref = sigma**2 * one.variance
+        assert np.max(np.abs(small.variance - ref)) <= 1e-8 * np.max(ref)
 
     def test_variance_growth(self):
         # accumulated noise: variance at the box center grows with time
