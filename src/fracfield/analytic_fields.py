@@ -142,30 +142,52 @@ def heat_kernel(t: float, x, lam: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _fourier_tail(alpha: float, lam: float, mu: float, t: float, x, cutoff: float):
-    """Analytic tail (1/pi) int_K^inf cos(kx) E_alpha(-a(k) t^alpha) dk, x >= 0.
+def _tail_coefficients(alpha: float, lam: float, mu: float, t: float):
+    """b_1, b_2, b_3 of E_alpha(-a(k) t^alpha) ~ sum_p b_p k^(-2p) for large k.
 
     Keeps three terms of E_alpha(-u) ~ sum_j (-1)^(j+1) u^(-j) / Gamma(1 - j alpha)
     with a(k) ~ lam k^2 + mu, each (lam k^2 + mu)^(-j) expanded in k^(-2) up to
     k^(-6); a term vanishes where 1 - j alpha is a pole of Gamma, so alpha = 1
-    has no tail.  C_m = int_K^inf cos(kx) k^(-m) dk and its sine twin S_m
-    follow by parts from C_1 = -Ci(Kx), S_1 = pi/2 - Si(Kx).
+    has none.
+    """
+    ta, ratio = lam * t**alpha, mu / lam
+    # coefficient of k^(-2p): binom(-j, r) = (-1)^r binom(j+r-1, r), r = p - j
+    return [sum((-1) ** (j + 1) * special.rgamma(1.0 - j * alpha) / ta**j
+                * (-ratio) ** (p - j) * math.comb(p - 1, j - 1)
+                for j in range(1, p + 1))
+            for p in (1, 2, 3)]
+
+
+def _tail_onset(alpha: float, lam: float, t: float) -> float:
+    """Wavenumber beyond which _tail_coefficients' expansion is accurate.
+
+    There u = lam k^2 t^alpha >= 1e4, where the first omitted term is ~u^-4
+    of it; for alpha > 1 the poles' residue pair, which the expansion omits,
+    has also decayed by 40 e-folds: exp(r cos(pi/alpha)), r = u^(1/alpha),
+    and a(k) >= lam k^2.
+    """
+    u = 1e4
+    if alpha > 1.0:
+        u = max(u, (40.0 / abs(math.cos(math.pi / alpha))) ** alpha)
+    return math.sqrt(u / (lam * t**alpha))
+
+
+def _fourier_tail(alpha: float, lam: float, mu: float, t: float, x, cutoff: float):
+    """Analytic tail (1/pi) int_K^inf cos(kx) E_alpha(-a(k) t^alpha) dk, x >= 0,
+    from the expansion of _tail_coefficients.  C_m = int_K^inf cos(kx) k^(-m) dk
+    and its sine twin S_m follow by parts from C_1 = -Ci(Kx), S_1 = pi/2 - Si(Kx).
     """
     kx = cutoff * x
     si, ci = special.sici(kx)
     c_m, s_m = np.where(kx > 0, -ci, 0.0), 0.5 * math.pi - si  # x C_1 -> 0 as x -> 0
-    ta, ratio = lam * t**alpha, mu / lam
+    coefs = _tail_coefficients(alpha, lam, mu, t)
     total = 0.0
     for m in range(2, 7):
         edge = cutoff ** (1 - m)
         c_m, s_m = ((np.cos(kx) * edge - x * s_m) / (m - 1),
                     (np.sin(kx) * edge + x * c_m) / (m - 1))
         if m % 2 == 0:
-            # coefficient of k^(-m): binom(-j, r) = (-1)^r binom(j+r-1, r), r = m/2 - j
-            coef = sum((-1) ** (j + 1) * special.rgamma(1.0 - j * alpha) / ta**j
-                       * (-ratio) ** (m // 2 - j) * math.comb(m // 2 - 1, j - 1)
-                       for j in range(1, m // 2 + 1))
-            total = total + coef * c_m
+            total = total + coefs[m // 2 - 1] * c_m
     return total / math.pi
 
 
@@ -180,10 +202,7 @@ def mean_fourier(
 
     Even-symmetry reduction of the full inverse transform, for scalar or
     array x: E_alpha is evaluated once on a Gauss-Legendre grid over [0, K]
-    and an analytic tail covers k > K.  K >= 240 makes u = lam K^2 t^alpha
-    >= 1e4, where the tail's first omitted term is ~u^-4 of it; for alpha > 1
-    it also lets the poles' residue pair, which the tail omits, decay by 40
-    e-folds: exp(r cos(pi/alpha)), r = u^(1/alpha), and a(k) >= lam k^2.
+    and an analytic tail covers k > K = max(240, _tail_onset).
     """
     if not t > 0:
         raise DomainError("mean_fourier requires t > 0")
@@ -193,10 +212,7 @@ def mean_fourier(
             "no pointwise mean field exists"
         )
     alpha, lam, ta = params.alpha, params.lam, t**params.alpha
-    u = 1e4
-    if alpha > 1.0:
-        u = max(u, (40.0 / abs(math.cos(math.pi / alpha))) ** alpha)
-    cutoff = max(240.0, math.sqrt(u / (lam * ta)))
+    cutoff = max(240.0, _tail_onset(alpha, lam, t))
     ax = np.abs(np.asarray(x, dtype=float))
     # a 32-node panel spans at most 4 widths of E near k = 0, 32 radians of
     # cos(kx) and 4 widths of the kernel's transform

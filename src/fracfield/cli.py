@@ -270,7 +270,9 @@ def _load_config(path):
         raise DomainError("config must be a JSON object")
     if cfg.get("version") != 1:
         raise DomainError("config requires \"version\": 1")
-    allowed = {"version", "params", "kernel", "grid", "quad", "series", "seed"}
+    # a --meta-out manifest is a valid config; its wall_time_s is ignored
+    allowed = {"version", "params", "kernel", "grid", "quad", "series", "seed",
+               "samples", "force", "wall_time_s"}
     extra = set(cfg) - allowed
     if extra:
         raise DomainError(f"unknown config keys: {sorted(extra)}")
@@ -313,6 +315,11 @@ def cmd_simulate(args) -> int:
         kernel = kernel_from_json(cfg.get("kernel", {"type": "gaussian", "scale": 1.0}))
         grid = _grid_from_cfg(cfg.get("grid", {}))
         seed = int(cfg.get("seed", args.seed))
+        samples = int(cfg.get("samples", args.samples))
+        force = cfg.get("force", False)
+        if not isinstance(force, bool):
+            raise DomainError("config \"force\" must be true or false")
+        force = force or args.force
     else:
         params = DiffusionParams(args.alpha, args.lam, args.mu, args.sigma, args.dim)
         kernel = KernelSpec()
@@ -323,17 +330,15 @@ def cmd_simulate(args) -> int:
             t_end=args.t_end,
             ic=args.ic,
         )
-        seed = args.seed
+        seed, samples, force = args.seed, args.samples, args.force
 
     t0 = time.time()
-    if args.samples > 1:
-        stats = simulate.ensemble_stats(
-            params, kernel, grid, args.samples, seed, force=args.force
-        )
+    if samples > 1:
+        stats = simulate.ensemble_stats(params, kernel, grid, samples, seed, force=force)
         mean_p, var_p = simulate.stats_to_profiles(stats)
         body = af.profile_to_csv(mean_p) + af.profile_to_csv(var_p)
     else:
-        path = simulate.simulate_path(params, kernel, grid, seed, force=args.force)
+        path = simulate.simulate_path(params, kernel, grid, seed, force=force)
         lines = ["t,x,value,method"]
         pos = grid.positions()
         for t, f in path.snapshots:
@@ -342,13 +347,15 @@ def cmd_simulate(args) -> int:
         body = "\n".join(lines) + "\n"
     _emit(body, args.out)
     meta = {
+        "version": 1,
         "params": {"alpha": params.alpha, "lambda": params.lam, "mu": params.mu,
                    "sigma": params.sigma, "dim": params.dim},
         "kernel": kernel_to_json(kernel),
         "grid": {"half_length": grid.half_length, "n_points": grid.n_points,
                  "n_steps": grid.n_steps, "t_end": grid.t_end, "ic": grid.ic},
         "seed": seed,
-        "samples": args.samples,
+        "samples": samples,
+        "force": force,
         "wall_time_s": time.time() - t0,
     }
     if args.meta_out:

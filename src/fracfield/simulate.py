@@ -1,10 +1,12 @@
 """Spectral Monte Carlo simulation of the stochastic field on a periodic box.
 
 The field on [-L, L] with n equispaced points is represented by its DFT at
-frequencies xi_k = pi k / L.  One sample path combines
+frequencies xi_k = pi k / L.  The scheme behind one sample path combines
 
-  * the deterministic part E_alpha(-a(xi_k) t^alpha) (Dirac initial datum), and
-  * the stochastic convolution  sigma sum_{m<n} Abar[n-m, k] dW_hat[m, k],
+  * the deterministic part E_alpha(-a(xi) t^alpha) (Dirac initial datum),
+    aliased onto the band |xi| <= pi/dx so that it gives the exact mean at
+    the grid points (see _aliased_row), and
+  * the stochastic convolution  sigma sum_{m<s} Abar[s-1-m, k] dW_hat[m, k],
 
 where dW_hat is the DFT of i.i.d. Gaussian cell increments of space-time
 white noise (variance dt*dx per cell) and Abar is the time kernel
@@ -23,12 +25,19 @@ the inverse Fourier integral on the xi_k grid (spacing pi/L).  The noise
 DFT and the synthesis each carry the phase (-1)^k of x_0 = -L; the two
 cancel exactly, so only the Dirac row is multiplied by (-1)^k.
 
-The Mittag-Leffler kernel is non-Markov: no recursive update exists, so all
-noise increments are kept and each requested snapshot re-weights the full
-history.  Everything is deterministic given (params, kernel, grid, seed):
-a counter-based generator (Philox) keyed by the seed and advanced by a
-fixed per-step offset, and a fixed pairwise-tree ensemble reduction that
-does not depend on any scheduling.
+The Mittag-Leffler kernel is non-Markov, so no recursion in time exists;
+but the scheme is linear and Gaussian, and the real and imaginary parts of
+different modes are independent.  So each mode's values at the J snapshot
+steps form a Gaussian vector whose covariance is a lag sum over the whole
+history, and the engine samples that vector exactly (the spectral exact
+sampler of Lord, Powell & Shardlow, An Introduction to Computational
+Stochastic PDEs, CUP 2014, ch. 10): one cached J x J factor per mode and J
+normal draws per real part, instead of a noise increment per time step.
+The noise law of every snapshot is the scheme's own; only the realization
+for a given seed differs from a time stepper's.  Everything is deterministic
+given (params, kernel, grid, snapshots, seed): a counter-based generator
+(Philox) keyed by the seed, and a fixed pairwise-tree ensemble reduction
+that does not depend on any scheduling.
 """
 
 from __future__ import annotations
@@ -38,8 +47,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .analytic_fields import Profile
+from .analytic_fields import Profile, _tail_coefficients, _tail_onset
 from .errors import DomainError, GridMismatchError, NotMildError
 from .mildness import classify
 from .special_fn import DEFAULT_POLICY, EvalPolicy, MLOrder, gamma_fn, ml_eval
@@ -126,28 +136,22 @@ class EnsembleStats:
     master_seed: int
 
 
-def _rng_for_step(grid: GridSpec, seed: int, step: int) -> np.random.Generator:
-    bg = np.random.Philox(key=seed)
-    # fixed counter offset per step keeps draws of different steps disjoint
-    bg.advance(step * 16 * grid.n_points)
-    return np.random.Generator(bg)
-
-
-def _cell_increments(grid: GridSpec, seed: int, step: int) -> np.ndarray:
-    """Real white-noise cell increments of one time slab, i.i.d. N(0, dt*dx)."""
-    rng = _rng_for_step(grid, seed, step)
-    return rng.standard_normal(grid.n_points) * math.sqrt(grid.dt * grid.dx)
-
-
 def noise_increments(grid: GridSpec, seed: int, step: int) -> np.ndarray:
     """DFT of one time slab of white-noise cell increments.
 
-    Real-space increments are i.i.d. N(0, dt*dx) per cell; the return value
+    Real-space increments are i.i.d. N(0, dt*dx) per cell, drawn from
+    Philox(key=seed) advanced by step * 16 * n_points; the return value
     is dW_hat_k = sum_j exp(-i xi_k x_j) dB_j, Hermitian-symmetric with
-    E|dW_hat_k|^2 = n_points * dt * dx.
+    E|dW_hat_k|^2 = n_points * dt * dx.  This is the scheme's noise written
+    out step by step; simulate_path samples its law at the snapshots
+    directly and does not call it.
     """
     n = grid.n_points
-    half = np.fft.rfft(_cell_increments(grid, seed, step))
+    bg = np.random.Philox(key=seed)
+    # fixed counter offset per step keeps draws of different steps disjoint
+    bg.advance(step * 16 * n)
+    db = np.random.Generator(bg).standard_normal(n) * math.sqrt(grid.dt * grid.dx)
+    half = np.fft.rfft(db)
     # assemble the full spectrum by explicit mirroring so Hermitian symmetry
     # holds bit-exactly, with real DC and Nyquist entries
     half[[0, -1]] = half[[0, -1]].real
@@ -157,23 +161,61 @@ def noise_increments(grid: GridSpec, seed: int, step: int) -> np.ndarray:
     return phase * out
 
 
+def _aliased_row(params, kernel, grid, t, row, policy):
+    """E_alpha(-a(xi) t^alpha) aliased onto the grid's band |xi| <= K = pi/dx:
+    row[k] + the sum over integers m != 0 of E_alpha(-a(xi_k + 2Km) t^alpha).
+
+    exp(2iKm x_j) = 1 at every grid point, so by Poisson summation the
+    synthesis of this row is exactly the mean field periodized with period
+    2L at the grid points, not only its band-limited part.  Copies with
+    |m| <= M are evaluated; the rest lie beyond _tail_onset, where the
+    k^(-2p) terms of _tail_coefficients sum in closed form to Hurwitz zeta
+    values: sum_{m>M} (2Km +- xi)^(-2p) = (2K)^(-2p) zeta(2p, M+1 +- xi/2K).
+    """
+    xi = grid.frequencies()[: grid.n_points // 2 + 1]
+    band = math.pi / grid.dx
+    m_max = max(0, math.ceil((_tail_onset(params.alpha, params.lam, t) / band - 1.0) / 2.0))
+    shift = 2.0 * band * np.arange(1, m_max + 1)[:, None]
+    a = symbol_a(params, kernel, np.concatenate([xi + shift, xi - shift]))
+    copies = ml_eval(MLOrder(params.alpha, 1.0), -a * t**params.alpha, policy)
+    q = xi / (2.0 * band)
+    rest = sum(b * (2.0 * band) ** (-2 * p)
+               * (special.zeta(2 * p, m_max + 1 + q) + special.zeta(2 * p, m_max + 1 - q))
+               for p, b in enumerate(
+                   _tail_coefficients(params.alpha, params.lam, params.mu, t), 1))
+    return row + (copies.sum(axis=0) + rest)
+
+
 @functools.lru_cache(maxsize=8)
-def _kernel_tables(
+def _snapshot_tables(
     params: DiffusionParams,
     kernel: KernelSpec,
     grid: GridSpec,
+    steps: tuple,
     policy: EvalPolicy,
 ):
-    """(E, Abar) on the half-spectrum k = 0..n/2, shape (n_steps+1, n/2+1):
-    E[l, k] = E_alpha(-a(xi_k) T_l^alpha) for l = 0..n_steps, and Abar[l-1, k]
-    for lags l = 1..n_steps, the exact cell averages of Lambda.
+    """(dirac, factor) for the sorted distinct snapshot steps s_1 < .. < s_J,
+    on the half-spectrum k = 0..n/2.
 
-    Row l of E is the Dirac part of a snapshot at step l.  Row l-1 of Abar
-    holds (E[l-1] - E[l]) / (a dt); for a = 0 the limit
-    (T_l^alpha - T_{l-1}^alpha) / (Gamma(alpha+1) dt).
+    dirac[i], shape (J, n/2+1), is the phased Dirac part of snapshot i:
+    (-1)^k times the row E_alpha(-a(xi_k) T_{s_i}^alpha) aliased onto the band
+    (_aliased_row), whose synthesis is the exact mean on the grid; zero for a
+    zero initial condition.  At lambda = 0 (forced runs only) E does not
+    decay, no pointwise mean exists and the row stays band-limited.  factor[k], shape (J, J), is the
+    R factor of W_k^T = Q R scaled by sqrt(c_k), where
+    W_k[i, m] = Abar[s_i-1-m, k] for m < s_i (else 0) and Abar[l, k] is the
+    exact cell average of Lambda at lag l+1:
+    (E_alpha(-a T_l^alpha) - E_alpha(-a T_{l+1}^alpha)) / (a dt), or for a = 0
+    the limit (T_{l+1}^alpha - T_l^alpha) / (Gamma(alpha+1) dt).  c_k is the
+    variance of one real part of the rfft of the cell increments:
+    n dt dx / 2 inside, n dt dx at k = 0 and n/2.  So factor[k]^T factor[k]
+    is the covariance of the real (or imaginary) part of mode k's noise at
+    the J snapshots (sigma = 1), c_k W_k W_k^T, computed without forming
+    the Gram matrix; QR works for any step list.
     """
-    a = symbol_a(params, kernel, grid.frequencies()[: grid.n_points // 2 + 1])
-    t_alpha = (grid.dt * np.arange(grid.n_steps + 1)) ** params.alpha
+    n = grid.n_points
+    a = symbol_a(params, kernel, grid.frequencies()[: n // 2 + 1])
+    t_alpha = (grid.dt * np.arange(steps[-1] + 1)) ** params.alpha
     e = ml_eval(MLOrder(params.alpha, 1.0), -np.outer(t_alpha, a), policy)
     zero = a == 0.0
     a_safe = np.where(zero, 1.0, a)
@@ -181,9 +223,23 @@ def _kernel_tables(
     if np.any(zero):
         limit = (t_alpha[1:] - t_alpha[:-1]) / (gamma_fn(params.alpha + 1.0) * grid.dt)
         weights[:, zero] = limit[:, None]
-    e.setflags(write=False)  # shared by every path through the cache
-    weights.setflags(write=False)
-    return e, weights
+    lag = np.array(steps)[None, :] - 1 - np.arange(steps[-1])[:, None]
+    w_t = weights.T[:, np.maximum(lag, 0)]  # (n/2+1, s_J, J)
+    w_t[:, lag < 0] = 0.0
+    c = np.full(n // 2 + 1, 0.5 * n * grid.dt * grid.dx)
+    c[[0, -1]] *= 2.0
+    factor = np.linalg.qr(w_t, mode="r") * np.sqrt(c)[:, None, None]
+    phase = np.where(np.arange(n // 2 + 1) % 2 == 0, 1.0, -1.0)
+    dirac = np.zeros((len(steps), n // 2 + 1))
+    if grid.ic == "dirac_spectral":
+        for i, s in enumerate(steps):
+            row = e[s]
+            if params.lam > 0:
+                row = _aliased_row(params, kernel, grid, s * grid.dt, row, policy)
+            dirac[i] = phase * row
+    dirac.setflags(write=False)  # shared by every path through the cache
+    factor.setflags(write=False)
+    return dirac, factor
 
 
 def _default_snapshot_steps(grid: GridSpec, n_out: int = 8):
@@ -202,6 +258,16 @@ def simulate_path(
 ) -> SamplePath:
     """One sample path; snapshots at the requested step indices (default 8 times).
 
+    Steps may come in any order and repeat; a repeated step repeats its
+    field bit for bit.  The noise is drawn as follows, and this layout is
+    part of the reproducibility contract, like mix_seed: with s_1 < .. < s_J
+    the distinct steps, one Generator(Philox(key=seed)) makes one
+    standard_normal draw g of shape (2, n/2+1, J).  Mode k's snapshot noise
+    is sigma * (R_k^T g[0, k] + i R_k^T g[1, k]), where R_k is the cached
+    factor of _snapshot_tables, so that R_k^T R_k is the scheme's covariance
+    of one real part of mode k at the J steps.  irfft discards the
+    imaginary part at k = 0 and n/2, so g[1, 0] and g[1, n/2] are unused.
+
     Refuses non-mild parameter sets (with dim=1 semantics) unless force=True.
     """
     verdict = classify(params if params.dim == 1 else DiffusionParams(
@@ -217,26 +283,20 @@ def simulate_path(
     if any(s < 1 or s > grid.n_steps for s in snapshot_steps):
         raise DomainError("snapshot steps must lie in 1..n_steps")
 
-    n = grid.n_points
-    phase = np.where(np.arange(n // 2 + 1) % 2 == 0, 1.0, -1.0)
-    inv_scale = n / (2.0 * grid.half_length)
-    dirac, weights = _kernel_tables(params, kernel, grid, policy)
-
+    steps = tuple(sorted(set(snapshot_steps)))
+    dirac, factor = _snapshot_tables(params, kernel, grid, steps, policy)
+    z_half = dirac.astype(complex)
     if params.sigma != 0.0:
-        db = [_cell_increments(grid, seed, m) for m in range(max(snapshot_steps))]
-        w_half = np.fft.rfft(db, axis=1)
-    snapshots = []
-    for step in snapshot_steps:
-        z_half = np.zeros(n // 2 + 1, dtype=complex)
-        if grid.ic == "dirac_spectral":
-            z_half += phase * dirac[step]
-        if params.sigma != 0.0:
-            # lag of increment slab m (covering (tau_m, tau_{m+1})) is step - m
-            z_half += params.sigma * np.sum(
-                weights[step - 1 :: -1][: step] * w_half[:step], axis=0
-            )
-        snapshots.append((step * grid.dt, np.fft.irfft(z_half, n) * inv_scale))
-    return SamplePath(grid=grid, snapshots=tuple(snapshots), seed=seed)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        g = rng.standard_normal((2,) + factor.shape[:2])
+        noise = params.sigma * (g[:, :, None, :] @ factor)[:, :, 0, :]
+        z_half.real += noise[0].T
+        z_half.imag += noise[1].T
+    fields = np.fft.irfft(z_half, grid.n_points, axis=1) * (
+        grid.n_points / (2.0 * grid.half_length))
+    row = {s: i for i, s in enumerate(steps)}
+    snapshots = tuple((s * grid.dt, fields[row[s]]) for s in snapshot_steps)
+    return SamplePath(grid=grid, snapshots=snapshots, seed=seed)
 
 
 def _merge(a, b):

@@ -12,6 +12,9 @@ from fracfield.special_fn import MLOrder, ml_bounds, ml_eval
 from fracfield.symbol import KernelSpec, kernel_from_json
 
 
+GOLDEN_PATH_SHA256 = "4d6755d82af8f50f3835830cceff3ed4e6d019620cb0f0413b63512944c09172"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -221,6 +224,30 @@ class TestSimulateCli:
         assert "wall_time_s" in meta
         # timing lives only in the metadata; the CSV stays byte-stable
         assert "wall_time" not in out
+
+    @pytest.mark.parametrize("extra", [["--samples", "4"], ["--alpha", "0.5", "--force"]],
+                             ids=["samples", "forced"])
+    def test_meta_out_replays(self, capsys, tmp_path, extra):
+        # the manifest is a version-1 config: feeding it back repeats the run
+        meta_path = tmp_path / "m.json"
+        code, out, _ = run(capsys, *self.ARGS, *extra, "--meta-out", str(meta_path))
+        assert code == EXIT_OK
+        meta = json.loads(meta_path.read_text())
+        assert meta["version"] == 1
+        code, replay, _ = run(capsys, "simulate", "--config", str(meta_path))
+        assert code == EXIT_OK
+        assert replay == out
+
+    def test_golden_sample_path(self, capsys):
+        # pins the noise realization: the seeded draw layout of simulate_path
+        # and the Dirac rows, at alpha=0.8, mu=0.5 on the 64 x 16 grid
+        import hashlib
+
+        code, out, _ = run(capsys, "simulate", "--alpha", "0.8", "--mu", "0.5",
+                           "--half-length", "5", "--n-points", "64", "--n-steps", "16",
+                           "--seed", "42")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PATH_SHA256
 
     def test_config_file(self, capsys, tmp_path):
         cfg = {

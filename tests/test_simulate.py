@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracfield.analytic_fields import heat_kernel, make_profile
+from fracfield.analytic_fields import heat_kernel, make_profile, mean_fourier
 from fracfield.errors import DomainError, GridMismatchError, NotMildError
 from fracfield.simulate import (
     GridSpec,
@@ -25,6 +25,37 @@ SMALL_ZERO = GridSpec(half_length=5.0, n_points=64, n_steps=16, t_end=1.0, ic="z
 
 def params(alpha, lam=1.0, mu=0.0, sigma=1.0):
     return DiffusionParams(alpha=alpha, lam=lam, mu=mu, sigma=sigma, dim=1)
+
+
+def scheme_weights(prm, grid):
+    """Abar[l, k] on all n frequencies, written out: the cell average of
+    Lambda at lag l+1, (E(T_l) - E(T_{l+1})) / (a dt) with its a = 0 limit."""
+    from fracfield.special_fn import MLOrder, gamma_fn, ml_eval
+    from fracfield.symbol import symbol_a
+
+    alpha, dt = prm.alpha, grid.dt
+    a = symbol_a(prm, GAUSS, grid.frequencies())
+    t_alpha = (dt * np.arange(grid.n_steps + 1)) ** alpha
+    e = ml_eval(MLOrder(alpha, 1.0), -np.outer(t_alpha, a))
+    abar = (e[:-1] - e[1:]) / (np.where(a == 0, 1.0, a) * dt)
+    limit = (t_alpha[1:] - t_alpha[:-1]) / (gamma_fn(alpha + 1.0) * dt)
+    abar[:, a == 0] = limit[:, None]
+    return abar
+
+
+def engine_covariance(prm, grid, steps):
+    """Per-mode covariance R^T R of the engine's factor over the distinct
+    steps, shape (n/2+1, J, J), and the noise variance c_k of one real part
+    of the rfft of the cell increments (n dt dx / 2; n dt dx at DC, Nyquist)."""
+    from fracfield.simulate import _snapshot_tables
+    from fracfield.special_fn import DEFAULT_POLICY
+
+    _, factor = _snapshot_tables(prm, GAUSS, grid, tuple(sorted(set(steps))),
+                                 DEFAULT_POLICY)
+    n = grid.n_points
+    c = np.full(n // 2 + 1, 0.5 * n * grid.dt * grid.dx)
+    c[[0, -1]] *= 2.0
+    return np.einsum("kji,kjl->kil", factor, factor), c
 
 
 class TestGridSpec:
@@ -138,71 +169,101 @@ class TestSimulatePath:
         sel = ref > 1e-8
         assert np.max(np.abs(f[sel] - ref[sel]) / ref[sel]) < 1e-6
 
-    def test_alpha_one_exponential_euler_recursion(self):
-        # at alpha=1 the history sum collapses to the exact recursion
-        # z_n = e^{-a dt} z_{n-1} + phi(a dt) dW_n with phi = (1-e^{-a dt})/(a dt)
+    def test_alpha_one_covariance_closed_form(self):
+        # at alpha=1 the scheme is exponential Euler, Abar[l] = phi e^{-a dt l}
+        # with phi = (1-e^{-a dt})/(a dt), so the covariance of one real part
+        # of mode k at steps s_i <= s_j sums a geometric series:
+        # c_k phi^2 e^{-a dt (s_j-s_i)} (1-e^{-2 a dt s_i}) / (1-e^{-2 a dt})
         from fracfield.symbol import symbol_a
 
-        grid = SMALL_ZERO
-        prm = params(1.0)
-        seed = 11
-        a = symbol_a(prm, GAUSS, grid.frequencies())
-        dt = grid.dt
-        phi = np.where(a > 0, -np.expm1(-a * dt) / np.where(a > 0, a * dt, 1.0), 1.0)
-        z = np.zeros(grid.n_points, dtype=complex)
-        for m in range(grid.n_steps):
-            z = z * np.exp(-a * dt) + phi * noise_increments(grid, seed, m)
-        path = simulate_path(prm, GAUSS, grid, seed=seed,
-                             snapshot_steps=[grid.n_steps])
-        phase = np.where(np.arange(grid.n_points) % 2 == 0, 1.0, -1.0)
-        ref = np.real(np.fft.ifft(phase * z)) * grid.n_points / (2 * grid.half_length)
-        _, f = path.snapshots[0]
-        assert np.max(np.abs(f - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+        grid, prm, steps = SMALL_ZERO, params(1.0), (1, 2, 5, 16)
+        n, dt = grid.n_points, grid.dt
+        cov, c = engine_covariance(prm, grid, steps)
+        a = symbol_a(prm, GAUSS, grid.frequencies()[: n // 2 + 1])[:, None, None]
+        pos = a > 0
+        ad = np.where(pos, a * dt, 1.0)
+        phi = np.where(pos, -np.expm1(-ad) / ad, 1.0)
+        s = np.array(steps, dtype=float)
+        lo, hi = np.minimum.outer(s, s), np.maximum.outer(s, s)
+        series = np.where(pos, np.expm1(-2 * ad * lo) / np.expm1(-2 * ad), lo)
+        ref = c[:, None, None] * phi**2 * np.exp(-np.where(pos, ad, 0.0) * (hi - lo)) * series
+        scale = np.sqrt(np.einsum("kii->ki", ref))
+        assert np.all(np.abs(cov - ref) <= 1e-12 * scale[:, :, None] * scale[:, None, :])
+
+    @pytest.mark.parametrize("alpha,steps", [
+        (0.8, (1, 5, 16)),
+        (1.5, (1, 5, 16)),
+        (0.8, tuple(range(1, 17))),
+        (1.5, (16, 3, 3)),
+        (0.5, (2, 4, 6, 8, 10, 12, 14, 16)),  # not mild: reached with force=True
+    ], ids=["0.8", "1.5", "0.8-every-step", "1.5-duplicates", "0.5-forced"])
+    def test_covariance_matches_written_out_scheme(self, alpha, steps):
+        # the engine's per-mode factor against the full-width scheme written
+        # out: tables on all n frequencies and the lag sum over past steps,
+        # sum_{m < min(s_i, s_j)} Abar[s_i-1-m, k] Abar[s_j-1-m, k]
+        prm, grid = params(alpha, mu=0.5), SMALL
+        n = grid.n_points
+        abar = scheme_weights(prm, grid)
+        distinct = sorted(set(steps))
+        ref = np.array([[
+            sum(abar[si - 1 - m] * abar[sj - 1 - m] for m in range(min(si, sj)))
+            for sj in distinct] for si in distinct])  # (J, J, n)
+        cov, c = engine_covariance(prm, grid, steps)
+        half = np.minimum(np.arange(n), n - np.arange(n))  # a(xi) is even
+        got = np.moveaxis(cov / c[:, None, None], 0, -1)[:, :, half]
+        scale = np.sqrt(np.einsum("iik->ik", ref))
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale[:, None, :] * scale[None, :, :])
+
+    def test_duplicate_and_unsorted_steps(self):
+        # a snapshot's field depends only on the seed and the set of distinct
+        # steps, so duplicates are bit-identical and order does not matter
+        prm = params(1.5, mu=0.5)
+        mixed = simulate_path(prm, GAUSS, SMALL, seed=9, snapshot_steps=[16, 3, 3])
+        plain = simulate_path(prm, GAUSS, SMALL, seed=9, snapshot_steps=[3, 16])
+        assert [t for t, _ in mixed.snapshots] == [1.0, 3 * SMALL.dt, 3 * SMALL.dt]
+        (_, f16), (_, f3a), (_, f3b) = mixed.snapshots
+        assert np.array_equal(f3a, f3b)
+        assert np.array_equal(f3a, plain.snapshots[0][1])
+        assert np.array_equal(f16, plain.snapshots[1][1])
+
+    def test_every_step(self):
+        steps = range(1, SMALL.n_steps + 1)
+        p = simulate_path(params(0.8), GAUSS, SMALL, seed=4, snapshot_steps=steps)
+        assert [t for t, _ in p.snapshots] == [s * SMALL.dt for s in steps]
+        assert all(np.all(np.isfinite(f)) for _, f in p.snapshots)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5])
     def test_dirac_part_is_table_row(self, alpha):
-        # the Dirac part of a snapshot at step l is row l of the cached table,
-        # bit for bit what a per-path evaluation of that row would give
-        from fracfield.special_fn import MLOrder, ml_eval
-        from fracfield.symbol import symbol_a
-
+        # the Dirac part of a snapshot is its cached row, the spectrum aliased
+        # onto the grid's band, whose synthesis is the exact mean on the grid:
+        # against mean_fourier where the 2L-periodic images are negligible
         prm = params(alpha, mu=0.5, sigma=0.0)
-        a = symbol_a(prm, GAUSS, SMALL.frequencies())
-        t_alpha = (SMALL.dt * np.arange(SMALL.n_steps + 1)) ** alpha
-        steps = [1, 5, 16]
-        path = simulate_path(prm, GAUSS, SMALL, seed=1, snapshot_steps=steps, force=True)
-        n = SMALL.n_points
-        phase = np.where(np.arange(n // 2 + 1) % 2 == 0, 1.0, -1.0)
-        for step, (_, f) in zip(steps, path.snapshots):
-            z_hat = np.zeros(SMALL.n_points, dtype=complex)
-            z_hat += ml_eval(MLOrder(alpha, 1.0), -a * t_alpha[step])
-            ref = np.fft.irfft(phase * z_hat[: n // 2 + 1], n) * (n / (2 * SMALL.half_length))
-            assert np.array_equal(f, ref)
+        grid = GridSpec(half_length=20.0, n_points=256, n_steps=16)
+        path = simulate_path(prm, GAUSS, grid, seed=1, snapshot_steps=[4, 16])
+        x = grid.positions()
+        near = np.abs(x) <= 5.0
+        for t, f in path.snapshots:
+            ref = mean_fourier(prm, GAUSS, t, x[near])
+            assert np.max(np.abs(f[near] - ref)) <= 1e-11 * np.max(ref)
 
-    @pytest.mark.parametrize("alpha", [0.8, 1.5])
-    def test_matches_full_spectrum_reference(self, alpha):
-        # the half-spectrum engine against the full-width scheme written out:
-        # tables on all n frequencies, per-step noise_increments, phased ifft
-        from fracfield.special_fn import MLOrder, gamma_fn, ml_eval
-        from fracfield.symbol import symbol_a
+    @pytest.mark.parametrize("alpha", [0.8, 1.5, 1.9])
+    def test_dirac_peak_closed_form_at_first_step(self, alpha):
+        # at t = dt most of the mean's spectrum lies beyond Nyquist (the
+        # band-limited row alone is 30-60% off); the aliased row recovers the
+        # peak 1 / (2 Gamma(1 - alpha/2) sqrt(lam t^alpha)) at mu = 0
+        prm = params(alpha, sigma=0.0)
+        t, f = simulate_path(prm, GAUSS, SMALL, seed=1, snapshot_steps=[1]).snapshots[0]
+        peak = 1.0 / (2.0 * math.gamma(1.0 - alpha / 2.0) * math.sqrt(t**alpha))
+        assert f[SMALL.n_points // 2] == pytest.approx(peak, rel=1e-13)
 
-        prm = params(alpha, mu=0.5)
-        grid, seed = SMALL, 21
-        n, dt = grid.n_points, grid.dt
-        a = symbol_a(prm, GAUSS, grid.frequencies())
-        t_alpha = (dt * np.arange(grid.n_steps + 1)) ** alpha
-        e = ml_eval(MLOrder(alpha, 1.0), -np.outer(t_alpha, a))
-        abar = (e[:-1] - e[1:]) / (np.where(a == 0, 1.0, a) * dt)
-        limit = (t_alpha[1:] - t_alpha[:-1]) / (gamma_fn(alpha + 1.0) * dt)
-        abar[:, a == 0] = limit[:, None]
-        w_hat = np.array([noise_increments(grid, seed, m) for m in range(grid.n_steps)])
-        phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        steps = [1, 5, 16]
-        path = simulate_path(prm, GAUSS, grid, seed=seed, snapshot_steps=steps, force=True)
-        for step, (_, f) in zip(steps, path.snapshots):
-            z_hat = e[step] + sum(abar[step - 1 - m] * w_hat[m] for m in range(step))
-            ref = np.real(np.fft.ifft(phase * z_hat)) * n / (2 * grid.half_length)
-            assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
+    def test_forced_lambda_zero_keeps_band_limited_mean(self):
+        # without diffusion E does not decay and no pointwise mean exists;
+        # a forced run still gives the band-limited Dirac part
+        prm = params(0.8, lam=0.0, mu=0.5, sigma=0.0)
+        with pytest.raises(NotMildError):
+            simulate_path(prm, GAUSS, SMALL, seed=1)
+        p = simulate_path(prm, GAUSS, SMALL, seed=1, force=True)
+        assert all(np.all(np.isfinite(f)) for _, f in p.snapshots)
 
     def test_snapshot_step_validation(self):
         with pytest.raises(DomainError):
@@ -231,6 +292,26 @@ class TestEnsemble:
                                master_seed=4, force=True)
         ref = sigma**2 * one.variance
         assert np.max(np.abs(small.variance - ref)) <= 1e-8 * np.max(ref)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    def test_variance_matches_scheme_oracle(self, alpha):
+        # the scheme's exact variance at every snapshot from a zero initial
+        # state: V(s) = sigma^2 dt dx (n/2L)^2 (1/n) sum_k P_k with
+        # P_k = sum_{l<s} Abar[l, k]^2 over all n frequencies.  The field is
+        # stationary in x, so the spatial mean of the sample variance
+        # estimates V.  For N Gaussian paths Cov(s2(x), s2(y)) = 2 C(x-y)^2/(N-1),
+        # so by Parseval that mean has relative standard error
+        # sqrt(2/(N-1) * sum_k P_k^2 / (sum_k P_k)^2); allow 5 of them.
+        grid, n_paths = GridSpec(ic="zero"), 2000
+        n = grid.n_points
+        prm = params(alpha)
+        stats = ensemble_stats(prm, GAUSS, grid, n_paths, master_seed=12345)
+        steps = np.round(np.array(stats.times) / grid.dt).astype(int)
+        p_k = np.cumsum(scheme_weights(prm, grid) ** 2, axis=0)[steps - 1]
+        oracle = grid.dt * grid.dx * (n / (2 * grid.half_length)) ** 2 / n * p_k.sum(axis=1)
+        rel_se = np.sqrt(2.0 / (n_paths - 1) * (p_k**2).sum(axis=1) / p_k.sum(axis=1) ** 2)
+        rel_err = stats.variance.mean(axis=1) / oracle - 1.0
+        assert np.all(np.abs(rel_err) <= 5.0 * rel_se), (rel_err / rel_se, oracle)
 
     def test_variance_growth(self):
         # accumulated noise: variance at the box center grows with time
