@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import (
     DomainError,
@@ -172,23 +172,42 @@ def _tail_onset(alpha: float, lam: float, t: float) -> float:
     return math.sqrt(u / (lam * t**alpha))
 
 
+_FAR_KX = 1000.0
+_FAR_TERMS = 16
+
+
 def _fourier_tail(alpha: float, lam: float, mu: float, t: float, x, cutoff: float):
     """Analytic tail (1/pi) int_K^inf cos(kx) E_alpha(-a(k) t^alpha) dk, x >= 0,
-    from the expansion of _tail_coefficients.  C_m = int_K^inf cos(kx) k^(-m) dk
-    and its sine twin S_m follow by parts from C_1 = -Ci(Kx), S_1 = pi/2 - Si(Kx).
+    from the expansion of _tail_coefficients, summed over C_m = int_K^inf
+    cos(kx) k^(-m) dk.
+
+    Where Kx < _FAR_KX, C_m and its sine twin S_m follow by parts from
+    C_1 = -Ci(Kx), S_1 = pi/2 - Si(Kx).  That recursion multiplies rounding
+    by x at each step, so farther out C_m is the real part of the
+    integration-by-parts series
+    int_K^inf e^(ikx) k^(-m) dk = -e^(iKx) K^(1-m) sum_j (m)_j / (iKx)^(j+1),
+    whose terms beyond _FAR_TERMS are below (m)_16 / (Kx)^16 <= 5e-31 of the first.
     """
     kx = cutoff * x
     si, ci = special.sici(kx)
     c_m, s_m = np.where(kx > 0, -ci, 0.0), 0.5 * math.pi - si  # x C_1 -> 0 as x -> 0
     coefs = _tail_coefficients(alpha, lam, mu, t)
-    total = 0.0
+    near = 0.0
     for m in range(2, 7):
         edge = cutoff ** (1 - m)
         c_m, s_m = ((np.cos(kx) * edge - x * s_m) / (m - 1),
                     (np.sin(kx) * edge + x * c_m) / (m - 1))
         if m % 2 == 0:
-            total = total + coefs[m // 2 - 1] * c_m
-    return total / math.pi
+            near = near + coefs[m // 2 - 1] * c_m
+    far = kx >= _FAR_KX
+    if not np.any(far):
+        return near / math.pi
+    # one series for all three m: d_j = sum_m b_m K^(1-m) (m)_j
+    j = np.arange(_FAR_TERMS)
+    d = sum(b * cutoff ** (1 - m) * special.poch(m, j) for m, b in zip((2, 4, 6), coefs))
+    w = 1.0 / (1j * np.maximum(kx, _FAR_KX))  # only read where far
+    series = -(np.exp(1j * kx) * w * np.polyval(d[::-1], w)).real
+    return np.where(far, series, near) / math.pi
 
 
 def mean_fourier(
@@ -262,40 +281,25 @@ def mean_half_closed(t: float, x: float, lam: float) -> float:
     return (1.0 + u) * math.exp(-(x * x) / w) / math.sqrt(math.pi * w)
 
 
-def var_classical_quadrature(
-    t: float,
-    x,
-    lam: float,
-    sigma: float,
-    quad: QuadSpec = DEFAULT_QUAD,
-):
+def var_classical_quadrature(t: float, x, lam: float, sigma: float):
     """Variance at alpha = 1 by direct quadrature of
 
     sigma^2 int_0^t int_R (4 pi lam (t-tau))^(-1) exp(-(x-y)^2/(2 lam (t-tau))) dy dtau.
 
-    The substitution v = sqrt(t - tau) removes the endpoint singularity of
-    the outer integral; the inner integral runs over the whole line, so the
-    value does not depend on x and is computed once for scalar or array x.
+    The substitutions s = t - tau = v^2 (dtau = 2 v dv) and
+    y - x = u sqrt(2 lam s) turn it into a smooth integrand on
+    [0, sqrt(t)] x [-8, 8] (exp(-u^2) < 1e-27 beyond), which fixed
+    Gauss-Legendre panels integrate exactly to rounding; the result equals
+    sigma^2 sqrt(t / (2 pi lam)).  It does not depend on x, so it is
+    computed once for scalar or array x.
     """
     if not t > 0 or not lam > 0:
         raise DomainError("var_classical_quadrature requires t > 0 and lambda > 0")
-
-    def inner(v):
-        s = v * v  # s = t - tau, dtau = 2 v dv
-        val, _ = integrate.quad(
-            lambda u: math.exp(-(u * u) / (2.0 * lam * s)) / (4.0 * math.pi * lam * s),
-            -np.inf,
-            np.inf,
-            epsabs=1e-14,
-            epsrel=1e-11,
-        )
-        return 2.0 * v * val
-
-    val, err = integrate.quad(
-        inner, 0.0, math.sqrt(t), epsabs=1e-13, epsrel=quad.rel_tol * 1e-2
-    )
-    if not math.isfinite(val):
-        raise QuadratureError("classical variance quadrature failed")
+    v, wv = gl_panels([0.0, math.sqrt(t)], 32)
+    u, wu = gl_panels(np.arange(-8.0, 9.0), 32)
+    s = (v * v)[:, None]
+    dens = np.exp(-(u * u)) / (4.0 * math.pi * lam * s)
+    val = (2.0 * v * wv) @ (dens * np.sqrt(2.0 * lam * s)) @ wu
     out = np.full(np.shape(x), sigma * sigma * val)
     return float(out) if out.ndim == 0 else out
 

@@ -87,8 +87,10 @@ def _emit(text: str, out_path):
 def cmd_ml(args) -> int:
     if args.zeros:
         lo, hi = (float(v) for v in args.interval.split(":"))
+        if not lo < hi:
+            raise DomainError(f"--interval lo:hi needs lo < hi, got {args.interval!r}")
         zl = special_fn.ml_real_zeros(args.alpha, lo, 1e-10)
-        lines = ["zero"] + [_fmt(z) for z in zl.zeros]
+        lines = ["zero"] + [_fmt(z) for z in zl.zeros if z <= hi]
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     xs = _parse_range(args.x_range)
@@ -232,7 +234,7 @@ def cmd_variance(args) -> int:
     crosscheck = None
     if args.method == "quadrature":
         if args.alpha == 1.0:
-            fn = lambda t, x: af.var_classical_quadrature(t, x, args.lam, args.sigma, quad)
+            fn = lambda t, x: af.var_classical_quadrature(t, x, args.lam, args.sigma)
         else:
             fn = lambda t, x: af.var_frac_quadrature(
                 t, np.abs(x), args.alpha, args.lam, args.sigma, quad
@@ -243,9 +245,7 @@ def cmd_variance(args) -> int:
             raise DomainError("closed variance route has alpha=1 semantics")
         fn = lambda t, x: af.var_classical_closed(t, x, args.lam, args.sigma)
         tag = "var_closed"
-        crosscheck = lambda t, x: af.var_classical_quadrature(
-            t, x, args.lam, args.sigma, quad
-        )
+        crosscheck = lambda t, x: af.var_classical_quadrature(t, x, args.lam, args.sigma)
     elif args.method == "series":
         fn = lambda t, x: af.var_series(t, x, args.alpha, args.lam, args.sigma, series)
         tag = "var_series"
@@ -271,8 +271,8 @@ def _load_config(path):
     if cfg.get("version") != 1:
         raise DomainError("config requires \"version\": 1")
     # a --meta-out manifest is a valid config; its wall_time_s is ignored
-    allowed = {"version", "params", "kernel", "grid", "quad", "series", "seed",
-               "samples", "force", "wall_time_s"}
+    allowed = {"version", "params", "kernel", "grid", "seed", "samples", "force",
+               "wall_time_s"}
     extra = set(cfg) - allowed
     if extra:
         raise DomainError(f"unknown config keys: {sorted(extra)}")

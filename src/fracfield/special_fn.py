@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import DomainError, NoConvergenceError, UnsupportedOrderError
 
@@ -432,8 +432,12 @@ def ml_real_zeros(
     """Locate all real zeros of E_alpha on [x_min, 0] by scan plus bisection.
 
     Completely monotone orders alpha <= 1 return an empty list without
-    scanning. Zeros are refined until |E_alpha| <= zero_tol (or the bracket
-    collapses to machine width).
+    scanning.  A scan point where E_alpha is exactly 0 is a zero.  Every
+    sign change between scan points is bisected, all brackets in the same
+    ml_eval call, until its ends are adjacent floats.  The end with the
+    smaller |E_alpha| is a zero if that value is at most
+    max(zero_tol, 1e-9 |f_a - f_b|), with f_a, f_b the scan values at the
+    bracket's ends.
     """
     if x_min >= 0:
         raise DomainError("x_min must be negative")
@@ -447,20 +451,23 @@ def ml_real_zeros(
     if grid[-1] < -scan_step / 2:
         grid = np.append(grid, -scan_step / 2)
     vals = ml_eval(order, grid, policy)
-
-    def f(z):
-        return ml_eval(order, float(z), policy)
-
-    zeros = []
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            zeros.append(float(a))
-            continue
-        if fa * fb < 0:
-            root = optimize.brentq(f, a, b, xtol=1e-13, rtol=4 * np.finfo(float).eps)
-            if abs(f(root)) <= max(zero_tol, 1e-9 * abs(fa - fb)):
-                zeros.append(float(root))
-    return ZeroList(alpha, tuple(sorted(zeros)), (x_min, 0.0))
+    fa, fb = vals[:-1], vals[1:]
+    cross = np.nonzero(fa * fb < 0)[0]
+    lo, hi, f_lo, f_hi = grid[cross], grid[cross + 1], fa[cross], fb[cross]
+    while True:
+        mid = 0.5 * (lo + hi)
+        i = np.nonzero((lo < mid) & (mid < hi))[0]
+        if not i.size:
+            break
+        f_mid = ml_eval(order, mid[i], policy)
+        right = f_mid * f_lo[i] > 0  # the sign change lies in [mid, hi]
+        lo[i[right]], f_lo[i[right]] = mid[i[right]], f_mid[right]
+        hi[i[~right]], f_hi[i[~right]] = mid[i[~right]], f_mid[~right]
+    root = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+    ok = np.minimum(np.abs(f_lo), np.abs(f_hi)) <= np.maximum(
+        zero_tol, 1e-9 * np.abs(fa[cross] - fb[cross]))
+    zeros = np.sort(np.concatenate((grid[:-1][fa == 0.0], root[ok])))
+    return ZeroList(alpha, tuple(float(z) for z in zeros), (x_min, 0.0))
 
 
 def mainardi_series(alpha: float, u, policy: EvalPolicy = DEFAULT_POLICY):

@@ -3,6 +3,7 @@
 import io
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -160,6 +161,37 @@ class TestMeanFourier:
                 ref = (np.sum(head * np.cos(k * x)) + tail) / math.pi
                 assert abs(mean_fourier(p, kernel, t, x) - ref) <= 1e-12, (t, x)
 
+    @pytest.mark.parametrize("alpha, t", [(1.2, 0.25), (1.5, 0.125), (1.9, 1 / 16)])
+    def test_far_field_vanishes(self, alpha, t):
+        # mu = 0: the true mean is below 1e-100 on x >= 12; there the tail's
+        # integrals sit at Kx >= 2880, where the upward Ci/Si recursion alone
+        # grows rounding to 0.19
+        xs = np.linspace(12.0, 80.0, 69)
+        assert np.abs(mean_fourier(local_params(alpha), GAUSS, t, xs)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kx", [50.0, 600.0, 999.0, 1000.0, 1500.0, 1e5])
+    def test_tail_both_sides_of_series_switch(self, kx):
+        # the float tail, by recursion below Kx = 1000 and by the by-parts
+        # series above, against the recursion in 60-digit arithmetic
+        from fracfield.analytic_fields import _fourier_tail, _tail_coefficients, _tail_onset
+
+        alpha, lam, t = 1.5, 1.0, 0.125
+        cutoff = max(240.0, _tail_onset(alpha, lam, t))
+        x = kx / cutoff
+        coefs = _tail_coefficients(alpha, lam, 0.0, t)
+        with mp.workdps(60):
+            xm, km = mp.mpf(x), mp.mpf(cutoff)
+            c_m, s_m = -mp.ci(km * xm), mp.pi / 2 - mp.si(km * xm)
+            ref = mp.mpf(0)
+            for m in range(2, 7):
+                edge = km ** (1 - m)
+                c_m, s_m = ((mp.cos(km * xm) * edge - xm * s_m) / (m - 1),
+                            (mp.sin(km * xm) * edge + xm * c_m) / (m - 1))
+                if m % 2 == 0:
+                    ref += coefs[m // 2 - 1] * c_m
+            ref = float(ref / mp.pi)
+        assert abs(_fourier_tail(alpha, lam, 0.0, t, np.array(x), cutoff) - ref) <= 1e-12
+
     def test_array_matches_pointwise(self):
         # per-point calls pick their own panel width from |x|
         p = DiffusionParams(alpha=0.8, lam=1.0, mu=0.5, sigma=1.0, dim=1)
@@ -218,6 +250,21 @@ class TestClassicalVariance:
         v1 = var_classical_quadrature(1.0, 0.0, 1.0, 1.0)
         v4 = var_classical_quadrature(4.0, 0.0, 1.0, 1.0)
         assert v4 == pytest.approx(2.0 * v1, rel=1e-6)
+
+    def test_equals_closed_variance_integral(self):
+        # the stated integral is sigma^2 sqrt(t / (2 pi lambda)) exactly
+        for t in (0.25, 1.0, 4.0):
+            for lam in (0.5, 2.0):
+                for sigma in (1.0, 3.0):
+                    ref = sigma * sigma * math.sqrt(t / (2.0 * math.pi * lam))
+                    got = var_classical_quadrature(t, 0.0, lam, sigma)
+                    assert got == pytest.approx(ref, rel=1e-13), (t, lam, sigma)
+
+    def test_array_x_identical(self):
+        xs = np.linspace(-10.0, 10.0, 41)
+        v = var_classical_quadrature(1.0, xs, 1.0, 1.0)
+        assert v.shape == xs.shape
+        assert np.all(v == var_classical_quadrature(1.0, 0.0, 1.0, 1.0))
 
     def test_closed_form_examples(self):
         assert var_classical_closed(1.0, 0.0, 1.0, 1.0) == pytest.approx(

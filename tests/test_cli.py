@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracfield
 from fracfield.analytic_fields import heat_kernel
 from fracfield.cli import EXIT_NOT_MILD, EXIT_OK, EXIT_RESONANCE, EXIT_USAGE, main
 from fracfield.special_fn import MLOrder, ml_bounds, ml_eval
@@ -13,6 +17,17 @@ from fracfield.symbol import KernelSpec, kernel_from_json
 
 
 GOLDEN_PATH_SHA256 = "4d6755d82af8f50f3835830cceff3ed4e6d019620cb0f0413b63512944c09172"
+
+
+def test_import_loads_no_scipy_optimize_or_integrate():
+    # every CLI process pays the import; a fresh interpreter shows what it loads
+    src = os.path.dirname(os.path.dirname(fracfield.__file__))
+    probe = ("import sys, fracfield.cli; "
+             "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def run(capsys, *argv):
@@ -81,6 +96,22 @@ class TestMl:
         assert len(zeros) == len(expected)
         for got, ref in zip(sorted(zeros), sorted(expected)):
             assert got == pytest.approx(ref, abs=1e-8)
+
+    def test_zeros_interval_upper_end(self, capsys):
+        code, out, _ = run(
+            capsys, "ml", "--alpha", "2", "--zeros", "--interval", "-30:-5"
+        )
+        assert code == EXIT_OK
+        zeros = [float(line) for line in out.strip().splitlines()[1:]]
+        assert zeros == pytest.approx([-((1.5 * math.pi) ** 2)], abs=1e-8)
+
+    @pytest.mark.parametrize("interval", ["-5:-30", "-5:-5"])
+    def test_zeros_empty_interval(self, capsys, interval):
+        code, _, err = run(
+            capsys, "ml", "--alpha", "2", "--zeros", "--interval", interval
+        )
+        assert code == EXIT_USAGE
+        assert "lo < hi" in err
 
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "ml", "--alpha", "0.5", "--x-range", "oops")
@@ -284,6 +315,14 @@ class TestSimulateCli:
     def test_config_unknown_key(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "params": {"alpha": 1.0}, "extra": 1}))
+        code, _, err = run(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert "unknown config keys" in err
+
+    @pytest.mark.parametrize("key", ["quad", "series"])
+    def test_config_unread_keys_rejected(self, capsys, tmp_path, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "params": {"alpha": 1.0}, key: {}}))
         code, _, err = run(capsys, "simulate", "--config", str(path))
         assert code == EXIT_USAGE
         assert "unknown config keys" in err

@@ -285,6 +285,13 @@ class TestZeros:
         for z, e in zip(zl.zeros, sorted(expected)):
             assert abs(z - e) <= 1e-8
 
+    def test_cos_zeros_to_200(self):
+        zl = ml_real_zeros(2.0, -200.0, 1e-10)
+        k = np.arange(len(zl.zeros))[::-1]
+        assert len(zl.zeros) == 5
+        np.testing.assert_allclose(zl.zeros, -((math.pi / 2 + k * math.pi) ** 2),
+                                   rtol=1e-13, atol=0)
+
     def test_monotone_empty(self):
         assert ml_real_zeros(0.8, -100.0, 1e-10).zeros == ()
         assert ml_real_zeros(1.0, -100.0, 1e-10).zeros == ()
