@@ -8,7 +8,6 @@ routes, and spectral Monte Carlo simulation on a 1-D periodic grid.
 
 from .analytic_fields import (
     Profile,
-    QuadSpec,
     VarianceSeriesSpec,
     beta_coeff,
     crosscheck_to_csv,

@@ -44,7 +44,6 @@ from .special_fn import (
 from .symbol import DiffusionParams, KernelSpec, symbol_a
 
 __all__ = [
-    "QuadSpec",
     "Profile",
     "VarianceSeriesSpec",
     "heat_kernel",
@@ -62,24 +61,6 @@ __all__ = [
     "profile_to_csv",
     "crosscheck_to_csv",
 ]
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Precision contract for the adaptive quadratures."""
-
-    panels: int = 16
-    rel_tol: float = 1e-8
-    max_refinements: int = 8
-
-    def __post_init__(self):
-        if self.panels < 8:
-            raise DomainError("panels must be >= 8")
-        if not 0 < self.rel_tol < 1e-2:
-            raise DomainError("rel_tol must lie in (0, 1e-2)")
-
-
-DEFAULT_QUAD = QuadSpec()
 
 
 @dataclass(frozen=True)
@@ -269,16 +250,17 @@ def mean_mainardi(
     return mainardi_series(alpha, u, policy) / math.sqrt(4.0 * math.pi * lam * t**alpha)
 
 
-def mean_half_closed(t: float, x: float, lam: float) -> float:
-    """Closed-form mean at alpha = 1/2:
+def mean_half_closed(t: float, x, lam: float):
+    """Closed-form mean at alpha = 1/2, scalar or array x:
 
     (4 pi lam sqrt(t))^(-1/2) (1 + |x|/sqrt(4 lam sqrt(t))) exp(-x^2/(4 lam sqrt(t))).
     """
     if not t > 0 or not lam > 0:
         raise DomainError("mean_half_closed requires t > 0 and lambda > 0")
     w = 4.0 * lam * math.sqrt(t)
-    u = abs(x) / math.sqrt(w)
-    return (1.0 + u) * math.exp(-(x * x) / w) / math.sqrt(math.pi * w)
+    x = np.asarray(x, dtype=float)
+    out = (1.0 + np.abs(x) / math.sqrt(w)) * np.exp(-(x * x) / w) / math.sqrt(math.pi * w)
+    return float(out) if out.ndim == 0 else out
 
 
 def var_classical_quadrature(t: float, x, lam: float, sigma: float):
@@ -326,52 +308,31 @@ def var_classical_closed(t: float, x, lam: float, sigma: float):
 def fluct_kernel_frac(
     t: float,
     t1: float,
-    x: float,
-    x1: float,
+    x,
+    x1,
     alpha: float,
     lam: float,
     sigma: float,
     policy: EvalPolicy = DEFAULT_POLICY,
-) -> float:
-    """First fluctuation kernel:
+):
+    """First fluctuation kernel, scalar or array x and x1:
 
     sigma (4 pi lam (t-t1)^alpha)^(-1/2) E_{alpha,alpha}(-(x-x1)^2/(4 lam (t-t1)^alpha)).
     """
     if not t > t1 >= 0:
         raise DomainError("fluct_kernel_frac requires t > t1 >= 0")
     s = (t - t1) ** alpha
-    arg = -((x - x1) ** 2) / (4.0 * lam * s)
+    d = np.subtract(x, x1, dtype=float)
+    arg = -(d * d) / (4.0 * lam * s)
     return (
         sigma
-        * float(ml_eval(MLOrder(alpha, alpha), arg, policy))
+        * ml_eval(MLOrder(alpha, alpha), arg, policy)
         / math.sqrt(4.0 * math.pi * lam * s)
     )
 
 
-def _var_frac_once(t, x, alpha, lam, panels, policy):
-    """One evaluation of the fractional variance integral at fixed panel count.
-
-    Time variable s = t - tau on geometric panels accumulating at s = 0
-    (resolves s^{-alpha}); for each s the inner y-integral is rescaled to
-    u = (x - y)/sqrt(4 lam s^alpha), where the squared kernel decays
-    algebraically, and runs to u_max = x / sqrt(4 lam s^alpha).  With the
-    u_max of every (s, x) pair and the edges 0, 1, 4, 16, ... sorted into
-    one grid, a 32-node panel per gap and a cumulative sum give all inner
-    integrals.  Returns one value per x, without sigma^2 / (4 pi lam).
-    """
-    s, ws = gl_panels(np.geomspace(t * 1e-12, t, panels), 32)
-    c = np.sqrt(4.0 * lam * s**alpha)
-    u_max = (x[:, None] / c).ravel()
-    whole = 4.0 ** np.arange(math.ceil(math.log(max(u_max.max(), 1.0), 4.0)) + 1)
-    edges = np.sort(np.concatenate(([0.0], whole, u_max)))
-    gaps = np.empty(edges.size - 1)
-    step = 128  # gaps per ml_eval call
-    for i in range(0, gaps.size, step):
-        u, w = gl_panels(edges[i : i + step + 1], 32)
-        e = ml_eval(MLOrder(alpha, alpha), -(u * u), policy)
-        gaps[i : i + step] = (e * e * w).reshape(-1, 32).sum(axis=1)
-    inner = np.concatenate(([0.0], np.cumsum(gaps)))[np.searchsorted(edges, u_max)]
-    return (inner.reshape(x.size, -1) * (ws * s ** (-alpha) * c)).sum(axis=1)
+_TINY_U = 2.0**-30  # below it e(u) = e(0) (1 + O(u^2)) is constant to rounding
+_TOP_U = 2.0**8  # the integral of e beyond it is below 1e-18 of I_alpha
 
 
 def var_frac_quadrature(
@@ -380,16 +341,29 @@ def var_frac_quadrature(
     alpha: float,
     lam: float,
     sigma: float,
-    quad: QuadSpec = DEFAULT_QUAD,
     policy: EvalPolicy = DEFAULT_POLICY,
 ):
     """Fractional variance integral (0 < alpha < 1), scalar or array x >= 0:
 
     sigma^2/(4 pi lam) int_0^t int_0^x (t-tau)^(-alpha)
-        [E_{alpha,alpha}(-(x-y)^2/(4 lam (t-tau)^alpha))]^2 dy dtau,
+        [E_{alpha,alpha}(-(x-y)^2/(4 lam (t-tau)^alpha))]^2 dy dtau.
 
-    self-refined until the relative change drops below quad.rel_tol at
-    every x.
+    With s = t - tau and y -> (x - y)/sqrt(4 lam s^alpha) the inner integral
+    is a running integral of e(u) = E_{alpha,alpha}(-u^2)^2 up to
+    x/sqrt(4 lam s^alpha); swapping the order of integration (Fubini) does
+    the s-integral exactly.  With U = x/(2 sqrt(lam) t^(alpha/2)) and
+    p = 2/alpha - 1,
+
+    var = sigma^2 t^(1-alpha/2) / (pi sqrt(lam) (2-alpha))
+          * [int_0^U e(u) du + int_U^inf e(u) (U/u)^p du].
+
+    Both integrals run over one set of panels with edges 0, every x's U and
+    the powers of 2 from the smallest positive U (clamped to [2^-30, 1]) to
+    max(U, 2^8): 32 Gauss-Legendre nodes and one ml_eval call for all
+    panels above 2^-30, e = e(0) in closed form below.  A forward cumulative
+    sum gives the first integral.  The second, T_k at edge U_k, follows from
+    T_k = B_k + (U_k/U_(k+1))^p T_(k+1) with B_k the panel integral of
+    e(u) (U_k/u)^p, so no power of a tiny U is ever formed.
     """
     if not t > 0 or not lam > 0:
         raise DomainError("var_frac_quadrature requires t > 0 and lambda > 0")
@@ -398,19 +372,29 @@ def var_frac_quadrature(
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0):
         raise DomainError("var_frac_quadrature requires x >= 0")
-    flat = xa.ravel()
-    panels = quad.panels
-    prev = _var_frac_once(t, flat, alpha, lam, panels, policy)
-    for _ in range(quad.max_refinements):
-        panels *= 2
-        cur = _var_frac_once(t, flat, alpha, lam, panels, policy)
-        if np.all(np.abs(cur - prev) <= quad.rel_tol * np.abs(cur)):
-            out = (sigma * sigma / (4.0 * math.pi * lam) * cur).reshape(xa.shape)
-            return float(out) if out.ndim == 0 else out
-        prev = cur
-    raise QuadratureError(
-        f"fractional variance quadrature did not self-converge at {panels} panels"
-    )
+    p = 2.0 / alpha - 1.0
+    u_x = xa.ravel() / (2.0 * math.sqrt(lam) * t ** (alpha / 2.0))
+    lo = max(u_x.min(initial=1.0, where=u_x > 0), _TINY_U)
+    hi = max(u_x.max(initial=0.0), _TOP_U)
+    octaves = 2.0 ** np.arange(math.floor(math.log2(lo)), math.ceil(math.log2(hi)) + 1)
+    edges = np.unique(np.concatenate(([0.0], octaves, u_x)))
+    n = np.count_nonzero(edges[1:] <= _TINY_U)  # panels where e = e(0) to rounding
+    u, w = gl_panels(edges[n:], 32)
+    ew = (w * ml_eval(MLOrder(alpha, alpha), -(u * u), policy) ** 2).reshape(-1, 32)
+    ratio = edges[:-1] / edges[1:]
+    e0 = gamma_fn(alpha) ** -2
+    head = np.concatenate((e0 * np.diff(edges[: n + 1]), ew.sum(axis=1)))  # int e
+    body = np.concatenate((  # int e (left/u)^p
+        e0 * edges[:n] * (1.0 - ratio[:n] ** (p - 1.0)) / (p - 1.0),
+        (ew * (edges[n:-1, None] / u.reshape(-1, 32)) ** p).sum(axis=1)))
+    shrink = ratio**p
+    tail = np.zeros(edges.size)
+    for k in range(edges.size - 2, -1, -1):
+        tail[k] = body[k] + shrink[k] * tail[k + 1]
+    total = np.concatenate(([0.0], np.cumsum(head))) + tail
+    scale = t ** (1.0 - alpha / 2.0) / (math.pi * math.sqrt(lam) * (2.0 - alpha))
+    out = sigma * sigma * (scale * total[np.searchsorted(edges, u_x)]).reshape(xa.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def beta_coeff(m: int, alpha: float) -> float:

@@ -229,16 +229,16 @@ def cmd_variance(args) -> int:
     params = DiffusionParams(args.alpha, args.lam, args.mu, args.sigma, 1)
     ts = _parse_tlist(args.t_list)
     xs = _parse_range(args.x_range)
-    quad = af.QuadSpec()
     series = af.VarianceSeriesSpec()
+    frac_quadrature = lambda t, x: af.var_frac_quadrature(
+        t, np.abs(x), args.alpha, args.lam, args.sigma
+    )
     crosscheck = None
     if args.method == "quadrature":
         if args.alpha == 1.0:
             fn = lambda t, x: af.var_classical_quadrature(t, x, args.lam, args.sigma)
         else:
-            fn = lambda t, x: af.var_frac_quadrature(
-                t, np.abs(x), args.alpha, args.lam, args.sigma, quad
-            )
+            fn = frac_quadrature
         tag = "var_quadrature"
     elif args.method == "closed":
         if args.alpha != 1.0:
@@ -249,6 +249,7 @@ def cmd_variance(args) -> int:
     elif args.method == "series":
         fn = lambda t, x: af.var_series(t, x, args.alpha, args.lam, args.sigma, series)
         tag = "var_series"
+        crosscheck = frac_quadrature
     else:
         raise DomainError(f"unknown variance method {args.method!r}")
     profile = af.make_profile(ts, xs, fn, tag, {"alpha": args.alpha})

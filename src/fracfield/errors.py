@@ -22,7 +22,7 @@ class DegenerateParametersError(DomainError):
 
 
 class QuadratureError(FracfieldError, ArithmeticError):
-    """Adaptive quadrature failed to converge."""
+    """A quadrature needs more panels than it allows, or returned a non-finite value."""
 
 
 class NonIntegrableSymbolError(FracfieldError, ValueError):

@@ -6,10 +6,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate
 
 from fracfield.analytic_fields import (
     Profile,
-    QuadSpec,
     VarianceSeriesSpec,
     beta_coeff,
     crosscheck_to_csv,
@@ -31,12 +31,11 @@ from fracfield.errors import (
     NonIntegrableSymbolError,
     ResonanceError,
 )
-from fracfield.special_fn import gamma_fn
+from fracfield.special_fn import MLOrder, gamma_fn, ml_eval
 from fracfield.symbol import DiffusionParams, KernelSpec
 from ml_oracle import mainardi_oracle
 
 GAUSS = KernelSpec("gaussian", 1.0)
-FAST_QUAD = QuadSpec(rel_tol=1e-6)
 
 
 def local_params(alpha, lam=1.0):
@@ -309,7 +308,7 @@ class TestFluctKernel:
 
 class TestFracVariance:
     def test_anchor_value(self):
-        v = var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 1.0, FAST_QUAD)
+        v = var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 1.0)
         assert v == pytest.approx(0.046873949677921, rel=1e-4)
 
     def test_x_zero(self):
@@ -317,21 +316,69 @@ class TestFracVariance:
 
     def test_monotone_in_t(self):
         vals = [
-            var_frac_quadrature(t, 1.0, 0.6, 1.0, 1.0, FAST_QUAD)
+            var_frac_quadrature(t, 1.0, 0.6, 1.0, 1.0)
             for t in (0.5, 1.0, 2.0)
         ]
         assert vals[0] < vals[1] < vals[2]
 
     def test_sigma_scaling_exact(self):
-        v1 = var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 1.0, FAST_QUAD)
-        v2 = var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 2.0, FAST_QUAD)
+        v1 = var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 1.0)
+        v2 = var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 2.0)
         assert v2 == 4.0 * v1
 
     def test_array_matches_pointwise(self):
         xs = np.array([0.0, 0.3, 1.0, 2.5])
-        pts = [var_frac_quadrature(1.0, float(x), 0.6, 1.0, 1.0, FAST_QUAD) for x in xs]
-        arr = var_frac_quadrature(1.0, xs, 0.6, 1.0, 1.0, FAST_QUAD)
-        np.testing.assert_allclose(arr, pts, rtol=FAST_QUAD.rel_tol, atol=0)
+        pts = [var_frac_quadrature(1.0, float(x), 0.6, 1.0, 1.0) for x in xs]
+        arr = var_frac_quadrature(1.0, xs, 0.6, 1.0, 1.0)
+        np.testing.assert_allclose(arr, pts, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("alpha,x", [(0.6, 1e-20), (0.9, 1e-300)])
+    def test_small_x_limit(self, alpha, x):
+        # var / x -> sigma^2 t^(1-alpha) / (4 pi lam Gamma(alpha)^2 (1-alpha))
+        t, lam, sigma = 2.0, 0.5, 1.5
+        ref = sigma**2 * t ** (1.0 - alpha) / (
+            4.0 * math.pi * lam * gamma_fn(alpha) ** 2 * (1.0 - alpha))
+        got = var_frac_quadrature(t, x, alpha, lam, sigma) / x
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_large_x_limit(self):
+        # var -> sigma^2 t^(1-alpha/2) I / (pi sqrt(lam) (2-alpha)) with
+        # I = int_0^inf E_{alpha,alpha}(-u^2)^2 du from an adaptive rule
+        alpha, t, lam, sigma = 0.8, 2.0, 0.5, 1.5
+        e = lambda u: ml_eval(MLOrder(alpha, alpha), -u * u) ** 2
+        cuts = [0.0, 1.0, 2.0, 4.0, 8.0]
+        i_alpha = sum(integrate.quad(e, a, b, epsabs=0, epsrel=1e-13)[0]
+                      for a, b in zip(cuts, cuts[1:]))
+        i_alpha += integrate.quad(e, cuts[-1], np.inf, epsabs=0, epsrel=1e-13)[0]
+        assert i_alpha == pytest.approx(0.414525, abs=1e-6)
+        ref = sigma**2 * t ** (1.0 - alpha / 2.0) * i_alpha / (
+            math.pi * math.sqrt(lam) * (2.0 - alpha))
+        got = var_frac_quadrature(t, 1e4, alpha, lam, sigma)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha,x", [(0.6, 1.0), (0.9, 2.0)])
+    def test_nested_quadrature_reference(self, alpha, x):
+        # the stated double integral with s = t - tau = w^(2/(2-alpha)), which
+        # makes the integrand bounded at w = 0, and y -> (x-y)/sqrt(4 lam s^alpha)
+        t, lam, sigma = 1.3, 0.7, 1.0
+        e = lambda u: ml_eval(MLOrder(alpha, alpha), -u * u) ** 2
+
+        def outer(w):
+            s = w ** (2.0 / (2.0 - alpha))
+            c = 2.0 * math.sqrt(lam * s**alpha)
+            inner = integrate.quad(e, 0.0, x / c, epsabs=0, epsrel=1e-13, limit=200)[0]
+            return 2.0 / (2.0 - alpha) * s ** (-alpha / 2.0) * c * inner
+
+        top = t ** (1.0 - alpha / 2.0)
+        ref = sigma**2 / (4.0 * math.pi * lam) * integrate.quad(
+            outer, 0.0, top, epsabs=0, epsrel=1e-13, limit=200)[0]
+        got = var_frac_quadrature(t, x, alpha, lam, sigma)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.6, 0.9])
+    def test_finite_at_tiny_x(self, alpha):
+        v = var_frac_quadrature(1.0, np.array([1e-300, 1e-20]), alpha, 1.0, 1.0)
+        assert np.all(np.isfinite(v)) and np.all(v > 0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -368,7 +415,7 @@ class TestSeriesRoute:
         # agreement between the two fractional variance routes is an open
         # question; only finiteness/positivity is asserted, the ratio is data
         vs = var_series(1.0, 1.0, 0.6, 1.0, 1.0)
-        vq = var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 1.0, FAST_QUAD)
+        vq = var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 1.0)
         assert vs > 0 and vq > 0 and math.isfinite(vs / vq)
 
 
@@ -387,6 +434,19 @@ def test_routes_accept_arrays(route):
     xs = np.linspace(-3.0, 3.0, 7)
     pts = [route(1.0, float(x)) for x in xs]
     np.testing.assert_allclose(route(1.0, xs), pts, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda x: mean_half_closed(1.7, x, 0.8),
+        lambda x: fluct_kernel_frac(1.7, 0.4, x, 0.3, 0.6, 0.8, 1.3),
+    ],
+    ids=["mean_half_closed", "fluct_kernel_frac"],
+)
+def test_closed_kernels_array_matches_scalar_bitwise(route):
+    xs = np.linspace(-6.0, 6.0, 121)
+    assert np.array_equal(route(xs), [route(float(x)) for x in xs])
 
 
 class TestProfiles:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fracfield
-from fracfield.analytic_fields import heat_kernel
+from fracfield.analytic_fields import heat_kernel, var_frac_quadrature
 from fracfield.cli import EXIT_NOT_MILD, EXIT_OK, EXIT_RESONANCE, EXIT_USAGE, main
 from fracfield.special_fn import MLOrder, ml_bounds, ml_eval
 from fracfield.symbol import KernelSpec, kernel_from_json
@@ -207,6 +207,23 @@ class TestMeanVariance:
         header, rows = parse_csv(cc.read_text())
         assert header == ["t", "x", "method_a", "value_a", "method_b", "value_b", "ratio"]
         assert rows and rows[0][2] == "var_closed"
+
+    def test_series_variance_emits_crosscheck(self, capsys):
+        # no --out: the report goes to stderr, the quadrature as method_b
+        code, _, err = run(
+            capsys,
+            "variance",
+            "--method", "series",
+            "--alpha", "0.6",
+            "--t-list", "1",
+            "--x-range", "-1:1:3",
+        )
+        assert code == EXIT_OK
+        header, rows = parse_csv(err)
+        assert header == ["t", "x", "method_a", "value_a", "method_b", "value_b", "ratio"]
+        assert [r[2] for r in rows] == ["var_series"] * 3
+        assert [r[4] for r in rows] == ["var_quadrature"] * 3
+        assert float(rows[0][5]) == var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 1.0)
 
 
 class TestSimulateCli:

@@ -148,6 +148,19 @@ class TestEval:
                         worst = max(worst, err / (abs(ref) if abs(ref) > 1e-3 else 1.0))
         assert worst <= 1e-11
 
+    def test_large_beta_near_unit_circle(self):
+        # beta > alpha + 1.75 steps beta down through a division by z, which
+        # amplifies rounding at |z| < 1; the series serves the unit disc there
+        worst = 0.0
+        for alpha in (0.1, 0.3):
+            for beta in (5.0, 8.0):
+                for x in (0.51, 0.7, 0.9, 1.01):
+                    for z in (-x, x):
+                        ref = ml_oracle(alpha, beta, z)
+                        err = abs(ml_eval(MLOrder(alpha, beta), z) - ref)
+                        worst = max(worst, err / (abs(ref) if abs(ref) > 1e-3 else 1.0))
+        assert worst <= 1e-11
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
     def test_subdiffusive_large_argument(self, alpha):
         for beta in (1.0, alpha):
