@@ -8,7 +8,6 @@ routes, and spectral Monte Carlo simulation on a 1-D periodic grid.
 
 from .analytic_fields import (
     Profile,
-    VarianceSeriesSpec,
     beta_coeff,
     crosscheck_to_csv,
     fluct_kernel_frac,
@@ -59,7 +58,6 @@ from .simulate import (
     stats_to_profiles,
 )
 from .special_fn import (
-    EvalPolicy,
     MLOrder,
     ZeroList,
     erfc,

@@ -31,21 +31,11 @@ from .errors import (
     QuadratureError,
     ResonanceError,
 )
-from .special_fn import (
-    DEFAULT_POLICY,
-    EvalPolicy,
-    MLOrder,
-    erfc,
-    gamma_fn,
-    gl_panels,
-    mainardi_series,
-    ml_eval,
-)
+from .special_fn import MLOrder, erfc, gamma_fn, gl_panels, mainardi_series, ml_eval
 from .symbol import DiffusionParams, KernelSpec, symbol_a
 
 __all__ = [
     "Profile",
-    "VarianceSeriesSpec",
     "heat_kernel",
     "mean_fourier",
     "mean_mainardi",
@@ -63,19 +53,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VarianceSeriesSpec:
-    max_terms: int = 30
-    resonance_guard: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_terms < 5:
-            raise DomainError("max_terms must be >= 5")
-        if not self.resonance_guard > 0:
-            raise DomainError("resonance_guard must be positive")
-
-
-DEFAULT_SERIES = VarianceSeriesSpec()
+_VAR_SERIES_TERMS = 30
+_RESONANCE_GUARD = 1e-9
 
 _METHOD_TAGS = (
     "fourier",
@@ -191,13 +170,7 @@ def _fourier_tail(alpha: float, lam: float, mu: float, t: float, x, cutoff: floa
     return np.where(far, series, near) / math.pi
 
 
-def mean_fourier(
-    params: DiffusionParams,
-    kernel: KernelSpec,
-    t: float,
-    x,
-    policy: EvalPolicy = DEFAULT_POLICY,
-):
+def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     """Mean field by Fourier inversion, (1/pi) int_0^inf cos(kx) E_alpha(-a(k) t^alpha) dk.
 
     Even-symmetry reduction of the full inverse transform, for scalar or
@@ -222,7 +195,7 @@ def mean_fourier(
     if panels > 1 << 16:
         raise QuadratureError(f"frequency cutoff {cutoff:.3g} needs {panels} panels")
     k, w = gl_panels(np.linspace(0.0, cutoff, panels + 1), 32)
-    wf = w * ml_eval(MLOrder(alpha, 1.0), -symbol_a(params, kernel, k) * ta, policy)
+    wf = w * ml_eval(MLOrder(alpha, 1.0), -symbol_a(params, kernel, k) * ta)
     flat, step = ax.ravel(), max(1, _CHUNK_ELEMS // k.size)
     val = np.concatenate([np.cos(np.outer(flat[i : i + step], k)) @ wf
                           for i in range(0, flat.size, step)])
@@ -233,13 +206,7 @@ def mean_fourier(
     return float(out) if out.ndim == 0 else out
 
 
-def mean_mainardi(
-    t: float,
-    x,
-    alpha: float,
-    lam: float,
-    policy: EvalPolicy = DEFAULT_POLICY,
-):
+def mean_mainardi(t: float, x, alpha: float, lam: float):
     """Mean field via the Mainardi scaling form (local operator, mu = 0):
 
     (4 pi lam t^alpha)^(-1/2) M_alpha(|x| / sqrt(lam t^alpha)), scalar or array x.
@@ -247,7 +214,7 @@ def mean_mainardi(
     if not t > 0 or not lam > 0:
         raise DomainError("mean_mainardi requires t > 0 and lambda > 0")
     u = np.abs(x) / math.sqrt(lam * t**alpha)
-    return mainardi_series(alpha, u, policy) / math.sqrt(4.0 * math.pi * lam * t**alpha)
+    return mainardi_series(alpha, u) / math.sqrt(4.0 * math.pi * lam * t**alpha)
 
 
 def mean_half_closed(t: float, x, lam: float):
@@ -305,16 +272,7 @@ def var_classical_closed(t: float, x, lam: float, sigma: float):
     )
 
 
-def fluct_kernel_frac(
-    t: float,
-    t1: float,
-    x,
-    x1,
-    alpha: float,
-    lam: float,
-    sigma: float,
-    policy: EvalPolicy = DEFAULT_POLICY,
-):
+def fluct_kernel_frac(t: float, t1: float, x, x1, alpha: float, lam: float, sigma: float):
     """First fluctuation kernel, scalar or array x and x1:
 
     sigma (4 pi lam (t-t1)^alpha)^(-1/2) E_{alpha,alpha}(-(x-x1)^2/(4 lam (t-t1)^alpha)).
@@ -324,25 +282,14 @@ def fluct_kernel_frac(
     s = (t - t1) ** alpha
     d = np.subtract(x, x1, dtype=float)
     arg = -(d * d) / (4.0 * lam * s)
-    return (
-        sigma
-        * ml_eval(MLOrder(alpha, alpha), arg, policy)
-        / math.sqrt(4.0 * math.pi * lam * s)
-    )
+    return sigma * ml_eval(MLOrder(alpha, alpha), arg) / math.sqrt(4.0 * math.pi * lam * s)
 
 
 _TINY_U = 2.0**-30  # below it e(u) = e(0) (1 + O(u^2)) is constant to rounding
 _TOP_U = 2.0**8  # the integral of e beyond it is below 1e-18 of I_alpha
 
 
-def var_frac_quadrature(
-    t: float,
-    x,
-    alpha: float,
-    lam: float,
-    sigma: float,
-    policy: EvalPolicy = DEFAULT_POLICY,
-):
+def var_frac_quadrature(t: float, x, alpha: float, lam: float, sigma: float):
     """Fractional variance integral (0 < alpha < 1), scalar or array x >= 0:
 
     sigma^2/(4 pi lam) int_0^t int_0^x (t-tau)^(-alpha)
@@ -380,7 +327,7 @@ def var_frac_quadrature(
     edges = np.unique(np.concatenate(([0.0], octaves, u_x)))
     n = np.count_nonzero(edges[1:] <= _TINY_U)  # panels where e = e(0) to rounding
     u, w = gl_panels(edges[n:], 32)
-    ew = (w * ml_eval(MLOrder(alpha, alpha), -(u * u), policy) ** 2).reshape(-1, 32)
+    ew = (w * ml_eval(MLOrder(alpha, alpha), -(u * u)) ** 2).reshape(-1, 32)
     ratio = edges[:-1] / edges[1:]
     e0 = gamma_fn(alpha) ** -2
     head = np.concatenate((e0 * np.diff(edges[: n + 1]), ew.sum(axis=1)))  # int e
@@ -406,40 +353,31 @@ def beta_coeff(m: int, alpha: float) -> float:
     )
 
 
-def resonance_set(
-    alpha: float, max_m: int, guard: float = DEFAULT_SERIES.resonance_guard
-) -> list:
-    """All m <= max_m with alpha within guard of 1/(m+1)."""
-    return [m for m in range(max_m + 1) if abs(alpha - 1.0 / (m + 1)) <= guard]
+def resonance_set(alpha: float, max_m: int) -> list:
+    """All m <= max_m with alpha within 1e-9 of 1/(m+1)."""
+    return [m for m in range(max_m + 1) if abs(alpha - 1.0 / (m + 1)) <= _RESONANCE_GUARD]
 
 
-def var_series(
-    t: float,
-    x,
-    alpha: float,
-    lam: float,
-    sigma: float,
-    spec: VarianceSeriesSpec = DEFAULT_SERIES,
-):
+def var_series(t: float, x, alpha: float, lam: float, sigma: float):
     """Variance power series in |x| (0 < alpha < 1), scalar or array x:
 
-    sigma^2/(4 pi lam) sum_m (-1)^m beta_m |x|^(2m+1) t^(1-(m+1) alpha)
+    sigma^2/(4 pi lam) sum_{m<30} (-1)^m beta_m |x|^(2m+1) t^(1-(m+1) alpha)
         / (4^m (2m+1) (1 - (m+1) alpha)).
 
-    Raises a resonance error when alpha sits on (or within the guard of)
-    1/(m+1) for some m below the truncation order: the corresponding
-    denominator vanishes and the variance diverges.
+    Raises a resonance error when alpha lies within 1e-9 of 1/(m+1) for
+    some m below the truncation order: the corresponding denominator
+    vanishes and the variance diverges.
     """
     if not t > 0 or not lam > 0:
         raise DomainError("var_series requires t > 0 and lambda > 0")
     if not 0 < alpha < 1:
         raise DomainError("var_series requires 0 < alpha < 1")
-    res = resonance_set(alpha, spec.max_terms - 1, spec.resonance_guard)
+    res = resonance_set(alpha, _VAR_SERIES_TERMS - 1)
     if res:
         raise ResonanceError(res[0], alpha)
     ax = np.abs(x)
     total = 0.0
-    for m in range(spec.max_terms):
+    for m in range(_VAR_SERIES_TERMS):
         term = (
             (-1.0) ** m
             * beta_coeff(m, alpha)
@@ -486,7 +424,8 @@ def crosscheck_to_csv(rows) -> str:
     """Serialize cross-check rows (t, x, method_a, value_a, method_b, value_b)."""
     lines = ["t,x,method_a,value_a,method_b,value_b,ratio"]
     for t, x, ma, va, mb, vb in rows:
-        ratio = va / vb if vb != 0 else math.inf
+        # two routes that agree exactly, zeros included, have ratio 1
+        ratio = 1.0 if va == vb else (va / vb if vb != 0 else math.inf)
         lines.append(
             f"{_fmt(t)},{_fmt(x)},{ma},{_fmt(va)},{mb},{_fmt(vb)},{_fmt(ratio)}"
         )

@@ -89,7 +89,7 @@ def cmd_ml(args) -> int:
         lo, hi = (float(v) for v in args.interval.split(":"))
         if not lo < hi:
             raise DomainError(f"--interval lo:hi needs lo < hi, got {args.interval!r}")
-        zl = special_fn.ml_real_zeros(args.alpha, lo, 1e-10)
+        zl = special_fn.ml_real_zeros(args.alpha, lo)
         lines = ["zero"] + [_fmt(z) for z in zl.zeros if z <= hi]
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
@@ -199,11 +199,13 @@ def cmd_mean(args) -> int:
         fn = lambda t, x: af.mean_fourier(params, kernel, t, x)
         tag = "fourier"
     elif args.method == "mainardi":
+        if args.mu != 0.0:
+            raise DomainError("mainardi route has mu=0 semantics")
         fn = lambda t, x: af.mean_mainardi(t, x, args.alpha, args.lam)
         tag = "mainardi"
     elif args.method == "heat_kernel":
-        if args.alpha != 1.0:
-            raise DomainError("heat_kernel route has alpha=1 semantics")
+        if args.alpha != 1.0 or args.mu != 0.0:
+            raise DomainError("heat_kernel route has alpha=1, mu=0 semantics")
         fn = lambda t, x: af.heat_kernel(t, x, args.lam)
         tag = "heat_kernel"
     else:
@@ -218,6 +220,8 @@ def cmd_mean(args) -> int:
 
 
 def cmd_variance(args) -> int:
+    if args.mu != 0.0:
+        raise DomainError("variance routes have mu=0 semantics")
     if args.preset:
         beta_preset = _apply_preset(args)
         if beta_preset is not None:
@@ -229,7 +233,6 @@ def cmd_variance(args) -> int:
     params = DiffusionParams(args.alpha, args.lam, args.mu, args.sigma, 1)
     ts = _parse_tlist(args.t_list)
     xs = _parse_range(args.x_range)
-    series = af.VarianceSeriesSpec()
     frac_quadrature = lambda t, x: af.var_frac_quadrature(
         t, np.abs(x), args.alpha, args.lam, args.sigma
     )
@@ -247,7 +250,7 @@ def cmd_variance(args) -> int:
         tag = "var_closed"
         crosscheck = lambda t, x: af.var_classical_quadrature(t, x, args.lam, args.sigma)
     elif args.method == "series":
-        fn = lambda t, x: af.var_series(t, x, args.alpha, args.lam, args.sigma, series)
+        fn = lambda t, x: af.var_series(t, x, args.alpha, args.lam, args.sigma)
         tag = "var_series"
         crosscheck = frac_quadrature
     else:
@@ -332,6 +335,8 @@ def cmd_simulate(args) -> int:
             ic=args.ic,
         )
         seed, samples, force = args.seed, args.samples, args.force
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
 
     t0 = time.time()
     if samples > 1:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParametersError, DomainError
-from .special_fn import DEFAULT_POLICY, MLOrder, gl_panels, ml_eval
+from .special_fn import MLOrder, gl_panels, ml_eval
 from .symbol import DiffusionParams, KernelSpec, symbol_a
 
 __all__ = [
@@ -148,10 +148,14 @@ def prop_superdiffusive_condition(alpha: float, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # numerical probes
 
-def _geometric_edges(lo: float, hi: float, panels_per_decade: int):
-    """Panel edges geometric between lo and hi (lo > 0)."""
+_PANELS_PER_DECADE = 4
+_TREND_TOL = 0.05  # relative growth per refinement that counts as a trend
+
+
+def _geometric_edges(lo: float, hi: float):
+    """Panel edges geometric between lo and hi (lo > 0), 4 panels per decade."""
     decades = math.log10(hi / lo)
-    n = max(int(math.ceil(decades * panels_per_decade)), 4)
+    n = max(int(math.ceil(decades * _PANELS_PER_DECADE)), 4)
     return np.geomspace(lo, hi, n + 1)
 
 
@@ -160,28 +164,29 @@ def _surface_factor(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _radial(params, kernel, order, power, s_alpha, cutoff, panels_per_decade):
+def _radial(params, kernel, order, power, s_alpha, cutoff):
     """omega_{N-1} * int_0^K (E_order(-s^alpha a(r)))^power r^(N-1) dr per s^alpha.
 
     Radial Gauss-Legendre nodes on [0, min(1, K)] plus geometric panels up
     to K; one ml_eval call covers every (s, r) pair.
     """
-    edges = np.concatenate(
-        ([0.0], _geometric_edges(min(1.0, cutoff), cutoff, panels_per_decade))
-    )
+    edges = np.concatenate(([0.0], _geometric_edges(min(1.0, cutoff), cutoff)))
     r, w = gl_panels(edges, 10)
-    e = ml_eval(order, -np.outer(s_alpha, symbol_a(params, kernel, r)), DEFAULT_POLICY)
+    e = ml_eval(order, -np.outer(s_alpha, symbol_a(params, kernel, r)))
     return _surface_factor(params.dim) * ((e**power * r ** (params.dim - 1)) @ w)
 
 
-def _trend(cutoff_scales, values, tol):
-    """Three-state divergence verdict per the refinement rule."""
+def _trend(cutoff_scales, values):
+    """Three-state divergence verdict per the refinement rule: "diverges" when
+    the last two refinements each grow the value by more than _TREND_TOL and
+    the log-log slope exceeds 0.1, "converges" when both change it by less
+    than _TREND_TOL / 10."""
     v = np.asarray(values, dtype=float)
     x = np.asarray(cutoff_scales, dtype=float)
     slope = float(np.polyfit(np.log(x[-3:]), np.log(np.maximum(v[-3:], 1e-300)), 1)[0])
     rel = (v[1:] - v[:-1]) / v[1:]
-    growing = bool(np.all(rel[-2:] > tol)) and slope > 0.1
-    settled = bool(np.all(np.abs(rel[-2:]) < tol / 10.0))
+    growing = bool(np.all(rel[-2:] > _TREND_TOL)) and slope > 0.1
+    settled = bool(np.all(np.abs(rel[-2:]) < _TREND_TOL / 10.0))
     if growing:
         status = "diverges"
     elif settled:
@@ -196,8 +201,6 @@ def probe_m1(
     kernel: KernelSpec,
     t: float,
     cutoff_schedule=(1e2, 1e3, 1e4),
-    panels_per_decade: int = 4,
-    tol: float = 0.05,
 ) -> ProbeReport:
     """Truncated first-moment frequency integral int_{|xi|<=K} E_alpha(-a t^alpha) dxi."""
     if not t > 0:
@@ -206,9 +209,8 @@ def probe_m1(
     if len(ks) < 3 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise DomainError("cutoff schedule must be >= 3 strictly increasing values")
     order, t_alpha = MLOrder(params.alpha, 1.0), [t**params.alpha]
-    values = [float(_radial(params, kernel, order, 1, t_alpha, k, panels_per_decade)[0])
-              for k in ks]
-    slope, status = _trend(ks, values, tol)
+    values = [float(_radial(params, kernel, order, 1, t_alpha, k)[0]) for k in ks]
+    slope, status = _trend(ks, values)
     return ProbeReport(
         quantity="M1_L1_tail",
         cutoffs=tuple(ks),
@@ -216,7 +218,7 @@ def probe_m1(
         tail_exponent_fit=slope,
         diverges=(status == "diverges"),
         status=status,
-        tol_used=tol,
+        tol_used=_TREND_TOL,
     )
 
 
@@ -225,8 +227,6 @@ def probe_m2(
     kernel: KernelSpec,
     t: float,
     cutoff_schedule=((1e2, 1e-2), (1e3, 1e-3), (1e4, 1e-4)),
-    panels_per_decade: int = 4,
-    tol: float = 0.05,
 ) -> ProbeReport:
     """Truncated second-moment space-time integral.
 
@@ -246,8 +246,8 @@ def probe_m2(
 
     order, values = MLOrder(params.alpha, params.alpha), []
     for k, eps in sched:
-        s, w = gl_panels(_geometric_edges(eps, t, panels_per_decade), 10)
-        radial = _radial(params, kernel, order, 2, s**params.alpha, k, panels_per_decade)
+        s, w = gl_panels(_geometric_edges(eps, t), 10)
+        radial = _radial(params, kernel, order, 2, s**params.alpha, k)
         total = float(np.dot(w, s ** (2.0 * params.alpha - 2.0) * radial))
         values.append(
             params.sigma**2 * (2.0 * math.pi) ** (-params.dim) * total
@@ -257,7 +257,7 @@ def probe_m2(
         scales = [k for k, _ in sched]
     else:
         scales = [1.0 / e for _, e in sched]
-    slope, status = _trend(scales, values, tol)
+    slope, status = _trend(scales, values)
     return ProbeReport(
         quantity="M2_spacetime",
         cutoffs=tuple(sched),
@@ -265,7 +265,7 @@ def probe_m2(
         tail_exponent_fit=slope,
         diverges=(status == "diverges"),
         status=status,
-        tol_used=tol,
+        tol_used=_TREND_TOL,
     )
 
 

@@ -52,7 +52,7 @@ from scipy import special
 from .analytic_fields import Profile, _tail_coefficients, _tail_onset
 from .errors import DomainError, GridMismatchError, NotMildError
 from .mildness import classify
-from .special_fn import DEFAULT_POLICY, EvalPolicy, MLOrder, gamma_fn, ml_eval
+from .special_fn import MLOrder, gamma_fn, ml_eval
 from .symbol import DiffusionParams, KernelSpec, symbol_a
 
 __all__ = [
@@ -161,7 +161,7 @@ def noise_increments(grid: GridSpec, seed: int, step: int) -> np.ndarray:
     return phase * out
 
 
-def _aliased_row(params, kernel, grid, t, row, policy):
+def _aliased_row(params, kernel, grid, t, row):
     """E_alpha(-a(xi) t^alpha) aliased onto the grid's band |xi| <= K = pi/dx:
     row[k] + the sum over integers m != 0 of E_alpha(-a(xi_k + 2Km) t^alpha).
 
@@ -177,7 +177,7 @@ def _aliased_row(params, kernel, grid, t, row, policy):
     m_max = max(0, math.ceil((_tail_onset(params.alpha, params.lam, t) / band - 1.0) / 2.0))
     shift = 2.0 * band * np.arange(1, m_max + 1)[:, None]
     a = symbol_a(params, kernel, np.concatenate([xi + shift, xi - shift]))
-    copies = ml_eval(MLOrder(params.alpha, 1.0), -a * t**params.alpha, policy)
+    copies = ml_eval(MLOrder(params.alpha, 1.0), -a * t**params.alpha)
     q = xi / (2.0 * band)
     rest = sum(b * (2.0 * band) ** (-2 * p)
                * (special.zeta(2 * p, m_max + 1 + q) + special.zeta(2 * p, m_max + 1 - q))
@@ -187,13 +187,8 @@ def _aliased_row(params, kernel, grid, t, row, policy):
 
 
 @functools.lru_cache(maxsize=8)
-def _snapshot_tables(
-    params: DiffusionParams,
-    kernel: KernelSpec,
-    grid: GridSpec,
-    steps: tuple,
-    policy: EvalPolicy,
-):
+def _snapshot_tables(params: DiffusionParams, kernel: KernelSpec, grid: GridSpec,
+                     steps: tuple):
     """(dirac, factor) for the sorted distinct snapshot steps s_1 < .. < s_J,
     on the half-spectrum k = 0..n/2.
 
@@ -216,7 +211,7 @@ def _snapshot_tables(
     n = grid.n_points
     a = symbol_a(params, kernel, grid.frequencies()[: n // 2 + 1])
     t_alpha = (grid.dt * np.arange(steps[-1] + 1)) ** params.alpha
-    e = ml_eval(MLOrder(params.alpha, 1.0), -np.outer(t_alpha, a), policy)
+    e = ml_eval(MLOrder(params.alpha, 1.0), -np.outer(t_alpha, a))
     zero = a == 0.0
     a_safe = np.where(zero, 1.0, a)
     weights = (e[:-1] - e[1:]) / (a_safe[None, :] * grid.dt)
@@ -235,7 +230,7 @@ def _snapshot_tables(
         for i, s in enumerate(steps):
             row = e[s]
             if params.lam > 0:
-                row = _aliased_row(params, kernel, grid, s * grid.dt, row, policy)
+                row = _aliased_row(params, kernel, grid, s * grid.dt, row)
             dirac[i] = phase * row
     dirac.setflags(write=False)  # shared by every path through the cache
     factor.setflags(write=False)
@@ -254,7 +249,6 @@ def simulate_path(
     seed: int,
     snapshot_steps=None,
     force: bool = False,
-    policy: EvalPolicy = DEFAULT_POLICY,
 ) -> SamplePath:
     """One sample path; snapshots at the requested step indices (default 8 times).
 
@@ -284,7 +278,7 @@ def simulate_path(
         raise DomainError("snapshot steps must lie in 1..n_steps")
 
     steps = tuple(sorted(set(snapshot_steps)))
-    dirac, factor = _snapshot_tables(params, kernel, grid, steps, policy)
+    dirac, factor = _snapshot_tables(params, kernel, grid, steps)
     z_half = dirac.astype(complex)
     if params.sigma != 0.0:
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -324,7 +318,6 @@ def ensemble_stats(
     master_seed: int,
     snapshot_steps=None,
     force: bool = False,
-    policy: EvalPolicy = DEFAULT_POLICY,
 ) -> EnsembleStats:
     """Monte Carlo mean and unbiased variance over n_samples independent paths.
 
@@ -341,7 +334,7 @@ def ensemble_stats(
     for i in range(n_samples):
         path = simulate_path(
             params, kernel, grid, mix_seed(master_seed, i),
-            snapshot_steps=snapshot_steps, force=force, policy=policy,
+            snapshot_steps=snapshot_steps, force=force,
         )
         if times is None:
             times = tuple(t for t, _ in path.snapshots)

@@ -32,9 +32,7 @@ from .errors import DomainError, NoConvergenceError, UnsupportedOrderError
 
 __all__ = [
     "MLOrder",
-    "EvalPolicy",
     "ZeroList",
-    "DEFAULT_POLICY",
     "gamma_fn",
     "erfc",
     "kappa_alpha",
@@ -61,23 +59,6 @@ class MLOrder:
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise DomainError(f"MLOrder requires alpha, beta > 0, got {self}")
-
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Precision contract for the power series: stopping tolerance and term cap."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if not (0 < self.rel_tol < 1):
-            raise DomainError("rel_tol must lie in (0, 1)")
-        if self.max_terms < 10:
-            raise DomainError("max_terms must be >= 10")
-
-
-DEFAULT_POLICY = EvalPolicy()
 
 
 @dataclass(frozen=True)
@@ -116,25 +97,29 @@ def kappa_alpha(alpha: float) -> float:
 # power series, |z| <= _SERIES_RADIUS
 
 _SERIES_RADIUS = 0.5
+_SERIES_TOL = 1e-12
+_SERIES_MAX_TERMS = 500
 _SERIES_BLOCK = 64
 _SERIES_CHUNK = 256
 
 
-def _series(coef, z, policy):
+def _series(coef, z):
     """Partial sums of sum_k c_k z^k for a 1-d array z; coef(n) gives c_0..c_{n-1}.
 
-    A point stops once three consecutive terms fall below rel_tol times its
-    running sum (guards alternating near-cancellation), so its value does not
-    depend on the other points.  Points still running after a block of terms
-    are redone with twice as many, up to max_terms.  Long inputs run in
-    chunks, which bounds the (points x terms) temporaries.
+    A point stops once three consecutive terms fall below _SERIES_TOL times
+    its finite running sum (guards alternating near-cancellation), so its
+    value does not depend on the other points.  Points still running after a
+    block of terms are redone with twice as many, up to _SERIES_MAX_TERMS; a
+    point whose partial sum overflows never stops and so ends in
+    NoConvergenceError.  Long inputs run in chunks, which bounds the
+    (points x terms) temporaries.
     """
     if z.size > _SERIES_CHUNK:
-        return np.concatenate([_series(coef, z[i : i + _SERIES_CHUNK], policy)
+        return np.concatenate([_series(coef, z[i : i + _SERIES_CHUNK])
                                for i in range(0, z.size, _SERIES_CHUNK)])
     out = np.empty_like(z)
     todo = np.arange(z.size)
-    n = min(_SERIES_BLOCK, policy.max_terms)
+    n = _SERIES_BLOCK
     while todo.size:
         steps = np.empty((todo.size, n))
         steps[:, 0] = 1.0
@@ -142,16 +127,21 @@ def _series(coef, z, policy):
         with np.errstate(over="ignore", invalid="ignore"):
             terms = np.cumprod(steps, axis=1) * coef(n)
             acc = np.cumsum(terms, axis=1)
-            small = np.abs(terms) <= policy.rel_tol * np.maximum(np.abs(acc), 1e-300)
+            small = np.abs(terms) <= _SERIES_TOL * np.maximum(np.abs(acc), 1e-300)
         stop = small[:, :-2] & small[:, 1:-1] & small[:, 2:]
         done = np.nonzero(stop.any(axis=1))[0]
-        out[todo[done]] = acc[done, stop[done].argmax(axis=1) + 2]
+        val = acc[done, stop[done].argmax(axis=1) + 2]
+        # inf terms pass for small against an inf sum; an overflowed sum stays
+        # inf or nan, so such a point never converges
+        ok = np.isfinite(val)
+        done = done[ok]
+        out[todo[done]] = val[ok]
         todo = np.delete(todo, done)
-        if todo.size and n == policy.max_terms:
+        if todo.size and n == _SERIES_MAX_TERMS:
             raise NoConvergenceError(
                 f"power series did not converge within {n} terms at z={z[todo[0]]}"
             )
-        n = min(2 * n, policy.max_terms)
+        n = min(2 * n, _SERIES_MAX_TERMS)
     return out
 
 
@@ -159,13 +149,14 @@ def _ml_coef(alpha, beta):
     return lambda n: special.rgamma(alpha * np.arange(n) + beta)
 
 
-def ml_series(order: MLOrder, z: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def ml_series(order: MLOrder, z: float) -> float:
     """Partial sum of sum_k z^k / Gamma(alpha k + beta).
 
-    Stops once three consecutive terms fall below rel_tol times the running
-    sum; raises NoConvergenceError if max_terms is exhausted first.
+    Stops once three consecutive terms fall below 1e-12 times the running
+    sum; raises NoConvergenceError if 500 terms are exhausted first or the
+    partial sum overflows.
     """
-    return float(_series(_ml_coef(order.alpha, order.beta), np.array([float(z)]), policy)[0])
+    return float(_series(_ml_coef(order.alpha, order.beta), np.array([float(z)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +303,7 @@ def _contour(alpha, beta, z):
     return out if b == beta else out / z
 
 
-def ml_eval(order: MLOrder, x, policy: EvalPolicy = DEFAULT_POLICY):
+def ml_eval(order: MLOrder, x):
     """Evaluate E_{alpha,beta}(x) on the real line (scalar or array).
 
     The power series serves |x| <= 0.5 (|x| <= 1 where beta > alpha + 1.75),
@@ -333,7 +324,7 @@ def ml_eval(order: MLOrder, x, policy: EvalPolicy = DEFAULT_POLICY):
         out[~neg] = np.cosh(np.sqrt(z[~neg]))
     else:
         near = np.abs(z) <= (1.0 if beta > alpha + _MAX_BETA_GAP else _SERIES_RADIUS)
-        out[near] = _series(_ml_coef(alpha, beta), z[near], policy)
+        out[near] = _series(_ml_coef(alpha, beta), z[near])
         if not near.all():
             if alpha > 2.0:
                 raise DomainError(f"E_({alpha},{beta}) off the series disc needs alpha <= 2")
@@ -413,36 +404,32 @@ def ml_bounds_two(alpha: float, x, beta: float | None = None):
     return lower, upper
 
 
-def ml_dominant_identity_residual(
-    alpha: float, z: float, policy: EvalPolicy = DEFAULT_POLICY
-) -> float:
+def ml_dominant_identity_residual(alpha: float, z: float) -> float:
     """alpha*z*E_alpha(z) - (z*exp(z^(1/alpha)) - kappa_alpha).
 
     z^(1/alpha) is taken on the principal branch; the real part of the
     residual is returned. The identity is O(1/z) on the positive axis and,
     for negative z, only where cos(pi/alpha) < 0 (alpha in (2/3, 2)).
     """
-    e_ml = ml_eval(MLOrder(alpha, 1.0), z, policy)
+    e_ml = ml_eval(MLOrder(alpha, 1.0), z)
     zc = complex(z)
     e_alpha = zc * np.exp(zc ** (1.0 / alpha)) - kappa_alpha(alpha)
     return float((alpha * z * e_ml - e_alpha).real)
 
 
-def ml_real_zeros(
-    alpha: float,
-    x_min: float,
-    zero_tol: float = 1e-10,
-    scan_step: float = 0.05,
-    policy: EvalPolicy = DEFAULT_POLICY,
-) -> ZeroList:
+_ZERO_SCAN_STEP = 0.05
+_ZERO_TOL = 1e-10
+
+
+def ml_real_zeros(alpha: float, x_min: float) -> ZeroList:
     """Locate all real zeros of E_alpha on [x_min, 0] by scan plus bisection.
 
     Completely monotone orders alpha <= 1 return an empty list without
-    scanning.  A scan point where E_alpha is exactly 0 is a zero.  Every
-    sign change between scan points is bisected, all brackets in the same
-    ml_eval call, until its ends are adjacent floats.  The end with the
-    smaller |E_alpha| is a zero if that value is at most
-    max(zero_tol, 1e-9 |f_a - f_b|), with f_a, f_b the scan values at the
+    scanning.  The scan steps by 0.05; a scan point where E_alpha is exactly
+    0 is a zero.  Every sign change between scan points is bisected, all
+    brackets in the same ml_eval call, until its ends are adjacent floats.
+    The end with the smaller |E_alpha| is a zero if that value is at most
+    max(1e-10, 1e-9 |f_a - f_b|), with f_a, f_b the scan values at the
     bracket's ends.
     """
     if x_min >= 0:
@@ -453,10 +440,10 @@ def ml_real_zeros(
         raise DomainError("zero finding supported for alpha in (1, 2] only")
 
     order = MLOrder(alpha, 1.0)
-    grid = np.arange(x_min, 0.0, scan_step)
-    if grid[-1] < -scan_step / 2:
-        grid = np.append(grid, -scan_step / 2)
-    vals = ml_eval(order, grid, policy)
+    grid = np.arange(x_min, 0.0, _ZERO_SCAN_STEP)
+    if grid[-1] < -_ZERO_SCAN_STEP / 2:
+        grid = np.append(grid, -_ZERO_SCAN_STEP / 2)
+    vals = ml_eval(order, grid)
     fa, fb = vals[:-1], vals[1:]
     cross = np.nonzero(fa * fb < 0)[0]
     lo, hi, f_lo, f_hi = grid[cross], grid[cross + 1], fa[cross], fb[cross]
@@ -465,18 +452,18 @@ def ml_real_zeros(
         i = np.nonzero((lo < mid) & (mid < hi))[0]
         if not i.size:
             break
-        f_mid = ml_eval(order, mid[i], policy)
+        f_mid = ml_eval(order, mid[i])
         right = f_mid * f_lo[i] > 0  # the sign change lies in [mid, hi]
         lo[i[right]], f_lo[i[right]] = mid[i[right]], f_mid[right]
         hi[i[~right]], f_hi[i[~right]] = mid[i[~right]], f_mid[~right]
     root = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
     ok = np.minimum(np.abs(f_lo), np.abs(f_hi)) <= np.maximum(
-        zero_tol, 1e-9 * np.abs(fa[cross] - fb[cross]))
+        _ZERO_TOL, 1e-9 * np.abs(fa[cross] - fb[cross]))
     zeros = np.sort(np.concatenate((grid[:-1][fa == 0.0], root[ok])))
     return ZeroList(alpha, tuple(float(z) for z in zeros), (x_min, 0.0))
 
 
-def mainardi_series(alpha: float, u, policy: EvalPolicy = DEFAULT_POLICY):
+def mainardi_series(alpha: float, u):
     """sum_n (-1)^n u^(2n) / ((2n)! Gamma(alpha n - alpha + 1)), scalar or array u.
 
     For alpha in (0,1) the Gamma argument alpha(n-1)+1 is never a
@@ -492,7 +479,7 @@ def mainardi_series(alpha: float, u, policy: EvalPolicy = DEFAULT_POLICY):
         k = np.arange(n)
         return special.rgamma(alpha * k + 1.0 - alpha) * special.rgamma(2.0 * k + 1.0)
 
-    out = _series(coef, -(u * u).ravel(), policy).reshape(u.shape)
+    out = _series(coef, -(u * u).ravel()).reshape(u.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special_fn import DEFAULT_POLICY, EvalPolicy, MLOrder, ml_eval
+from .special_fn import MLOrder, ml_eval
 
 __all__ = [
     "KernelSpec",
@@ -108,28 +108,16 @@ def symbol_a(params: DiffusionParams, kernel: KernelSpec, xi):
     return out
 
 
-def lambda_kernel(
-    params: DiffusionParams,
-    kernel: KernelSpec,
-    t: float,
-    xi,
-    policy: EvalPolicy = DEFAULT_POLICY,
-):
+def lambda_kernel(params: DiffusionParams, kernel: KernelSpec, t: float, xi):
     """Time kernel Lambda(t, xi) = t^(alpha-1) E_{alpha,alpha}(-t^alpha a(xi))."""
     if not t > 0:
         raise DomainError("lambda_kernel requires t > 0")
     a = symbol_a(params, kernel, xi)
     order = MLOrder(params.alpha, params.alpha)
-    return t ** (params.alpha - 1.0) * ml_eval(order, -(t**params.alpha) * a, policy)
+    return t ** (params.alpha - 1.0) * ml_eval(order, -(t**params.alpha) * a)
 
 
-def mean_hat(
-    params: DiffusionParams,
-    kernel: KernelSpec,
-    t: float,
-    xi,
-    policy: EvalPolicy = DEFAULT_POLICY,
-):
+def mean_hat(params: DiffusionParams, kernel: KernelSpec, t: float, xi):
     """Fourier transform of the mean field from a Dirac datum: E_alpha(-a(xi) t^alpha)."""
     if t < 0:
         raise DomainError("mean_hat requires t >= 0")
@@ -137,7 +125,7 @@ def mean_hat(
         out = np.ones_like(np.asarray(xi, dtype=float))
         return float(out) if np.ndim(xi) == 0 else out
     a = symbol_a(params, kernel, xi)
-    return ml_eval(MLOrder(params.alpha, 1.0), -(t**params.alpha) * a, policy)
+    return ml_eval(MLOrder(params.alpha, 1.0), -(t**params.alpha) * a)
 
 
 def kernel_to_json(kernel: KernelSpec) -> dict:

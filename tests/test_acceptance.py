@@ -141,13 +141,13 @@ def test_criterion_03_asymptotics():
 
 
 def test_criterion_04_zeros():
-    zl = ml_real_zeros(2.0, -30.0, 1e-10)
+    zl = ml_real_zeros(2.0, -30.0)
     expected = [-((0.5 + k) * math.pi) ** 2 for k in range(2)]
     ok_two = len(zl.zeros) == 2 and all(
         abs(g - e) <= 1e-8 for g, e in zip(sorted(zl.zeros), sorted(expected))
     )
-    ok_empty = len(ml_real_zeros(0.8, -100.0, 1e-10).zeros) == 0
-    counts = [len(ml_real_zeros(a, -100.0, 1e-10).zeros) for a in (1.2, 1.5, 1.9)]
+    ok_empty = len(ml_real_zeros(0.8, -100.0).zeros) == 0
+    counts = [len(ml_real_zeros(a, -100.0).zeros) for a in (1.2, 1.5, 1.9)]
     ok_mono = all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
     report(
         4,

@@ -10,7 +10,6 @@ from scipy import integrate
 
 from fracfield.analytic_fields import (
     Profile,
-    VarianceSeriesSpec,
     beta_coeff,
     crosscheck_to_csv,
     fluct_kernel_frac,

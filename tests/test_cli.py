@@ -18,6 +18,31 @@ from fracfield.symbol import KernelSpec, kernel_from_json
 
 GOLDEN_PATH_SHA256 = "4d6755d82af8f50f3835830cceff3ed4e6d019620cb0f0413b63512944c09172"
 
+# stdout digests of analytic commands, pinned so that refactors of the
+# evaluators behind them move no output bit
+GOLDEN_ANALYTIC_SHA256 = {
+    "ml_alpha_0.6": (
+        ["ml", "--alpha", "0.6", "--x-range=-40:2:85", "--bounds"],
+        "2e0399c1aeea2b9bfcccb3b2b668d947da3febd6e460ae4f4a60754e1290a949"),
+    "ml_alpha_beta_1.8": (
+        ["ml", "--alpha", "1.8", "--beta", "1.8", "--x-range=-40:2:85"],
+        "b2ded2b0cf717b0bd9b8a16f58add23bb40a2a7759590dd5bcf71f1052fd2945"),
+    "mean_fourier": (
+        ["mean", "--method", "fourier", "--alpha", "1.5", "--t-list", "0.5,1",
+         "--x-range=0:2:5"],
+        "f16ac8146f20e3b68497a46674300b6e80e8a4a6abebdb21bcbdb8012829db66"),
+    "variance_quadrature": (
+        ["variance", "--method", "quadrature", "--alpha", "0.6", "--t", "1",
+         "--x-range=0:3:7"],
+        "6ea7e6c5282ed73055bcf84f9fcf99709e5ce80577483e9c779440d49aa9d33f"),
+    "variance_fig5": (
+        ["variance", "--preset", "fig5"],
+        "7ffd8a04dacced6696b3562ebcd41fda8789b1284297c13393e1ea06fa8f4a6b"),
+    "mild_probe": (
+        ["mild", "--alpha", "0.8", "--probe"],
+        "fad8b5ec00405b819ad17e199c3334be21be9cb4e2403472863e5d35ea21efc7"),
+}
+
 
 def test_import_loads_no_scipy_optimize_or_integrate():
     # every CLI process pays the import; a fresh interpreter shows what it loads
@@ -41,6 +66,16 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+@pytest.mark.parametrize("argv,digest", list(GOLDEN_ANALYTIC_SHA256.values()),
+                         ids=list(GOLDEN_ANALYTIC_SHA256))
+def test_golden_analytic_output(capsys, argv, digest):
+    import hashlib
+
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestMl:
@@ -225,6 +260,31 @@ class TestMeanVariance:
         assert [r[4] for r in rows] == ["var_quadrature"] * 3
         assert float(rows[0][5]) == var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 1.0)
 
+    def test_crosscheck_exact_zeros_have_ratio_one(self, capsys):
+        code, _, err = run(capsys, "variance", "--method", "series", "--alpha", "0.6",
+                           "--t-list", "1", "--x-range", "0:1:2")
+        assert code == EXIT_OK
+        _, rows = parse_csv(err)
+        assert rows[0][1:] == ["0", "var_series", "0", "var_quadrature", "0", "1"]
+        assert float(rows[1][6]) == float(rows[1][3]) / float(rows[1][5])
+
+    @pytest.mark.parametrize("argv", [
+        ["mean", "--method", "mainardi", "--alpha", "0.6"],
+        ["mean", "--method", "heat_kernel"],
+        ["variance", "--method", "quadrature", "--alpha", "0.8"],
+        ["variance", "--method", "series", "--alpha", "0.6"],
+        ["variance", "--method", "closed"],
+        ["variance", "--preset", "fig5"],
+    ], ids=["mainardi", "heat_kernel", "var_quadrature", "var_series", "var_closed",
+            "var_preset"])
+    def test_mu_zero_routes_reject_mu(self, capsys, argv):
+        # these routes are mu = 0 formulas; printing their value for mu = 3
+        # would pass it off as the mu = 3 field
+        code, out, err = run(capsys, *argv, "--mu", "3", "--x", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "mu=0" in err
+
 
 class TestSimulateCli:
     ARGS = [
@@ -343,6 +403,23 @@ class TestSimulateCli:
         code, _, err = run(capsys, "simulate", "--config", str(path))
         assert code == EXIT_USAGE
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_samples_below_one_rejected(self, capsys, tmp_path, source, samples):
+        meta_path = tmp_path / "meta.json"
+        if source == "flag":
+            argv = [*self.ARGS, "--samples", str(samples)]
+        else:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"version": 1, "params": {"alpha": 1.0},
+                                        "samples": samples}))
+            argv = ["simulate", "--config", str(path)]
+        code, out, err = run(capsys, *argv, "--meta-out", str(meta_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "samples" in err
+        assert not meta_path.exists()
 
     def test_config_bad_version(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

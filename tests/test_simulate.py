@@ -48,10 +48,8 @@ def engine_covariance(prm, grid, steps):
     steps, shape (n/2+1, J, J), and the noise variance c_k of one real part
     of the rfft of the cell increments (n dt dx / 2; n dt dx at DC, Nyquist)."""
     from fracfield.simulate import _snapshot_tables
-    from fracfield.special_fn import DEFAULT_POLICY
 
-    _, factor = _snapshot_tables(prm, GAUSS, grid, tuple(sorted(set(steps))),
-                                 DEFAULT_POLICY)
+    _, factor = _snapshot_tables(prm, GAUSS, grid, tuple(sorted(set(steps))))
     n = grid.n_points
     c = np.full(n // 2 + 1, 0.5 * n * grid.dt * grid.dx)
     c[[0, -1]] *= 2.0
