@@ -50,6 +50,7 @@ __all__ = [
     "make_profile",
     "profile_to_csv",
     "crosscheck_to_csv",
+    "columns_to_csv",
 ]
 
 
@@ -65,6 +66,7 @@ _METHOD_TAGS = (
     "var_closed",
     "mc_ensemble_mean",
     "mc_ensemble_var",
+    "sample_path",
 )
 
 
@@ -406,27 +408,38 @@ def make_profile(times, positions, fn, method: str, meta: dict | None = None) ->
     return Profile(times, positions, values, method, meta or {})
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+_CELL = "%.17g"  # the one number format: 17 significant digits round-trip any double
+
+
+def _csv(header: str, body: str, cells) -> str:
+    """The header line, then body, a %-template of whole rows, filled with cells.
+
+    Every CSV the package writes goes through here, one % per table; _CELL is
+    the same C routine as format(float(v), ".17g").
+    """
+    return header + "\n" + body % tuple(cells)
+
+
+def columns_to_csv(header: str, *columns) -> str:
+    """CSV of equal-length numeric columns under a comma-separated header."""
+    row = ",".join([_CELL] * len(columns)) + "\n"
+    return _csv(header, row * len(columns[0]), np.column_stack(columns).ravel().tolist())
 
 
 def profile_to_csv(profile: Profile) -> str:
-    lines = ["t,x,value,method"]
-    for i, t in enumerate(profile.times):
-        for j, x in enumerate(profile.positions):
-            lines.append(
-                f"{_fmt(t)},{_fmt(x)},{_fmt(profile.values[i, j])},{profile.method}"
-            )
-    return "\n".join(lines) + "\n"
+    """CSV t,x,value,method, time-major; each time and position is formatted once."""
+    tails = [f",{_CELL % x},{_CELL},{profile.method}\n" for x in profile.positions]
+    # each row is its time's cell followed by a tail: t + tail_0 + t + tail_1 + ...
+    body = "".join(t + t.join(tails) for t in (_CELL % t for t in profile.times))
+    return _csv("t,x,value,method", body, profile.values.ravel().tolist())
 
 
 def crosscheck_to_csv(rows) -> str:
     """Serialize cross-check rows (t, x, method_a, value_a, method_b, value_b)."""
-    lines = ["t,x,method_a,value_a,method_b,value_b,ratio"]
-    for t, x, ma, va, mb, vb in rows:
-        # two routes that agree exactly, zeros included, have ratio 1
-        ratio = 1.0 if va == vb else (va / vb if vb != 0 else math.inf)
-        lines.append(
-            f"{_fmt(t)},{_fmt(x)},{ma},{_fmt(va)},{mb},{_fmt(vb)},{_fmt(ratio)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = list(rows)
+    # two routes that agree exactly, zeros included, have ratio 1
+    cells = [c for t, x, ma, va, mb, vb in rows
+             for c in (t, x, ma, va, mb, vb,
+                       1.0 if va == vb else (va / vb if vb != 0 else math.inf))]
+    row = f"{_CELL},{_CELL},%s,{_CELL},%s,{_CELL},{_CELL}\n"
+    return _csv("t,x,method_a,value_a,method_b,value_b,ratio", row * len(rows), cells)

@@ -18,6 +18,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import analytic_fields as af
 from . import mildness, simulate, special_fn
-from .analytic_fields import _fmt
 from .errors import (
     DegenerateParametersError,
     DomainError,
@@ -90,28 +90,21 @@ def cmd_ml(args) -> int:
         if not lo < hi:
             raise DomainError(f"--interval lo:hi needs lo < hi, got {args.interval!r}")
         zl = special_fn.ml_real_zeros(args.alpha, lo)
-        lines = ["zero"] + [_fmt(z) for z in zl.zeros if z <= hi]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(af.columns_to_csv("zero", [z for z in zl.zeros if z <= hi]), args.out)
         return EXIT_OK
     xs = _parse_range(args.x_range)
     order = special_fn.MLOrder(args.alpha, args.beta)
     header = ["x", "value"]
+    columns = [xs, special_fn.ml_eval(order, xs)]
     if args.bounds:
         header += ["lower", "upper"]
+        columns += special_fn.ml_bounds(args.alpha, np.maximum(-xs, 0.0))
     if args.asymptotic:
+        # the expansion is for E(-x) at large x > 0: nan where the argument is >= 0
         header.append("asymptotic")
-    lines = [",".join(header)]
-    values = special_fn.ml_eval(order, xs)
-    if args.bounds:
-        lower, upper = special_fn.ml_bounds(args.alpha, np.maximum(-xs, 0.0))
-    for i, x in enumerate(xs):
-        row = [_fmt(x), _fmt(values[i])]
-        if args.bounds:
-            row += [_fmt(lower[i]), _fmt(upper[i])]
-        if args.asymptotic:
-            row.append(_fmt(special_fn.ml_asymptotic_neg(order, -float(x))))
-        lines.append(",".join(row))
-    _emit("\n".join(lines) + "\n", args.out)
+        columns.append([special_fn.ml_asymptotic_neg(order, -x) if x < 0 else np.nan
+                        for x in xs.tolist()])
+    _emit(af.columns_to_csv(",".join(header), *columns), args.out)
     return EXIT_OK
 
 
@@ -225,10 +218,9 @@ def cmd_variance(args) -> int:
     if args.preset:
         beta_preset = _apply_preset(args)
         if beta_preset is not None:
-            lines = ["m,beta_m"]
-            for m in range(beta_preset["max_m"] + 1):
-                lines.append(f"{m},{_fmt(af.beta_coeff(m, args.alpha))}")
-            _emit("\n".join(lines) + "\n", args.out)
+            ms = range(beta_preset["max_m"] + 1)
+            betas = [af.beta_coeff(m, args.alpha) for m in ms]
+            _emit(af.columns_to_csv("m,beta_m", ms, betas), args.out)
             return EXIT_OK
     params = DiffusionParams(args.alpha, args.lam, args.mu, args.sigma, 1)
     ts = _parse_tlist(args.t_list)
@@ -338,20 +330,16 @@ def cmd_simulate(args) -> int:
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     if samples > 1:
         stats = simulate.ensemble_stats(params, kernel, grid, samples, seed, force=force)
-        mean_p, var_p = simulate.stats_to_profiles(stats)
-        body = af.profile_to_csv(mean_p) + af.profile_to_csv(var_p)
+        profiles = simulate.stats_to_profiles(stats)
     else:
         path = simulate.simulate_path(params, kernel, grid, seed, force=force)
-        lines = ["t,x,value,method"]
-        pos = grid.positions()
-        for t, f in path.snapshots:
-            for x, v in zip(pos, f):
-                lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(v)},sample_path")
-        body = "\n".join(lines) + "\n"
-    _emit(body, args.out)
+        times, fields = zip(*path.snapshots)
+        profiles = [af.Profile(times, tuple(grid.positions().tolist()), np.array(fields),
+                               "sample_path")]
+    _emit("".join(af.profile_to_csv(p) for p in profiles), args.out)
     meta = {
         "version": 1,
         "params": {"alpha": params.alpha, "lambda": params.lam, "mu": params.mu,
@@ -362,7 +350,7 @@ def cmd_simulate(args) -> int:
         "seed": seed,
         "samples": samples,
         "force": force,
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
     }
     if args.meta_out:
         with open(args.meta_out, "w") as fh:
@@ -373,7 +361,9 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(prog="fracfield", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -6,11 +6,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from fracfield.analytic_fields import (
     Profile,
     beta_coeff,
+    columns_to_csv,
     crosscheck_to_csv,
     fluct_kernel_frac,
     heat_kernel,
@@ -493,3 +496,65 @@ class TestProfiles:
         csv = crosscheck_to_csv([(1.0, 0.0, "a", 2.0, "b", 4.0)])
         lines = csv.strip().splitlines()
         assert lines[1].endswith(",0.5")
+
+
+# finite doubles; hypothesis draws -0.0, subnormals and values near the
+# largest double by default, and the examples below pin them
+_doubles = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=12)
+_EDGES = [-0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308, 0.1, 1.0 / 3.0]
+
+
+def _check_cell(cell, v):
+    assert cell == format(float(v), ".17g")
+    assert float(cell) == v
+    assert math.copysign(1.0, float(cell)) == math.copysign(1.0, v)
+
+
+class TestWriter:
+    """Every number any CSV writer emits is format(v, ".17g") and reads back as v."""
+
+    @given(_doubles, _doubles)
+    @example(_EDGES, [0.0, -0.0])
+    def test_profile_cells(self, positions, times):
+        values = np.array([np.roll(positions, i + 1) for i in range(len(times))])
+        text = profile_to_csv(Profile(tuple(times), tuple(positions), values, "fourier"))
+        rows = [r.split(",") for r in text.splitlines()[1:]]
+        assert len(rows) == values.size
+        for (t_s, x_s, v_s, tag), (i, j) in zip(rows, np.ndindex(values.shape)):
+            _check_cell(t_s, times[i])
+            _check_cell(x_s, positions[j])
+            _check_cell(v_s, values[i, j])
+            assert tag == "fourier"
+
+    @given(_doubles)
+    @example(_EDGES)
+    def test_column_cells(self, xs):
+        text = columns_to_csv("a,b", xs, xs[::-1])
+        rows = [r.split(",") for r in text.splitlines()[1:]]
+        assert len(rows) == len(xs)
+        for (a, b), x, y in zip(rows, xs, xs[::-1]):
+            _check_cell(a, x)
+            _check_cell(b, y)
+
+    @given(_doubles)
+    @example(_EDGES)
+    def test_crosscheck_cells(self, xs):
+        rows = [(abs(x), x, "a", x, "b", y) for x, y in zip(xs, xs[::-1])]
+        lines = crosscheck_to_csv(rows).splitlines()[1:]
+        assert len(lines) == len(rows)
+        for line, (t, x, _, va, _, vb) in zip(lines, rows):
+            cells = line.split(",")
+            for cell, v in zip([cells[i] for i in (0, 1, 3, 5)], (t, x, va, vb)):
+                _check_cell(cell, v)
+            ratio = 1.0 if va == vb else (va / vb if vb != 0 else math.inf)
+            assert cells[6] == format(ratio, ".17g")
+
+    @pytest.mark.parametrize("va,vb", [(2.0, 0.0), (-2.0, 0.0), (1.7e308, 1e-10)],
+                             ids=["zero_b", "negative_over_zero", "overflow"])
+    def test_crosscheck_infinite_ratio(self, va, vb):
+        line = crosscheck_to_csv([(1.0, 0.5, "a", va, "b", vb)]).splitlines()[1]
+        assert line.split(",")[6] == "inf"
+
+    def test_empty_column(self):
+        assert columns_to_csv("zero", []) == "zero\n"

@@ -5,14 +5,22 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import fracfield
 from fracfield.analytic_fields import heat_kernel, var_frac_quadrature
-from fracfield.cli import EXIT_NOT_MILD, EXIT_OK, EXIT_RESONANCE, EXIT_USAGE, main
-from fracfield.special_fn import MLOrder, ml_bounds, ml_eval
+from fracfield.cli import (
+    EXIT_NOT_MILD,
+    EXIT_OK,
+    EXIT_RESONANCE,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
+from fracfield.special_fn import MLOrder, ml_asymptotic_neg, ml_bounds, ml_eval
 from fracfield.symbol import KernelSpec, kernel_from_json
 
 
@@ -41,6 +49,35 @@ GOLDEN_ANALYTIC_SHA256 = {
     "mild_probe": (
         ["mild", "--alpha", "0.8", "--probe"],
         "fad8b5ec00405b819ad17e199c3334be21be9cb4e2403472863e5d35ea21efc7"),
+}
+
+_EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# (argv, stdout digest, stderr digest) of every CSV writer the CLI has: the
+# ensemble CSV (both blocks), a cross-check report, the ml columns, the
+# beta table and the zeros list
+GOLDEN_WRITER_SHA256 = {
+    "simulate_samples_4": (
+        ["simulate", "--n-points", "64", "--n-steps", "16", "--samples", "4",
+         "--seed", "3"],
+        "ed6366122b68bc8bfbad16b2e43b32d869d9615d9fd4cfb33fc75233a75adc9b",
+        _EMPTY_SHA256),
+    "variance_closed_crosscheck": (
+        ["variance", "--method", "closed", "--alpha", "1", "--x-range=-3:3:13"],
+        "715b563ed65ecfe490d6e2bed727a57b2ac368a7927933a3b15b8244641c1fc9",
+        "c8caf00cf8d763c951026c0d146839575f41193f79d730225861b7a75dec2d34"),
+    "ml_bounds_asymptotic": (
+        ["ml", "--alpha", "0.5", "--x-range=-10:-1:10", "--bounds", "--asymptotic"],
+        "44881c906cee3b98fc081b68915d59ab589cffc5898b4e809cfd2582bf16437e",
+        _EMPTY_SHA256),
+    "variance_fig4": (
+        ["variance", "--preset", "fig4"],
+        "a435aa1f4e5f980dde8379f8ee699b51d081e6728ccbbbf51d3ebb330f6a3f76",
+        _EMPTY_SHA256),
+    "ml_zeros": (
+        ["ml", "--alpha", "1.5", "--zeros"],
+        "1197be7f9c8b6cf20aae8c7d61c0ff36cba8acaa34f83a601a46db40db11aa1b",
+        _EMPTY_SHA256),
 }
 
 
@@ -78,6 +115,41 @@ def test_golden_analytic_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,out_digest,err_digest", list(GOLDEN_WRITER_SHA256.values()),
+                         ids=list(GOLDEN_WRITER_SHA256))
+def test_golden_writer_output(capsys, argv, out_digest, err_digest):
+    import hashlib
+
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+
+def test_parser_reused_across_calls(capsys):
+    # one parser serves every call of a process; no call may leak into the
+    # next, a usage error and a preset (which rewrites its arguments) included
+    assert build_parser() is build_parser()
+    sequence = [
+        ["mean", "--x", "1"],
+        ["mean"],
+        ["variance", "--bogus"],
+        ["variance", "--preset", "fig5"],
+        ["variance", "--method", "quadrature", "--alpha", "0.6"],
+        ["simulate", "--samples", "1"],
+    ]
+    alone = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    build_parser.cache_clear()
+    parser = build_parser()
+    assert [run(capsys, *argv) for argv in sequence] == alone
+    assert build_parser() is parser
+    assert alone[2][0] == EXIT_USAGE
+    assert all(code == EXIT_OK for code, _, _ in alone[:2] + alone[3:])
+
+
 class TestMl:
     def test_exponential_row_values(self, capsys):
         code, out, _ = run(
@@ -106,6 +178,23 @@ class TestMl:
         for r in rows:
             x, v, lo, hi, asym = (float(c) for c in r)
             assert lo <= v <= hi
+
+    @pytest.mark.parametrize("x_range", ["-2:1:4", "0:0:1", "-10:-1:4"])
+    def test_asymptotic_nan_where_argument_nonnegative(self, capsys, x_range):
+        # the expansion is for E(-x) at large x > 0; the rest of the sweep stays
+        code, out, _ = run(capsys, "ml", "--alpha", "0.5", f"--x-range={x_range}",
+                           "--asymptotic")
+        assert code == EXIT_OK
+        header, rows = parse_csv(out)
+        assert header == ["x", "value", "asymptotic"]
+        order = MLOrder(0.5, 1.0)
+        for r in rows:
+            x, v = float(r[0]), float(r[1])
+            assert v == ml_eval(order, x)
+            if x < 0:
+                assert float(r[2]) == ml_asymptotic_neg(order, -x)
+            else:
+                assert r[2] == "nan"
 
     def test_bounds_match_pointwise(self, capsys):
         code, out, _ = run(
@@ -332,6 +421,14 @@ class TestSimulateCli:
         assert "wall_time_s" in meta
         # timing lives only in the metadata; the CSV stays byte-stable
         assert "wall_time" not in out
+
+    def test_meta_out_wall_time_survives_clock_step(self, capsys, tmp_path, monkeypatch):
+        # a wall clock that steps backwards mid-run must not give a negative duration
+        monkeypatch.setattr(time, "time", lambda: 1e9 - time.perf_counter())
+        meta_path = tmp_path / "meta.json"
+        code, _, _ = run(capsys, *self.ARGS, "--meta-out", str(meta_path))
+        assert code == EXIT_OK
+        assert json.loads(meta_path.read_text())["wall_time_s"] >= 0.0
 
     @pytest.mark.parametrize("extra", [["--samples", "4"], ["--alpha", "0.5", "--force"]],
                              ids=["samples", "forced"])
