@@ -26,6 +26,13 @@ from fracfield.symbol import KernelSpec, kernel_from_json
 
 GOLDEN_PATH_SHA256 = "4d6755d82af8f50f3835830cceff3ed4e6d019620cb0f0413b63512944c09172"
 
+# stdout digest of a noise-free ensemble: its mean is the synthesized Dirac
+# rows and its variance zero, so no ensemble reduction may move a bit of it
+GOLDEN_ENSEMBLE_SIGMA0_SHA256 = (
+    ["simulate", "--n-points", "64", "--n-steps", "16", "--samples", "4", "--seed", "3",
+     "--sigma", "0"],
+    "5deef8669906f549e06f3fd5c189ce5c6a619788fb31e2b57b319277f87c8652")
+
 # stdout digests of analytic commands, pinned so that refactors of the
 # evaluators behind them move no output bit
 GOLDEN_ANALYTIC_SHA256 = {
@@ -453,6 +460,14 @@ class TestSimulateCli:
                            "--seed", "42")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PATH_SHA256
+
+    def test_golden_ensemble_sigma_zero(self, capsys):
+        import hashlib
+
+        argv, digest = GOLDEN_ENSEMBLE_SIGMA0_SHA256
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_config_file(self, capsys, tmp_path):
         cfg = {
