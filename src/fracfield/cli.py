@@ -18,6 +18,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -275,43 +276,49 @@ def _load_config(path):
     return cfg
 
 
-def _params_from_cfg(obj):
-    allowed = {"alpha", "lambda", "mu", "sigma", "dim"}
-    extra = set(obj) - allowed
-    if extra:
-        raise DomainError(f"unknown params keys: {sorted(extra)}")
-    return DiffusionParams(
-        alpha=float(obj["alpha"]),
-        lam=float(obj.get("lambda", 1.0)),
-        mu=float(obj.get("mu", 0.0)),
-        sigma=float(obj.get("sigma", 1.0)),
-        dim=int(obj.get("dim", 1)),
-    )
+# The params and grid blocks of a config or manifest are the fields of
+# DiffusionParams and GridSpec, with lam spelled "lambda".
+_JSON_NAMES = {"lam": "lambda"}
+_JSON_TYPES = {"float": ((int, float), "number"), "int": (int, "integer"),
+               "str": (str, "string")}
 
 
-def _grid_from_cfg(obj):
-    allowed = {"half_length", "n_points", "n_steps", "t_end", "ic"}
-    extra = set(obj) - allowed
+def _checked(value, kind, name):
+    """value as a field of type kind; a JSON bool is no number."""
+    types, noun = _JSON_TYPES[kind]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise DomainError(f"config \"{name}\" must be a JSON {noun}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def _to_json(obj) -> dict:
+    return {_JSON_NAMES.get(k, k): v for k, v in dataclasses.asdict(obj).items()}
+
+
+def _from_json(cls, obj, section):
+    """cls from a config block; absent keys take the field defaults."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"config \"{section}\" must be a JSON object")
+    fields = {_JSON_NAMES.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    extra = set(obj) - set(fields)
     if extra:
-        raise DomainError(f"unknown grid keys: {sorted(extra)}")
-    return simulate.GridSpec(
-        half_length=float(obj.get("half_length", 20.0)),
-        n_points=int(obj.get("n_points", 1024)),
-        n_steps=int(obj.get("n_steps", 256)),
-        t_end=float(obj.get("t_end", 1.0)),
-        ic=obj.get("ic", "dirac_spectral"),
-    )
+        raise DomainError(f"unknown {section} keys: {sorted(extra)}")
+    missing = [k for k, f in fields.items() if k not in obj and f.default is dataclasses.MISSING]
+    if missing:
+        raise DomainError(f"config \"{section}\" needs {missing}")
+    return cls(**{f.name: _checked(obj[k], f.type, f"{section}.{k}")
+                  for k, f in fields.items() if k in obj})
 
 
 def cmd_simulate(args) -> int:
     _threads()  # validate the env var contract even though the engine is serial
     if args.config:
         cfg = _load_config(args.config)
-        params = _params_from_cfg(cfg.get("params", {}))
+        params = _from_json(DiffusionParams, cfg.get("params", {}), "params")
         kernel = kernel_from_json(cfg.get("kernel", {"type": "gaussian", "scale": 1.0}))
-        grid = _grid_from_cfg(cfg.get("grid", {}))
-        seed = int(cfg.get("seed", args.seed))
-        samples = int(cfg.get("samples", args.samples))
+        grid = _from_json(simulate.GridSpec, cfg.get("grid", {}), "grid")
+        seed = _checked(cfg.get("seed", args.seed), "int", "seed")
+        samples = _checked(cfg.get("samples", args.samples), "int", "samples")
         force = cfg.get("force", False)
         if not isinstance(force, bool):
             raise DomainError("config \"force\" must be true or false")
@@ -342,11 +349,9 @@ def cmd_simulate(args) -> int:
     _emit("".join(af.profile_to_csv(p) for p in profiles), args.out)
     meta = {
         "version": 1,
-        "params": {"alpha": params.alpha, "lambda": params.lam, "mu": params.mu,
-                   "sigma": params.sigma, "dim": params.dim},
+        "params": _to_json(params),
         "kernel": kernel_to_json(kernel),
-        "grid": {"half_length": grid.half_length, "n_points": grid.n_points,
-                 "n_steps": grid.n_steps, "t_end": grid.t_end, "ic": grid.ic},
+        "grid": _to_json(grid),
         "seed": seed,
         "samples": samples,
         "force": force,

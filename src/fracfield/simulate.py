@@ -36,15 +36,16 @@ normal draws per real part, instead of a noise increment per time step.
 The noise law of every snapshot is the scheme's own; only the realization
 for a given seed differs from a time stepper's.  Everything is deterministic
 given (params, kernel, grid, snapshots, seed): a counter-based generator
-(Philox) keyed by the seed, and a fixed pairwise-tree ensemble reduction
-that does not depend on any scheduling.
+(Philox) keyed by the seed, and an ensemble that is the exact grid mean
+plus sigma times the noise's own moments, summed path by path in seed
+order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -237,9 +238,40 @@ def _snapshot_tables(params: DiffusionParams, kernel: KernelSpec, grid: GridSpec
     return dirac, factor
 
 
-def _default_snapshot_steps(grid: GridSpec, n_out: int = 8):
-    stride = max(grid.n_steps // n_out, 1)
-    return tuple(range(stride, grid.n_steps + 1, stride))
+def _prepare(params, kernel, grid, snapshot_steps, force):
+    """Refuse non-mild parameter sets unless forced, check the snapshot steps
+    (default 8 times) and look up the tables of their sorted distinct steps.
+    Returns the steps, the table row of each, and (dirac, factor)."""
+    verdict = classify(replace(params, dim=1))
+    if not verdict.mild and not force:
+        raise NotMildError(
+            f"not mild ({verdict.rule.value}): {verdict.detail}; "
+            "pass force=True to simulate anyway"
+        )
+    if snapshot_steps is None:
+        stride = max(grid.n_steps // 8, 1)
+        snapshot_steps = range(stride, grid.n_steps + 1, stride)
+    snapshot_steps = tuple(int(s) for s in snapshot_steps)
+    if any(s < 1 or s > grid.n_steps for s in snapshot_steps):
+        raise DomainError("snapshot steps must lie in 1..n_steps")
+    steps = tuple(sorted(set(snapshot_steps)))
+    # nothing in the tables depends on sigma, so every sigma shares them
+    tables = _snapshot_tables(replace(params, sigma=1.0), kernel, grid, steps)
+    return snapshot_steps, [steps.index(s) for s in snapshot_steps], tables
+
+
+def _mode_noise(factor, seed):
+    """sigma = 1 noise of every mode for one seed, shape (2, J, n/2+1): the
+    real parts R_k^T g[0, k] and the imaginary parts R_k^T g[1, k]."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    g = rng.standard_normal((2,) + factor.shape[:2])
+    return np.swapaxes((g[:, :, None, :] @ factor)[:, :, 0, :], 1, 2)
+
+
+def _synthesize(z_half, grid):
+    """Fields at the grid points from half-spectrum rows: (n/2L) irfft."""
+    return np.fft.irfft(z_half, grid.n_points, axis=1) * (
+        grid.n_points / (2.0 * grid.half_length))
 
 
 def simulate_path(
@@ -264,50 +296,16 @@ def simulate_path(
 
     Refuses non-mild parameter sets (with dim=1 semantics) unless force=True.
     """
-    verdict = classify(params if params.dim == 1 else DiffusionParams(
-        params.alpha, params.lam, params.mu, params.sigma, 1))
-    if not verdict.mild and not force:
-        raise NotMildError(
-            f"not mild ({verdict.rule.value}): {verdict.detail}; "
-            "pass force=True to simulate anyway"
-        )
-    if snapshot_steps is None:
-        snapshot_steps = _default_snapshot_steps(grid)
-    snapshot_steps = tuple(int(s) for s in snapshot_steps)
-    if any(s < 1 or s > grid.n_steps for s in snapshot_steps):
-        raise DomainError("snapshot steps must lie in 1..n_steps")
-
-    steps = tuple(sorted(set(snapshot_steps)))
-    dirac, factor = _snapshot_tables(params, kernel, grid, steps)
+    snapshot_steps, rows, (dirac, factor) = _prepare(
+        params, kernel, grid, snapshot_steps, force)
     z_half = dirac.astype(complex)
     if params.sigma != 0.0:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        g = rng.standard_normal((2,) + factor.shape[:2])
-        noise = params.sigma * (g[:, :, None, :] @ factor)[:, :, 0, :]
-        z_half.real += noise[0].T
-        z_half.imag += noise[1].T
-    fields = np.fft.irfft(z_half, grid.n_points, axis=1) * (
-        grid.n_points / (2.0 * grid.half_length))
-    row = {s: i for i, s in enumerate(steps)}
-    snapshots = tuple((s * grid.dt, fields[row[s]]) for s in snapshot_steps)
+        noise = params.sigma * _mode_noise(factor, seed)
+        z_half.real += noise[0]
+        z_half.imag += noise[1]
+    fields = _synthesize(z_half, grid)
+    snapshots = tuple((s * grid.dt, fields[i]) for s, i in zip(snapshot_steps, rows))
     return SamplePath(grid=grid, snapshots=snapshots, seed=seed)
-
-
-def _merge(a, b):
-    """Chan-Golub-LeVeque merge of (count, mean, M2) summaries; M2 is the
-    sum of squared deviations, so no mean^2 >> variance cancellation occurs."""
-    (na, ma, qa), (nb, mb, qb) = a, b
-    n, delta = na + nb, mb - ma
-    return n, ma + delta * (nb / n), qa + qb + delta * delta * (na * nb / n)
-
-
-def _pairwise_merge(stack, item):
-    """Binary-counter pairwise reduction step; stack holds (level, summary)."""
-    level = 0
-    while stack and stack[-1][0] == level:
-        item = _merge(stack.pop()[1], item)
-        level += 1
-    stack.append((level, item))
 
 
 def ensemble_stats(
@@ -321,37 +319,35 @@ def ensemble_stats(
 ) -> EnsembleStats:
     """Monte Carlo mean and unbiased variance over n_samples independent paths.
 
-    Per-sample seeds come from mix_seed(master_seed, i); (count, mean, M2)
-    summaries are merged in a fixed pairwise tree, so the result is
-    independent of any execution schedule.
+    Path i is simulate_path's for seed mix_seed(master_seed, i): the exact
+    grid mean, the synthesized Dirac rows, plus sigma times a noise field
+    f_i.  With S1 and S2 the sums of f_i and f_i^2, taken in seed order,
+    mean = synth(dirac) + sigma S1 / N and variance =
+    sigma^2 (S2 - S1^2 / N) / (N - 1).  The noise has mean zero, so no
+    mean^2 >> variance cancellation occurs, and a power-of-two sigma scales
+    the variance exactly.
     """
     if n_samples < 2:
         raise DomainError("ensemble_stats requires n_samples >= 2")
-    if snapshot_steps is None:
-        snapshot_steps = _default_snapshot_steps(grid)
-    stack = []
-    times = None
-    for i in range(n_samples):
-        path = simulate_path(
-            params, kernel, grid, mix_seed(master_seed, i),
-            snapshot_steps=snapshot_steps, force=force,
-        )
-        if times is None:
-            times = tuple(t for t, _ in path.snapshots)
-        fields = np.array([f for _, f in path.snapshots])
-        _pairwise_merge(stack, (1, fields, 0.0))
-    total = stack.pop()[1]
-    while stack:
-        total = _merge(stack.pop()[1], total)
-    _, mean, m2 = total
-    variance = m2 / (n_samples - 1)
+    snapshot_steps, rows, (dirac, factor) = _prepare(
+        params, kernel, grid, snapshot_steps, force)
+    s1, s2 = np.zeros((2, len(dirac), grid.n_points))
+    if params.sigma != 0.0:
+        z_half = np.empty(dirac.shape, complex)
+        for i in range(n_samples):
+            z_half.real, z_half.imag = _mode_noise(factor, mix_seed(master_seed, i))
+            f = _synthesize(z_half, grid)
+            s1 += f
+            s2 += f * f
+    mean = _synthesize(dirac, grid) + params.sigma * s1 / n_samples
+    variance = params.sigma**2 * np.maximum(s2 - s1 * s1 / n_samples, 0.0) / (n_samples - 1)
     return EnsembleStats(
         grid=grid,
         n_samples=n_samples,
-        times=times,
+        times=tuple(s * grid.dt for s in snapshot_steps),
         positions=grid.positions(),
-        mean=mean,
-        variance=variance,
+        mean=mean[rows],
+        variance=variance[rows],
         master_seed=master_seed,
     )
 

@@ -67,7 +67,7 @@ GOLDEN_WRITER_SHA256 = {
     "simulate_samples_4": (
         ["simulate", "--n-points", "64", "--n-steps", "16", "--samples", "4",
          "--seed", "3"],
-        "ed6366122b68bc8bfbad16b2e43b32d869d9615d9fd4cfb33fc75233a75adc9b",
+        "a65493cfe3c3615d2eb788303347ca6956bb3ecfe86f67bd1f1f2a78a9dd9b35",
         _EMPTY_SHA256),
     "variance_closed_crosscheck": (
         ["variance", "--method", "closed", "--alpha", "1", "--x-range=-3:3:13"],
@@ -532,6 +532,72 @@ class TestSimulateCli:
         assert out == ""
         assert "samples" in err
         assert not meta_path.exists()
+
+    def test_config_missing_alpha(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "params": {}}))
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "alpha" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("section", ["params", "grid"])
+    def test_config_section_not_an_object(self, capsys, tmp_path, section):
+        cfg = {"version": 1, "params": {"alpha": 1.0}}
+        cfg[section] = []
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f'"{section}" must be a JSON object' in err
+
+    @pytest.mark.parametrize("value", [1.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("section,key", [
+        (None, "seed"), (None, "samples"), ("params", "dim"),
+        ("grid", "n_points"), ("grid", "n_steps"),
+    ])
+    def test_config_integer_keys_refuse_non_integers(self, capsys, tmp_path, section,
+                                                    key, value):
+        # a truncating int() would run seed 1.5 as seed 1
+        cfg = {"version": 1, "params": {"alpha": 1.0},
+               "grid": {"half_length": 5.0, "n_points": 64, "n_steps": 16}}
+        (cfg[section] if section else cfg)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        name = f"{section}.{key}" if section else key
+        assert f'"{name}" must be a JSON integer' in err
+
+    def test_manifest_blocks_are_the_dataclass_fields(self, capsys, tmp_path):
+        # the params and grid blocks are written from the objects the run
+        # used, so every field reaches the replay record and --config reads
+        # each one back: a manifest with no default value replays itself
+        import dataclasses
+
+        from fracfield.simulate import GridSpec
+        from fracfield.symbol import DiffusionParams
+
+        def names(cls):
+            return ["lambda" if f.name == "lam" else f.name for f in dataclasses.fields(cls)]
+
+        cfg = {"version": 1,
+               "params": {"alpha": 1.5, "lambda": 0.5, "mu": 0.25, "sigma": 2.0, "dim": 2},
+               "grid": {"half_length": 4.0, "n_points": 128, "n_steps": 32, "t_end": 0.5,
+                        "ic": "zero"},
+               "seed": 11, "samples": 2}
+        assert list(cfg["params"]) == names(DiffusionParams)
+        assert list(cfg["grid"]) == names(GridSpec)
+        path, meta_path = tmp_path / "run.json", tmp_path / "meta.json"
+        path.write_text(json.dumps(cfg))
+        code, _, _ = run(capsys, "simulate", "--config", str(path), "--meta-out",
+                         str(meta_path))
+        assert code == EXIT_OK
+        meta = json.loads(meta_path.read_text())
+        assert meta["params"] == cfg["params"] and list(meta["params"]) == names(DiffusionParams)
+        assert meta["grid"] == cfg["grid"] and list(meta["grid"]) == names(GridSpec)
 
     def test_config_bad_version(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -322,6 +322,59 @@ class TestEnsemble:
             assert v[0] < v[-1]
             assert np.all(v > 0)
 
+    @pytest.mark.parametrize("ic", ["dirac_spectral", "zero"])
+    @pytest.mark.parametrize("n_samples", [2, 3, 17])
+    def test_matches_long_double_two_pass(self, n_samples, ic):
+        # the oracle stacks simulate_path's fields for the same seeds and takes
+        # the textbook two-pass mean and variance in long double
+        grid = GridSpec(half_length=5.0, n_points=64, n_steps=16, ic=ic)
+        prm, steps = params(0.8, mu=0.5), [16, 3, 3, 9]
+        stats = ensemble_stats(prm, GAUSS, grid, n_samples, master_seed=21,
+                               snapshot_steps=steps)
+        fields = np.array([[f for _, f in simulate_path(
+            prm, GAUSS, grid, mix_seed(21, i), snapshot_steps=steps).snapshots]
+            for i in range(n_samples)], dtype=np.longdouble)
+        mean = fields.mean(axis=0)
+        variance = ((fields - mean) ** 2).sum(axis=0) / (n_samples - 1)
+        assert stats.times == tuple(s * grid.dt for s in steps)
+        for got, ref in ((stats.mean, mean), (stats.variance, variance)):
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+    def test_variance_scales_with_sigma_squared_exactly(self):
+        # the variance is sigma^2 times a moment of the sigma = 1 noise, so a
+        # power-of-two sigma scales it bit for bit, Dirac mean or not
+        one = ensemble_stats(params(0.8), GAUSS, SMALL, 16, master_seed=4)
+        small = ensemble_stats(params(0.8, sigma=2.0**-20), GAUSS, SMALL, 16, master_seed=4)
+        assert np.array_equal(small.variance, 2.0**-40 * one.variance)
+
+    def test_tables_shared_across_sigma(self):
+        from fracfield.simulate import _snapshot_tables
+
+        grid = GridSpec(half_length=6.0, n_points=64, n_steps=16)  # used nowhere else
+        before = _snapshot_tables.cache_info().misses
+        for sigma in (0.0, 2.0**-20, 1.0, 3.0):
+            ensemble_stats(params(1.5, sigma=sigma), GAUSS, grid, 2, master_seed=1)
+            simulate_path(params(1.5, sigma=sigma), GAUSS, grid, seed=1)
+        assert _snapshot_tables.cache_info().misses == before + 1
+
+    @pytest.mark.parametrize("n_samples", [2, 3])
+    def test_variance_nonnegative(self, n_samples):
+        for master_seed in range(20):
+            for grid in (SMALL, SMALL_ZERO):
+                stats = ensemble_stats(params(0.8, mu=0.5), GAUSS, grid, n_samples,
+                                       master_seed, snapshot_steps=range(1, 17))
+                assert np.all(stats.variance >= 0.0)
+
+    def test_sigma_zero_is_exact_mean(self):
+        # no noise: the mean is the synthesized Dirac rows, simulate_path's
+        # field bit for bit, and the variance is exactly zero
+        prm = params(1.5, mu=0.5, sigma=0.0)
+        stats = ensemble_stats(prm, GAUSS, SMALL, 5, master_seed=8)
+        path = simulate_path(prm, GAUSS, SMALL, seed=0)
+        assert np.array_equal(stats.mean, np.array([f for _, f in path.snapshots]))
+        assert np.all(stats.variance == 0.0)
+
     def test_profiles_export(self):
         stats = ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 4, master_seed=2)
         mean_p, var_p = stats_to_profiles(stats)
