@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DomainError,
@@ -31,7 +30,17 @@ from .errors import (
     QuadratureError,
     ResonanceError,
 )
-from .special_fn import MLOrder, erfc, gamma_fn, gl_panels, mainardi_series, ml_eval
+from .special_fn import (
+    MLOrder,
+    _poch,
+    _rgamma,
+    _sici,
+    erfc,
+    gamma_fn,
+    gl_panels,
+    mainardi_series,
+    ml_eval,
+)
 from .symbol import DiffusionParams, KernelSpec, symbol_a
 
 __all__ = [
@@ -114,7 +123,7 @@ def _tail_coefficients(alpha: float, lam: float, mu: float, t: float):
     """
     ta, ratio = lam * t**alpha, mu / lam
     # coefficient of k^(-2p): binom(-j, r) = (-1)^r binom(j+r-1, r), r = p - j
-    return [sum((-1) ** (j + 1) * special.rgamma(1.0 - j * alpha) / ta**j
+    return [sum((-1) ** (j + 1) * _rgamma(1.0 - j * alpha) / ta**j
                 * (-ratio) ** (p - j) * math.comb(p - 1, j - 1)
                 for j in range(1, p + 1))
             for p in (1, 2, 3)]
@@ -151,8 +160,12 @@ def _fourier_tail(alpha: float, lam: float, mu: float, t: float, x, cutoff: floa
     whose terms beyond _FAR_TERMS are below (m)_16 / (Kx)^16 <= 5e-31 of the first.
     """
     kx = cutoff * x
-    si, ci = special.sici(kx)
-    c_m, s_m = np.where(kx > 0, -ci, 0.0), 0.5 * math.pi - si  # x C_1 -> 0 as x -> 0
+    far = kx >= _FAR_KX
+    # x C_1 -> 0 as x -> 0; far points keep these placeholders, the series replaces them
+    c_m, s_m = np.zeros_like(kx), np.full_like(kx, 0.5 * math.pi)
+    mid = (kx > 0) & ~far
+    si, ci = _sici(kx[mid])
+    c_m[mid], s_m[mid] = -ci, 0.5 * math.pi - si
     coefs = _tail_coefficients(alpha, lam, mu, t)
     near = 0.0
     for m in range(2, 7):
@@ -161,12 +174,10 @@ def _fourier_tail(alpha: float, lam: float, mu: float, t: float, x, cutoff: floa
                     (np.sin(kx) * edge + x * c_m) / (m - 1))
         if m % 2 == 0:
             near = near + coefs[m // 2 - 1] * c_m
-    far = kx >= _FAR_KX
     if not np.any(far):
         return near / math.pi
     # one series for all three m: d_j = sum_m b_m K^(1-m) (m)_j
-    j = np.arange(_FAR_TERMS)
-    d = sum(b * cutoff ** (1 - m) * special.poch(m, j) for m, b in zip((2, 4, 6), coefs))
+    d = sum(b * cutoff ** (1 - m) * _poch(m, _FAR_TERMS) for m, b in zip((2, 4, 6), coefs))
     w = 1.0 / (1j * np.maximum(kx, _FAR_KX))  # only read where far
     series = -(np.exp(1j * kx) * w * np.polyval(d[::-1], w)).real
     return np.where(far, series, near) / math.pi

@@ -265,8 +265,9 @@ def _load_config(path):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise DomainError("config must be a JSON object")
-    if cfg.get("version") != 1:
-        raise DomainError("config requires \"version\": 1")
+    version = cfg.get("version")
+    if type(version) is not int or version != 1:  # true and 1.0 are no version 1
+        raise DomainError(f"config requires \"version\": 1, got {version!r}")
     # a --meta-out manifest is a valid config; its wall_time_s is ignored
     allowed = {"version", "params", "kernel", "grid", "seed", "samples", "force",
                "wall_time_s"}
@@ -336,6 +337,8 @@ def cmd_simulate(args) -> int:
         seed, samples, force = args.seed, args.samples, args.force
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if not 0 <= seed < 1 << 64:  # mix_seed works mod 2^64: larger seeds would alias
+        raise DomainError(f"seed must be in [0, 2^64), got {seed}")
 
     t0 = time.perf_counter()
     if samples > 1:

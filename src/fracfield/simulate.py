@@ -48,12 +48,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .analytic_fields import Profile, _tail_coefficients, _tail_onset
 from .errors import DomainError, GridMismatchError, NotMildError
 from .mildness import classify
-from .special_fn import MLOrder, gamma_fn, ml_eval
+from .special_fn import MLOrder, _hurwitz_zeta, gamma_fn, ml_eval
 from .symbol import DiffusionParams, KernelSpec, symbol_a
 
 __all__ = [
@@ -181,7 +180,7 @@ def _aliased_row(params, kernel, grid, t, row):
     copies = ml_eval(MLOrder(params.alpha, 1.0), -a * t**params.alpha)
     q = xi / (2.0 * band)
     rest = sum(b * (2.0 * band) ** (-2 * p)
-               * (special.zeta(2 * p, m_max + 1 + q) + special.zeta(2 * p, m_max + 1 - q))
+               * (_hurwitz_zeta(2 * p, m_max + 1 + q) + _hurwitz_zeta(2 * p, m_max + 1 - q))
                for p, b in enumerate(
                    _tail_coefficients(params.alpha, params.lam, params.mu, t), 1))
     return row + (copies.sum(axis=0) + rest)

@@ -1,4 +1,5 @@
-"""Real-line evaluation of Gamma, erfc, Mittag-Leffler and Mainardi functions.
+"""Real-line evaluation of Gamma, erfc, Si/Ci, Hurwitz zeta, Mittag-Leffler
+and Mainardi functions, with numpy and the standard library only.
 
 The two-parameter Mittag-Leffler function E_{alpha,beta}(z) has one
 evaluator with two paths: the power series for |z| <= 0.5 (|z| <= 1 when
@@ -16,6 +17,15 @@ Beyond |z| = 1, beta > alpha + 1.75 goes through a recurrence in beta; on
 alpha in [0.1, 1.9], beta in [alpha + 1.76, 12] and |z| in [0.3, 2] the
 largest error is 4.5e-12 (alpha = 0.1, beta = 8, z = 1.01: 62 steps).
 
+Gamma and erfc are the standard library's.  Against mpmath on 20,000
+random points per range: 1/Gamma (_rgamma, 0 at the poles) is within
+9.4e-16 relative on [-5, 1000] where the result is a normal double; erfc is
+within 4.2e-16 relative on [-3, 27].  Si and Ci (_sici: power series up to
+x = 2, the continued fraction of E_1(ix) above it) are within 2.8e-16 on
+(0, 1000], absolute, relative where |v| > 1.  The Hurwitz zeta function
+(_hurwitz_zeta, Euler-Maclaurin) is within 1.2e-15 relative for s in
+[1.1, 12] and q in [0.5, 1e3].
+
 All functions are pure and deterministic.
 """
 
@@ -24,9 +34,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NoConvergenceError, UnsupportedOrderError
 
@@ -74,23 +84,114 @@ class ZeroList:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function on the real line, rejecting the poles at 0, -1, -2, ..."""
+    """Gamma function on the real line, rejecting the poles at 0, -1, -2, ...
+
+    inf past x = 171.6, where Gamma exceeds the largest double.
+    """
     xf = float(x)
     if xf <= 0 and xf == math.floor(xf):
         raise DomainError(f"gamma_fn pole at non-positive integer x={xf}")
-    return float(special.gamma(xf))
+    try:
+        return math.gamma(xf)
+    except OverflowError:  # x > 171.6, or |x| < 5.6e-309 where Gamma(x) = 1/x
+        return math.copysign(math.inf, xf)
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x) on the real line, 0 at the poles 0, -1, -2, ..."""
+    if x <= 0 and x == math.floor(x):
+        return 0.0
+    try:
+        g = math.gamma(x)
+    except OverflowError:  # x > 171.6, or |x| < 5.6e-309 where 1/Gamma(x) = x
+        return math.exp(-math.lgamma(x)) if x > 1.0 else x
+    return 1.0 / g if g else math.copysign(math.inf, g)  # Gamma underflows below -178
 
 
 def erfc(x):
-    """Complementary error function, (2/sqrt(pi)) int_x^inf exp(-t^2) dt."""
-    return special.erfc(x)
+    """Complementary error function, (2/sqrt(pi)) int_x^inf exp(-t^2) dt,
+    for scalar or array x."""
+    arr = np.asarray(x, dtype=float)
+    out = np.array([math.erfc(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def kappa_alpha(alpha: float) -> float:
     """sin(pi*alpha) * Gamma(1+alpha) / pi; changes sign at alpha = 1."""
     if not (0 < alpha < 2):
         raise DomainError(f"kappa_alpha requires alpha in (0,2), got {alpha}")
-    return math.sin(math.pi * alpha) * float(special.gamma(1 + alpha)) / math.pi
+    return math.sin(math.pi * alpha) * math.gamma(1 + alpha) / math.pi
+
+
+# ---------------------------------------------------------------------------
+# sine and cosine integrals, Hurwitz zeta and Pochhammer symbols
+#
+# Si and Ci follow Numerical Recipes' cisi: the power series up to x = 2 and
+# above it the continued fraction of E_1(ix) = -Ci(x) + i (Si(x) - pi/2).
+# The fraction is evaluated from its tail: NR's forward (Lentz) product of
+# ~100 factors near x = 2 loses up to 2.7e-15, the tail form stays within an ulp.
+
+_SICI_SPLIT = 2.0
+# Horner coefficients, highest degree first: Si(x) = x P(x^2) and
+# Ci(x) = gamma + log x + x^2 Q(x^2); at x = 2 the first omitted term is < 1e-24
+_SI_POLY = [(-1) ** n / ((2 * n + 1) * math.factorial(2 * n + 1)) for n in range(13, -1, -1)]
+_CI_POLY = [(-1) ** n / (2 * n * math.factorial(2 * n)) for n in range(14, 0, -1)]
+
+
+def _sici(x):
+    """(Si(x), Ci(x)) for an array of x > 0."""
+    x = np.asarray(x, dtype=float)
+    si, ci = np.empty_like(x), np.empty_like(x)
+    low = x <= _SICI_SPLIT
+    xl = x[low]
+    y = xl * xl
+    si[low] = xl * np.polyval(_SI_POLY, y)
+    ci[low] = np.euler_gamma + np.log(xl) + y * np.polyval(_CI_POLY, y)
+    xh = x[~low]
+    # E_1(ix) e^(ix) = 1/(b_0 - 1^2/(b_1 - 2^2/(b_2 - ...))), b_i = 2i + 1 + ix.
+    # Cut at depth ceil(240/x) + 4, 25% or more past the depth where the
+    # value stops changing; each point's depth is its own.
+    depth = np.ceil(240.0 / xh) + 4.0
+    tail = np.zeros(xh.shape, dtype=complex)
+    for i in range(int(depth.max(initial=0.0)), 0, -1):
+        tail = np.where(i <= depth, i * i / (2 * i + 1 + 1j * xh - tail), 0.0)
+    h = (np.cos(xh) - 1j * np.sin(xh)) / (1.0 + 1j * xh - tail)
+    si[~low], ci[~low] = 0.5 * math.pi + h.imag, -h.real
+    return si, ci
+
+
+_ZETA_DIRECT = 9
+# B_2j / (2j)! for j = 1..12, the Euler-Maclaurin correction coefficients
+_ZETA_EM = [float(Fraction(n, d) / math.factorial(2 * j)) for j, (n, d) in enumerate(
+    ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+     (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730)), 1)]
+
+
+def _hurwitz_zeta(s: float, q):
+    """Hurwitz zeta sum_k (k + q)^(-s) for real s > 1 and an array of q > 0.
+
+    Euler-Maclaurin summation as in Cephes' zeta.c: nine direct terms, the
+    integral and half-term of the rest from w = q + 9 on, and twelve
+    Bernoulli corrections B_2j/(2j)! s(s+1)...(s+2j-2) w^(-s-2j+1).
+    """
+    q = np.asarray(q, dtype=float)
+    w = q + _ZETA_DIRECT
+    total = sum((q + k) ** -s for k in range(_ZETA_DIRECT))
+    b = w**-s
+    total = total + b * w / (s - 1.0) + 0.5 * b
+    rising = 1.0
+    for j, coef in enumerate(_ZETA_EM):
+        rising *= s + 2 * j
+        b = b / w
+        total = total + coef * rising * b
+        rising *= s + 2 * j + 1
+        b = b / w
+    return total
+
+
+def _poch(m: int, n: int):
+    """Rising factorials (m)_j = m (m+1) ... (m+j-1) for j < n, correctly rounded."""
+    return np.array([float(math.perm(m + j - 1, j)) for j in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +205,8 @@ _SERIES_CHUNK = 256
 
 
 def _series(coef, z):
-    """Partial sums of sum_k c_k z^k for a 1-d array z; coef(n) gives c_0..c_{n-1}.
+    """Partial sums of sum_k c_k z^k for a 1-d array z, with the coefficients
+    c_0..c_{_SERIES_MAX_TERMS-1} in the array coef.
 
     A point stops once three consecutive terms fall below _SERIES_TOL times
     its finite running sum (guards alternating near-cancellation), so its
@@ -124,10 +226,18 @@ def _series(coef, z):
         steps = np.empty((todo.size, n))
         steps[:, 0] = 1.0
         steps[:, 1:] = z[todo, None]
+        # Three (points x n) arrays, worked in place.  Where the allocator
+        # returns freed heap to the system between calls, every page of every
+        # fresh temporary faults again; with twice the temporaries that was
+        # ~45% of a repeated `mild --probe` call.
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.cumprod(steps, axis=1) * coef(n)
+            terms = np.cumprod(steps, axis=1, out=steps)
+            terms *= coef[:n]
             acc = np.cumsum(terms, axis=1)
-            small = np.abs(terms) <= _SERIES_TOL * np.maximum(np.abs(acc), 1e-300)
+            scale = np.abs(acc)
+            np.maximum(scale, 1e-300, out=scale)
+            scale *= _SERIES_TOL
+            small = np.abs(terms, out=terms) <= scale
         stop = small[:, :-2] & small[:, 1:-1] & small[:, 2:]
         done = np.nonzero(stop.any(axis=1))[0]
         val = acc[done, stop[done].argmax(axis=1) + 2]
@@ -145,8 +255,16 @@ def _series(coef, z):
     return out
 
 
+def _frozen(values):
+    out = np.array(values)
+    out.setflags(write=False)  # shared by every caller through the cache
+    return out
+
+
+@functools.lru_cache(maxsize=256)
 def _ml_coef(alpha, beta):
-    return lambda n: special.rgamma(alpha * np.arange(n) + beta)
+    """1 / Gamma(alpha k + beta), k < _SERIES_MAX_TERMS."""
+    return _frozen([_rgamma(alpha * k + beta) for k in range(_SERIES_MAX_TERMS)])
 
 
 def ml_series(order: MLOrder, z: float) -> float:
@@ -272,7 +390,7 @@ def _contour(alpha, beta, z):
     """E_{alpha,beta}(z) for a 1-d array z of nonzero reals, 0 < alpha <= 2."""
     # the origin singularity s^(alpha-beta) would need too many nodes
     if beta > alpha + _MAX_BETA_GAP:
-        return (_contour(alpha, beta - alpha, z) - special.rgamma(beta - alpha)) / z
+        return (_contour(alpha, beta - alpha, z) - _rgamma(beta - alpha)) / z
     # At large |z| the leading terms of the direct sum cancel for beta = alpha;
     # E_{a,a}(z) = E_{a,0}(z) / z keeps the relative accuracy.
     b = 0.0 if beta == alpha else beta
@@ -292,8 +410,13 @@ def _contour(alpha, beta, z):
         chunk = min(4096, _CHUNK_ELEMS // gr.size)
         for lo in range(0, sel.size, chunk):
             i = sel[lo : lo + chunk]
-            d = gr - zc[i, None]
-            out[i] = ((wr * d + wg) / (d * d + gi2)).sum(axis=1) * (zc[i] / z[i])
+            d = gr - zc[i, None]  # two temporaries, in place as in _series
+            num = wr * d
+            num += wg
+            d *= d
+            d += gi2
+            num /= d
+            out[i] = num.sum(axis=1) * (zc[i] / z[i])
         if residues:  # s*^(1-b) e^(s*) / a summed over s* = r (z > 0) or r e^(+-i pi/a) (z < 0)
             p, ri = pos[sel], r[sel]
             with np.errstate(over="ignore", invalid="ignore"):
@@ -353,7 +476,7 @@ def ml_asymptotic_neg(order: MLOrder, x: float) -> float:
         raise DomainError("ml_asymptotic_neg expects large positive x (argument -x)")
     if 0 < alpha < 1:
         if beta_is_one:
-            return float(special.rgamma(1.0 - alpha)) / x
+            return _rgamma(1.0 - alpha) / x
         # two-parameter tail constant: kappa_alpha, the coefficient consistent
         # with both the exact erfc reduction at alpha=1/2 and the sharp bounds
         return kappa_alpha(alpha) / (x * x)
@@ -375,8 +498,8 @@ def ml_bounds(alpha: float, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("ml_bounds requires x >= 0")
-    lower = 1.0 / (1.0 + float(special.gamma(1.0 - alpha)) * x)
-    upper = 1.0 / (1.0 + x / float(special.gamma(1.0 + alpha)))
+    lower = 1.0 / (1.0 + math.gamma(1.0 - alpha) * x)
+    upper = 1.0 / (1.0 + x / math.gamma(1.0 + alpha))
     return lower, upper
 
 
@@ -392,13 +515,13 @@ def ml_bounds_two(alpha: float, x, beta: float | None = None):
     if np.any(x < 0):
         raise DomainError("ml_bounds_two requires x >= 0")
     if beta is None:
-        g1m, g1p, g2p = (float(special.gamma(v)) for v in (1 - alpha, 1 + alpha, 1 + 2 * alpha))
+        g1m, g1p, g2p = (math.gamma(v) for v in (1 - alpha, 1 + alpha, 1 + 2 * alpha))
         lower = 1.0 / (1.0 + math.sqrt(g1m / g1p) * x) ** 2
         upper = 1.0 / (1.0 + math.sqrt(g1p / g2p) * x) ** 2
         return lower, upper
     if not beta > alpha:
         raise DomainError("the beta-variant bracket requires beta > alpha")
-    gb, gbm, gbp = (float(special.gamma(v)) for v in (beta, beta - alpha, beta + alpha))
+    gb, gbm, gbp = (gamma_fn(v) for v in (beta, beta - alpha, beta + alpha))
     lower = 1.0 / (1.0 + (gbm / gb) * x)
     upper = 1.0 / (1.0 + (gb / gbp) * x)
     return lower, upper
@@ -463,6 +586,13 @@ def ml_real_zeros(alpha: float, x_min: float) -> ZeroList:
     return ZeroList(alpha, tuple(float(z) for z in zeros), (x_min, 0.0))
 
 
+@functools.lru_cache(maxsize=256)
+def _mainardi_coef(alpha):
+    """1 / (Gamma(alpha k + 1 - alpha) (2k)!), k < _SERIES_MAX_TERMS."""
+    return _frozen([_rgamma(alpha * k + 1.0 - alpha) * _rgamma(2.0 * k + 1.0)
+                    for k in range(_SERIES_MAX_TERMS)])
+
+
 def mainardi_series(alpha: float, u):
     """sum_n (-1)^n u^(2n) / ((2n)! Gamma(alpha n - alpha + 1)), scalar or array u.
 
@@ -475,11 +605,7 @@ def mainardi_series(alpha: float, u):
     if np.any(u < 0):
         raise DomainError("mainardi_series requires u >= 0")
 
-    def coef(n):
-        k = np.arange(n)
-        return special.rgamma(alpha * k + 1.0 - alpha) * special.rgamma(2.0 * k + 1.0)
-
-    out = _series(coef, -(u * u).ravel()).reshape(u.shape)
+    out = _series(_mainardi_coef(alpha), -(u * u).ravel()).reshape(u.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -128,26 +128,29 @@ def mean_hat(params: DiffusionParams, kernel: KernelSpec, t: float, xi):
     return ml_eval(MLOrder(params.alpha, 1.0), -(t**params.alpha) * a)
 
 
+# the run-config name of each kernel kind's scale
+_SCALE_KEY = {"gaussian": "scale", "uniform": "half_width"}
+
+
 def kernel_to_json(kernel: KernelSpec) -> dict:
     """Serialize to the run-config schema."""
-    key = "scale" if kernel.kind == "gaussian" else "half_width"
-    return {"type": kernel.kind, key: kernel.scale}
+    return {"type": kernel.kind, _SCALE_KEY[kernel.kind]: kernel.scale}
 
 
 def kernel_from_json(obj: dict) -> KernelSpec:
-    """Parse the run-config kernel object; unknown keys are rejected."""
+    """Parse the run-config kernel object; unknown keys are rejected, and the
+    scale must be a positive JSON number (a bool or a string is none)."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise DomainError("kernel config must be an object with a 'type' field")
     kind = obj["type"]
-    if kind == "gaussian":
-        allowed = {"type", "scale"}
-        scale = obj.get("scale", 1.0)
-    elif kind == "uniform":
-        allowed = {"type", "half_width"}
-        scale = obj.get("half_width", 1.0)
-    else:
+    if not isinstance(kind, str) or kind not in _SCALE_KEY:
         raise DomainError(f"unknown kernel type {kind!r}")
-    extra = set(obj) - allowed
+    key = _SCALE_KEY[kind]
+    extra = set(obj) - {"type", key}
     if extra:
         raise DomainError(f"unknown kernel config keys: {sorted(extra)}")
+    scale = obj.get(key, 1.0)
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not scale > 0:
+        raise DomainError(f"config \"kernel.{key}\" must be a positive JSON number, "
+                          f"got {scale!r}")
     return KernelSpec(kind=kind, scale=float(scale))

@@ -24,7 +24,7 @@ from fracfield.special_fn import MLOrder, ml_asymptotic_neg, ml_bounds, ml_eval
 from fracfield.symbol import KernelSpec, kernel_from_json
 
 
-GOLDEN_PATH_SHA256 = "4d6755d82af8f50f3835830cceff3ed4e6d019620cb0f0413b63512944c09172"
+GOLDEN_PATH_SHA256 = "cddb572cf5cdcac02a4886eaaf5c47c6aa36731aeb4a535283f8e93a9369a2df"
 
 # stdout digest of a noise-free ensemble: its mean is the synthesized Dirac
 # rows and its variance zero, so no ensemble reduction may move a bit of it
@@ -38,24 +38,24 @@ GOLDEN_ENSEMBLE_SIGMA0_SHA256 = (
 GOLDEN_ANALYTIC_SHA256 = {
     "ml_alpha_0.6": (
         ["ml", "--alpha", "0.6", "--x-range=-40:2:85", "--bounds"],
-        "2e0399c1aeea2b9bfcccb3b2b668d947da3febd6e460ae4f4a60754e1290a949"),
+        "cbe00e147846e306ac358537c210dc79f79c5c389f6db37f5c714bdfa471cc46"),
     "ml_alpha_beta_1.8": (
         ["ml", "--alpha", "1.8", "--beta", "1.8", "--x-range=-40:2:85"],
-        "b2ded2b0cf717b0bd9b8a16f58add23bb40a2a7759590dd5bcf71f1052fd2945"),
+        "c7bcdf3b36fcdb47b2c1e506c38d1187fc95bc40887f4a7907f179f98ca2f90d"),
     "mean_fourier": (
         ["mean", "--method", "fourier", "--alpha", "1.5", "--t-list", "0.5,1",
          "--x-range=0:2:5"],
-        "f16ac8146f20e3b68497a46674300b6e80e8a4a6abebdb21bcbdb8012829db66"),
+        "d53520dd87ec4aba338ede87f91ae700bb72271732fb637601a16ab0c16356ee"),
     "variance_quadrature": (
         ["variance", "--method", "quadrature", "--alpha", "0.6", "--t", "1",
          "--x-range=0:3:7"],
-        "6ea7e6c5282ed73055bcf84f9fcf99709e5ce80577483e9c779440d49aa9d33f"),
+        "9302b549915977ac338d70cecae86789e8c355011c80289efe7b08ec53ed026d"),
     "variance_fig5": (
         ["variance", "--preset", "fig5"],
-        "7ffd8a04dacced6696b3562ebcd41fda8789b1284297c13393e1ea06fa8f4a6b"),
+        "327380a95dbc1df69ac668e6ce1e46df876d34c634449172794e25863f927ad0"),
     "mild_probe": (
         ["mild", "--alpha", "0.8", "--probe"],
-        "fad8b5ec00405b819ad17e199c3334be21be9cb4e2403472863e5d35ea21efc7"),
+        "12990a3d1e3a944fbe4585a45358f765f9d7619adf91bed1d22d86f7b72534e9"),
 }
 
 _EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -71,11 +71,11 @@ GOLDEN_WRITER_SHA256 = {
         _EMPTY_SHA256),
     "variance_closed_crosscheck": (
         ["variance", "--method", "closed", "--alpha", "1", "--x-range=-3:3:13"],
-        "715b563ed65ecfe490d6e2bed727a57b2ac368a7927933a3b15b8244641c1fc9",
-        "c8caf00cf8d763c951026c0d146839575f41193f79d730225861b7a75dec2d34"),
+        "43121223312ebe4f54e9e184d7bdaeeed971db26606739422dd90fcf63e88254",
+        "987c8fefd5d6cd2ca51cef2a64deb3e06f17f42ca23f6fbd6208d2d0ea1b348d"),
     "ml_bounds_asymptotic": (
         ["ml", "--alpha", "0.5", "--x-range=-10:-1:10", "--bounds", "--asymptotic"],
-        "44881c906cee3b98fc081b68915d59ab589cffc5898b4e809cfd2582bf16437e",
+        "d605482620162b046223f93b362a3b09d0187d4b3b3f78de00f4ad99624f4b4b",
         _EMPTY_SHA256),
     "variance_fig4": (
         ["variance", "--preset", "fig4"],
@@ -88,15 +88,41 @@ GOLDEN_WRITER_SHA256 = {
 }
 
 
-def test_import_loads_no_scipy_optimize_or_integrate():
-    # every CLI process pays the import; a fresh interpreter shows what it loads
+def _fresh_python(probe):
+    """stdout of probe run in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(fracfield.__file__))
-    probe = ("import sys, fracfield.cli; "
-             "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # every CLI process pays the import; a fresh interpreter shows what it loads
+    probe = ("import sys, fracfield.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert _fresh_python(probe) == "[]"
+
+
+def test_commands_run_without_scipy():
+    # None in sys.modules makes any scipy import raise ImportError
+    argvs = [
+        ["ml", "--alpha", "0.6", "--x-range=-40:2:85", "--bounds", "--asymptotic"],
+        ["mean", "--method", "fourier", "--alpha", "1.5", "--x-range=0:8:5"],
+        ["variance", "--preset", "fig5"],
+        ["mild", "--alpha", "0.8", "--probe"],
+        ["simulate", "--n-points", "64", "--n-steps", "16", "--samples", "4", "--alpha", "0.8",
+         "--mu", "0.5"],
+    ]
+    probe = ("import contextlib, io, sys; sys.modules['scipy'] = None\n"
+             "from fracfield.cli import main\n"
+             "codes = []\n"
+             f"for argv in {argvs!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n"
+             "        codes.append(main(argv))\n"
+             "print(codes)")
+    assert _fresh_python(probe) == str([EXIT_OK] * len(argvs))
 
 
 def run(capsys, *argv):
@@ -605,3 +631,43 @@ class TestSimulateCli:
         code, _, err = run(capsys, "simulate", "--config", str(path))
         assert code == EXIT_USAGE
         assert "version" in err
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+    def test_config_version_must_be_integer_one(self, capsys, tmp_path, version):
+        # true == 1 and 1.0 == 1 in Python, yet neither is the JSON integer 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": version, "params": {"alpha": 1.0}}))
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert '"version": 1' in err
+
+    @pytest.mark.parametrize("value", ["2", True, 0, -1.5], ids=["str", "bool", "zero", "neg"])
+    @pytest.mark.parametrize("kind,key", [("gaussian", "scale"), ("uniform", "half_width")])
+    def test_config_kernel_scale_positive_number(self, capsys, tmp_path, kind, key, value):
+        # float() would run "2" as scale 2 and true as scale 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "params": {"alpha": 1.0},
+                                    "kernel": {"type": kind, key: value}}))
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f'"kernel.{key}" must be a positive JSON number' in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_seed_outside_uint64_rejected(self, capsys, tmp_path, source, seed):
+        # per-sample seeds are mixed mod 2^64, so seed 2^64 would alias seed 0
+        meta_path = tmp_path / "meta.json"
+        if source == "flag":
+            argv = [*self.ARGS, "--seed", str(seed)]
+        else:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"version": 1, "params": {"alpha": 1.0},
+                                        "seed": seed}))
+            argv = ["simulate", "--config", str(path)]
+        code, out, err = run(capsys, *argv, "--meta-out", str(meta_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "seed must be in [0, 2^64)" in err
+        assert not meta_path.exists()

@@ -23,6 +23,11 @@ from fracfield.special_fn import (
     ml_eval,
     ml_real_zeros,
     ml_series,
+    _hurwitz_zeta,
+    _ml_coef,
+    _poch,
+    _rgamma,
+    _sici,
 )
 
 from ml_oracle import ml_oracle
@@ -51,6 +56,65 @@ class TestGammaErfc:
         assert erfc(-0.7) == pytest.approx(2.0 - erfc(0.7), rel=1e-12)
         for x in np.linspace(-10, 10, 41):
             assert erfc(float(x)) == pytest.approx(float(mp.erfc(float(x))), rel=1e-12)
+
+
+def _assert_close(got, ref, rel, floor=0.0):
+    """|got - ref| <= rel * max(|ref|, floor), element-wise, with subnormal slack."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    err = np.abs(got - ref)
+    bound = rel * np.maximum(np.abs(ref), floor) + 1e-320
+    worst = int(np.argmax(err - bound))
+    assert np.all(err <= bound), (worst, got.flat[worst], ref.flat[worst])
+
+
+class TestElementaryOracles:
+    """The numpy/math replacements of Gamma, erfc, Si/Ci, zeta and Pochhammer."""
+
+    def test_rgamma(self):
+        x = np.concatenate([
+            np.linspace(-5.0, 1000.0, 1501),
+            np.arange(-5.0, 1.0),  # the poles, where 1/Gamma is exactly 0
+            np.linspace(170.0, 180.0, 101),  # Gamma overflows past 171.6
+            np.arange(-5.0, 1.0) + 1e-9,
+            np.arange(-5.0, 1.0) - 1e-9,
+            [1e-310, -1e-310, 0.5, 1.0, 2.0],
+        ])
+        ref = [float(mp.rgamma(mp.mpf(float(v)))) for v in x]
+        got = [_rgamma(float(v)) for v in x]
+        _assert_close(got, ref, 1e-15)
+        assert [_rgamma(float(v)) for v in range(-5, 1)] == [0.0] * 6
+
+    def test_erfc(self):
+        x = np.linspace(-3.0, 27.0, 601)
+        _assert_close(erfc(x), [float(mp.erfc(float(v))) for v in x], 1e-15)
+        assert isinstance(erfc(0.5), float)
+        assert erfc(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_sici(self):
+        x = np.concatenate([
+            np.geomspace(1e-8, 1000.0, 400),
+            [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0), 2.0 - 1e-9, 2.0 + 1e-9],
+        ])
+        si, ci = _sici(x)
+        # absolute, relative where |v| > 1 (Ci ~ log x near 0)
+        _assert_close(si, [float(mp.si(float(v))) for v in x], 1e-15, floor=1.0)
+        _assert_close(ci, [float(mp.ci(float(v))) for v in x], 1e-15, floor=1.0)
+
+    def test_hurwitz_zeta(self):
+        q = np.geomspace(0.5, 1e3, 17)
+        for s in (2, 4, 6, *np.linspace(1.1, 12.0, 7)):
+            ref = [float(mp.zeta(float(s), float(v))) for v in q]
+            _assert_close(_hurwitz_zeta(s, q), ref, 4e-15)
+
+    def test_poch_exact(self):
+        for m in range(1, 8):
+            assert _poch(m, 16).tolist() == [float(mp.rf(m, j)) for j in range(16)]
+
+    def test_series_coefficients_cached(self):
+        coef = _ml_coef(0.6, 1.0)
+        assert coef is _ml_coef(0.6, 1.0)
+        assert not coef.flags.writeable
+        assert coef.tolist() == [_rgamma(0.6 * k + 1.0) for k in range(coef.size)]
 
 
 class TestSeries:

@@ -196,4 +196,6 @@ class TestKernelJson:
         with pytest.raises(DomainError):
             kernel_from_json({"type": "cauchy"})
         with pytest.raises(DomainError):
+            kernel_from_json({"type": ["gaussian"]})
+        with pytest.raises(DomainError):
             kernel_from_json(["gaussian"])
