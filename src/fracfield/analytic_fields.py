@@ -32,9 +32,7 @@ from .errors import (
 )
 from .special_fn import (
     MLOrder,
-    _poch,
     _rgamma,
-    _sici,
     erfc,
     gamma_fn,
     gl_panels,
@@ -143,52 +141,42 @@ def _tail_onset(alpha: float, lam: float, t: float) -> float:
     return math.sqrt(u / (lam * t**alpha))
 
 
-_FAR_KX = 1000.0
-_FAR_TERMS = 16
+def _matern_terms(alpha: float, lam: float, mu: float, t: float):
+    """c and (d_1, d_2, d_3) of S(k) = sum_p d_p (k^2 + c^2)^(-p).
 
-
-def _fourier_tail(alpha: float, lam: float, mu: float, t: float, x, cutoff: float):
-    """Analytic tail (1/pi) int_K^inf cos(kx) E_alpha(-a(k) t^alpha) dk, x >= 0,
-    from the expansion of _tail_coefficients, summed over C_m = int_K^inf
-    cos(kx) k^(-m) dk.
-
-    Where Kx < _FAR_KX, C_m and its sine twin S_m follow by parts from
-    C_1 = -Ci(Kx), S_1 = pi/2 - Si(Kx).  That recursion multiplies rounding
-    by x at each step, so farther out C_m is the real part of the
-    integration-by-parts series
-    int_K^inf e^(ikx) k^(-m) dk = -e^(iKx) K^(1-m) sum_j (m)_j / (iKx)^(j+1),
-    whose terms beyond _FAR_TERMS are below (m)_16 / (Kx)^16 <= 5e-31 of the first.
+    For large k, E_alpha(-a(k) t^alpha) ~ sum_{j<=3} e_j (k^2 + mu/lam)^(-j)
+    with e_j = (-1)^(j+1) / (Gamma(1 - j alpha) (lam t^alpha)^j); S is that
+    sum re-expanded about c^2 = mu/lam + delta, equal to it up to O(k^-8).
+    delta = 2/(lam t^alpha) keeps c > 0 at mu = 0, on the scale of E's
+    width; the k^-8 remainder grows as delta^3.
     """
-    kx = cutoff * x
-    far = kx >= _FAR_KX
-    # x C_1 -> 0 as x -> 0; far points keep these placeholders, the series replaces them
-    c_m, s_m = np.zeros_like(kx), np.full_like(kx, 0.5 * math.pi)
-    mid = (kx > 0) & ~far
-    si, ci = _sici(kx[mid])
-    c_m[mid], s_m[mid] = -ci, 0.5 * math.pi - si
-    coefs = _tail_coefficients(alpha, lam, mu, t)
-    near = 0.0
-    for m in range(2, 7):
-        edge = cutoff ** (1 - m)
-        c_m, s_m = ((np.cos(kx) * edge - x * s_m) / (m - 1),
-                    (np.sin(kx) * edge + x * c_m) / (m - 1))
-        if m % 2 == 0:
-            near = near + coefs[m // 2 - 1] * c_m
-    if not np.any(far):
-        return near / math.pi
-    # one series for all three m: d_j = sum_m b_m K^(1-m) (m)_j
-    d = sum(b * cutoff ** (1 - m) * _poch(m, _FAR_TERMS) for m, b in zip((2, 4, 6), coefs))
-    w = 1.0 / (1j * np.maximum(kx, _FAR_KX))  # only read where far
-    series = -(np.exp(1j * kx) * w * np.polyval(d[::-1], w)).real
-    return np.where(far, series, near) / math.pi
+    e1, e2, e3 = _tail_coefficients(alpha, lam, 0.0, t)  # at mu = 0 they are the e_j
+    delta = 2.0 / (lam * t**alpha)
+    c = math.sqrt(mu / lam + delta)
+    return c, (e1, e2 + delta * e1, e3 + 2.0 * delta * e2 + delta * delta * e1)
+
+
+def _matern_transform(n: int, c: float, x):
+    """(1/pi) int_0^inf cos(kx) (k^2 + c^2)^(-n-1) dk for x >= 0, c > 0:
+
+    e^(-cx) / (2^(2n+1) n! c^(2n+1)) sum_{i<=n} (2n-i)! / (i! (n-i)!) (2cx)^i,
+    the Matern correlation of smoothness n + 1/2.
+    """
+    poly = sum(math.factorial(2 * n - i) / (math.factorial(i) * math.factorial(n - i))
+               * (2.0 * c * x) ** i for i in range(n + 1))
+    return np.exp(-c * x) * poly / (2 ** (2 * n + 1) * math.factorial(n) * c ** (2 * n + 1))
 
 
 def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     """Mean field by Fourier inversion, (1/pi) int_0^inf cos(kx) E_alpha(-a(k) t^alpha) dk.
 
     Even-symmetry reduction of the full inverse transform, for scalar or
-    array x: E_alpha is evaluated once on a Gauss-Legendre grid over [0, K]
-    and an analytic tail covers k > K = max(240, _tail_onset).
+    array x, by Kummer subtraction: S(k) = sum_p d_p (k^2 + c^2)^(-p)
+    (_matern_terms) matches E = E_alpha(-a(k) t^alpha) up to O(k^-8) for
+    large k.  E - S is integrated on a Gauss-Legendre grid over [0, K],
+    K = max(240, _tail_onset), with E_alpha evaluated once, and the
+    transform of S over [0, inf) is added in closed form
+    (_matern_transform); the O(k^-8) remainder of E - S beyond K is left out.
     """
     if not t > 0:
         raise DomainError("mean_fourier requires t > 0")
@@ -208,12 +196,15 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     if panels > 1 << 16:
         raise QuadratureError(f"frequency cutoff {cutoff:.3g} needs {panels} panels")
     k, w = gl_panels(np.linspace(0.0, cutoff, panels + 1), 32)
-    wf = w * ml_eval(MLOrder(alpha, 1.0), -symbol_a(params, kernel, k) * ta)
+    c, d = _matern_terms(alpha, lam, params.mu, t)
+    q = 1.0 / (k * k + c * c)
+    subtracted = q * (d[0] + q * (d[1] + q * d[2]))
+    wf = w * (ml_eval(MLOrder(alpha, 1.0), -symbol_a(params, kernel, k) * ta) - subtracted)
     flat, step = ax.ravel(), max(1, _CHUNK_ELEMS // k.size)
     val = np.concatenate([np.cos(np.outer(flat[i : i + step], k)) @ wf
                           for i in range(0, flat.size, step)])
-    tail = _fourier_tail(alpha, lam, params.mu, t, ax, cutoff)
-    out = val.reshape(ax.shape) / math.pi + tail
+    out = val.reshape(ax.shape) / math.pi + sum(
+        dp * _matern_transform(n, c, ax) for n, dp in enumerate(d))
     if not np.all(np.isfinite(out)):
         raise QuadratureError("frequency quadrature failed")
     return float(out) if out.ndim == 0 else out

@@ -147,9 +147,13 @@ _PRESETS = {
 }
 
 
-def _apply_preset(args):
+def _apply_preset(args, command):
+    """Rewrite args from the preset; the fig4 beta table is returned instead."""
     preset = _PRESETS[args.preset]
-    if preset.get("kind") == "beta":
+    owner = "variance" if preset["kind"] == "beta" else preset["kind"]
+    if owner != command:
+        raise DomainError(f"preset {args.preset} belongs to the {owner} command")
+    if preset["kind"] == "beta":
         return preset
     args.method = preset["method"]
     args.alpha = preset["alpha"]
@@ -182,9 +186,7 @@ def _emit_crosscheck(profile, check, out_path):
 
 def cmd_mean(args) -> int:
     if args.preset:
-        beta_preset = _apply_preset(args)
-        if beta_preset is not None:
-            raise DomainError("preset fig4 belongs to the variance command")
+        _apply_preset(args, "mean")
     params = DiffusionParams(args.alpha, args.lam, args.mu, args.sigma, 1)
     kernel = KernelSpec()
     ts = _parse_tlist(args.t_list)
@@ -217,7 +219,7 @@ def cmd_variance(args) -> int:
     if args.mu != 0.0:
         raise DomainError("variance routes have mu=0 semantics")
     if args.preset:
-        beta_preset = _apply_preset(args)
+        beta_preset = _apply_preset(args, "variance")
         if beta_preset is not None:
             ms = range(beta_preset["max_m"] + 1)
             betas = [af.beta_coeff(m, args.alpha) for m in ms]

@@ -1,5 +1,5 @@
-"""Real-line evaluation of Gamma, erfc, Si/Ci, Hurwitz zeta, Mittag-Leffler
-and Mainardi functions, with numpy and the standard library only.
+"""Real-line evaluation of Gamma, erfc, Hurwitz zeta, Mittag-Leffler and
+Mainardi functions, with numpy and the standard library only.
 
 The two-parameter Mittag-Leffler function E_{alpha,beta}(z) has one
 evaluator with two paths: the power series for |z| <= 0.5 (|z| <= 1 when
@@ -20,9 +20,7 @@ largest error is 4.5e-12 (alpha = 0.1, beta = 8, z = 1.01: 62 steps).
 Gamma and erfc are the standard library's.  Against mpmath on 20,000
 random points per range: 1/Gamma (_rgamma, 0 at the poles) is within
 9.4e-16 relative on [-5, 1000] where the result is a normal double; erfc is
-within 4.2e-16 relative on [-3, 27].  Si and Ci (_sici: power series up to
-x = 2, the continued fraction of E_1(ix) above it) are within 2.8e-16 on
-(0, 1000], absolute, relative where |v| > 1.  The Hurwitz zeta function
+within 4.2e-16 relative on [-3, 27].  The Hurwitz zeta function
 (_hurwitz_zeta, Euler-Maclaurin) is within 1.2e-15 relative for s in
 [1.1, 12] and q in [0.5, 1e3].
 
@@ -124,41 +122,7 @@ def kappa_alpha(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sine and cosine integrals, Hurwitz zeta and Pochhammer symbols
-#
-# Si and Ci follow Numerical Recipes' cisi: the power series up to x = 2 and
-# above it the continued fraction of E_1(ix) = -Ci(x) + i (Si(x) - pi/2).
-# The fraction is evaluated from its tail: NR's forward (Lentz) product of
-# ~100 factors near x = 2 loses up to 2.7e-15, the tail form stays within an ulp.
-
-_SICI_SPLIT = 2.0
-# Horner coefficients, highest degree first: Si(x) = x P(x^2) and
-# Ci(x) = gamma + log x + x^2 Q(x^2); at x = 2 the first omitted term is < 1e-24
-_SI_POLY = [(-1) ** n / ((2 * n + 1) * math.factorial(2 * n + 1)) for n in range(13, -1, -1)]
-_CI_POLY = [(-1) ** n / (2 * n * math.factorial(2 * n)) for n in range(14, 0, -1)]
-
-
-def _sici(x):
-    """(Si(x), Ci(x)) for an array of x > 0."""
-    x = np.asarray(x, dtype=float)
-    si, ci = np.empty_like(x), np.empty_like(x)
-    low = x <= _SICI_SPLIT
-    xl = x[low]
-    y = xl * xl
-    si[low] = xl * np.polyval(_SI_POLY, y)
-    ci[low] = np.euler_gamma + np.log(xl) + y * np.polyval(_CI_POLY, y)
-    xh = x[~low]
-    # E_1(ix) e^(ix) = 1/(b_0 - 1^2/(b_1 - 2^2/(b_2 - ...))), b_i = 2i + 1 + ix.
-    # Cut at depth ceil(240/x) + 4, 25% or more past the depth where the
-    # value stops changing; each point's depth is its own.
-    depth = np.ceil(240.0 / xh) + 4.0
-    tail = np.zeros(xh.shape, dtype=complex)
-    for i in range(int(depth.max(initial=0.0)), 0, -1):
-        tail = np.where(i <= depth, i * i / (2 * i + 1 + 1j * xh - tail), 0.0)
-    h = (np.cos(xh) - 1j * np.sin(xh)) / (1.0 + 1j * xh - tail)
-    si[~low], ci[~low] = 0.5 * math.pi + h.imag, -h.real
-    return si, ci
-
+# Hurwitz zeta
 
 _ZETA_DIRECT = 9
 # B_2j / (2j)! for j = 1..12, the Euler-Maclaurin correction coefficients
@@ -187,11 +151,6 @@ def _hurwitz_zeta(s: float, q):
         rising *= s + 2 * j + 1
         b = b / w
     return total
-
-
-def _poch(m: int, n: int):
-    """Rising factorials (m)_j = m (m+1) ... (m+j-1) for j < n, correctly rounded."""
-    return np.array([float(math.perm(m + j - 1, j)) for j in range(n)])
 
 
 # ---------------------------------------------------------------------------

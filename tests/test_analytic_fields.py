@@ -131,20 +131,25 @@ class TestMeanFourier:
                 err = abs(got - ref) / (abs(ref) if abs(ref) > 1e-3 else 1.0)
                 assert err <= 1e-10, (t, x, got, ref)
 
-    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
-    def test_mu_tail_against_long_quadrature(self, kind):
+    @pytest.mark.parametrize("kind, mu", [
+        pytest.param("gaussian", 0.5, id="gaussian"), pytest.param("uniform", 0.5, id="uniform"),
+        pytest.param("gaussian", 1000.0, id="gaussian-mu1000")])
+    def test_mu_tail_against_long_quadrature(self, kind, mu):
         # mu > 0: Gauss-Legendre over [0, 2e4] plus a QUADPACK tail of the exact
-        # integrand; the default cutoff's analytic tail must carry the mu part
+        # integrand; the default cutoff's analytic tail must carry the mu part,
+        # also where mu/lam is large.  The uniform kernel's mu sin(k)/k, left
+        # out of the tail, costs about mu/K^5: 8.8e-11 at mu = 1000, so that
+        # pair is not taken.
         from scipy import integrate
 
         from fracfield.special_fn import MLOrder, ml_eval
         from fracfield.symbol import symbol_a
 
-        p = DiffusionParams(alpha=0.8, lam=1.0, mu=0.5, sigma=1.0, dim=1)
+        p = DiffusionParams(alpha=0.8, lam=1.0, mu=mu, sigma=1.0, dim=1)
         kernel = KernelSpec(kind, 1.0)
         cutoff = 2e4
         u, w = np.polynomial.legendre.leggauss(32)
-        edges = np.concatenate([np.arange(0.0, 64.0), np.arange(64.0, cutoff + 1.0, 8.0)])
+        edges = np.concatenate([np.arange(0.0, 64.0, 0.25), np.arange(64.0, cutoff + 1.0, 8.0)])
         lo, hi = edges[:-1, None], edges[1:, None]
         k = (0.5 * (hi - lo) * u + 0.5 * (hi + lo)).ravel()
         wk = (0.5 * (hi - lo) * w).ravel()
@@ -164,34 +169,56 @@ class TestMeanFourier:
 
     @pytest.mark.parametrize("alpha, t", [(1.2, 0.25), (1.5, 0.125), (1.9, 1 / 16)])
     def test_far_field_vanishes(self, alpha, t):
-        # mu = 0: the true mean is below 1e-100 on x >= 12; there the tail's
-        # integrals sit at Kx >= 2880, where the upward Ci/Si recursion alone
-        # grows rounding to 0.19
+        # mu = 0: the true mean is below 1e-100 on x >= 12; there every digit
+        # left is rounding of the oscillatory sum over [0, K], at Kx >= 2880
         xs = np.linspace(12.0, 80.0, 69)
         assert np.abs(mean_fourier(local_params(alpha), GAUSS, t, xs)).max() <= 1e-12
 
-    @pytest.mark.parametrize("kx", [50.0, 600.0, 999.0, 1000.0, 1500.0, 1e5])
-    def test_tail_both_sides_of_series_switch(self, kx):
-        # the float tail, by recursion below Kx = 1000 and by the by-parts
-        # series above, against the recursion in 60-digit arithmetic
-        from fracfield.analytic_fields import _fourier_tail, _tail_coefficients, _tail_onset
+    def test_near_field_hole_vanishes(self):
+        # mu = 0: the true mean is below 1e-40 on [1, 1.78] at t = 0.1, so all
+        # that shows there is rounding
+        xs = np.linspace(1.0, 1.78, 7)
+        assert np.abs(mean_fourier(local_params(1.5), GAUSS, 0.1, xs)).max() <= 1e-14
 
-        alpha, lam, t = 1.5, 1.0, 0.125
-        cutoff = max(240.0, _tail_onset(alpha, lam, t))
-        x = kx / cutoff
-        coefs = _tail_coefficients(alpha, lam, 0.0, t)
-        with mp.workdps(60):
-            xm, km = mp.mpf(x), mp.mpf(cutoff)
-            c_m, s_m = -mp.ci(km * xm), mp.pi / 2 - mp.si(km * xm)
-            ref = mp.mpf(0)
-            for m in range(2, 7):
-                edge = km ** (1 - m)
-                c_m, s_m = ((mp.cos(km * xm) * edge - xm * s_m) / (m - 1),
-                            (mp.sin(km * xm) * edge + xm * c_m) / (m - 1))
-                if m % 2 == 0:
-                    ref += coefs[m // 2 - 1] * c_m
-            ref = float(ref / mp.pi)
-        assert abs(_fourier_tail(alpha, lam, 0.0, t, np.array(x), cutoff) - ref) <= 1e-12
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_matern_transform_against_quadosc(self, n):
+        # (1/pi) int_0^inf cos(kx) (k^2 + c^2)^(-n-1) dk in 20-digit arithmetic
+        from fracfield.analytic_fields import _matern_transform
+
+        for c, xs in ((0.3, [0.0, 5.0]), (1.0, [0.5, 2.0]), (31.7, [0.0, 0.5])):
+            got = _matern_transform(n, c, np.array(xs))
+            with mp.workdps(20):
+                f = lambda k: (k * k + c * c) ** (-n - 1)
+                ref = [mp.quad(f, [0, mp.inf]) if x == 0 else
+                       mp.quadosc(lambda k: mp.cos(k * x) * f(k), [0, mp.inf], omega=x)
+                       for x in map(mp.mpf, xs)]
+            ref = np.array([float(v / mp.pi) for v in ref])
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("alpha, mu, t", [(0.6, 0.0, 1.0), (1.5, 0.5, 0.1),
+                                              (0.8, 1000.0, 2.0)])
+    def test_matern_terms_match_expansion(self, alpha, mu, t):
+        # sum_p d_p (k^2 + c^2)^(-p) - sum_j e_j (k^2 + mu/lam)^(-j) is
+        # (e_1 delta^3 + 3 e_2 delta^2 + 3 e_3 delta) (k^2 + c^2)^(-4) + O(k^-10)
+        from fracfield.analytic_fields import _matern_terms
+
+        lam = 0.7
+        c, d = _matern_terms(alpha, lam, mu, t)
+        with mp.workdps(40):
+            ta = lam * mp.mpf(t) ** alpha
+            e = [(-1) ** (j + 1) * mp.rgamma(1 - j * mp.mpf(alpha)) / ta**j for j in (1, 2, 3)]
+            delta = 2 / ta
+            assert c * c == pytest.approx(float(mu / mp.mpf(lam) + delta), rel=1e-15)
+            # the re-expansion in 40 digits, so that rounding of d does not
+            # swamp the k^-8 remainder
+            dm = [e[0], e[1] + delta * e[0], e[2] + 2 * delta * e[1] + delta**2 * e[0]]
+            np.testing.assert_allclose(d, [float(v) for v in dm], rtol=1e-13)
+            lead = e[0] * delta**3 + 3 * e[1] * delta**2 + 3 * e[2] * delta
+            for k in (1e3, 1e4, 1e5):
+                q = mp.mpf(k) ** 2 + mp.mpf(c) ** 2
+                diff = (sum(ej * (q - delta) ** -(j + 1) for j, ej in enumerate(e))
+                        - sum(dp * q ** -(p + 1) for p, dp in enumerate(dm)))
+                assert float(diff * q**4 / lead) == pytest.approx(1.0, abs=4 * abs(delta) / q)
 
     def test_array_matches_pointwise(self):
         # per-point calls pick their own panel width from |x|

@@ -45,7 +45,7 @@ GOLDEN_ANALYTIC_SHA256 = {
     "mean_fourier": (
         ["mean", "--method", "fourier", "--alpha", "1.5", "--t-list", "0.5,1",
          "--x-range=0:2:5"],
-        "d53520dd87ec4aba338ede87f91ae700bb72271732fb637601a16ab0c16356ee"),
+        "2a357e2f3dfd2e7bb30f70a2f3e244c7c252f5d4cc2b18be07ce97c3535e4ba6"),
     "variance_quadrature": (
         ["variance", "--method", "quadrature", "--alpha", "0.6", "--t", "1",
          "--x-range=0:3:7"],
@@ -346,6 +346,16 @@ class TestMeanVariance:
         # the large-m coefficients do decrease (the small-m ones do not)
         tail = vals[10:]
         assert all(a > b for a, b in zip(tail, tail[1:]))
+
+    @pytest.mark.parametrize("command, preset, owner", [
+        ("mean", "fig2", "variance"), ("mean", "fig4", "variance"),
+        ("mean", "fig5", "variance"), ("variance", "fig1", "mean"),
+        ("variance", "fig3", "mean")])
+    def test_preset_of_other_command_rejected(self, capsys, command, preset, owner):
+        code, out, err = run(capsys, command, "--preset", preset)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"preset {preset} belongs to the {owner} command" in err
 
     def test_closed_variance_emits_crosscheck(self, capsys, tmp_path):
         out_path = tmp_path / "var.csv"
