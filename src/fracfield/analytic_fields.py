@@ -32,6 +32,7 @@ from .errors import (
 )
 from .special_fn import (
     MLOrder,
+    _distinct,
     _rgamma,
     erfc,
     gamma_fn,
@@ -328,7 +329,7 @@ def var_frac_quadrature(t: float, x, alpha: float, lam: float, sigma: float):
     lo = max(u_x.min(initial=1.0, where=u_x > 0), _TINY_U)
     hi = max(u_x.max(initial=0.0), _TOP_U)
     octaves = 2.0 ** np.arange(math.floor(math.log2(lo)), math.ceil(math.log2(hi)) + 1)
-    edges = np.unique(np.concatenate(([0.0], octaves, u_x)))
+    edges = _distinct(np.concatenate(([0.0], octaves, u_x)))
     n = np.count_nonzero(edges[1:] <= _TINY_U)  # panels where e = e(0) to rounding
     u, w = gl_panels(edges[n:], 32)
     ew = (w * ml_eval(MLOrder(alpha, alpha), -(u * u)) ** 2).reshape(-1, 32)

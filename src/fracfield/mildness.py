@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParametersError, DomainError
-from .special_fn import MLOrder, gl_panels, ml_eval
+from .special_fn import MLOrder, _distinct, gl_panels, ml_eval
 from .symbol import DiffusionParams, KernelSpec, symbol_a
 
 __all__ = [
@@ -164,16 +164,38 @@ def _surface_factor(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _radial(params, kernel, order, power, s_alpha, cutoff):
-    """omega_{N-1} * int_0^K (E_order(-s^alpha a(r)))^power r^(N-1) dr per s^alpha.
+def _pooled(arrays):
+    """Sorted distinct values of several 1-d arrays, and each array's indices
+    into them."""
+    pool = _distinct(np.concatenate(arrays))
+    return pool, [np.searchsorted(pool, a) for a in arrays]
+
+
+def _radial(params, kernel, order, power, s_alphas, cutoffs):
+    """omega_{N-1} * int_0^K (E_order(-s^alpha a(r)))^power r^(N-1) dr per s^alpha,
+    for each cutoff K and its array of s^alpha values.
 
     Radial Gauss-Legendre nodes on [0, min(1, K)] plus geometric panels up
-    to K; one ml_eval call covers every (s, r) pair.
+    to K.  The entries pool their nodes: one ml_eval call covers every
+    (s^alpha, r) pair some entry needs, once, and each entry sums its own
+    sub-grid of that table.  For cutoffs that are powers of ten the r-edges
+    step by a quarter decade from 1, so a schedule whose s-nodes nest too
+    has its coarser grids inside the finest one, at no extra evaluation.
+    ml_eval is pointwise, so every sum equals that of an evaluation on the
+    entry's grid alone, nested or not.
     """
-    edges = np.concatenate(([0.0], _geometric_edges(min(1.0, cutoff), cutoff)))
-    r, w = gl_panels(edges, 10)
-    e = ml_eval(order, -np.outer(s_alpha, symbol_a(params, kernel, r)))
-    return _surface_factor(params.dim) * ((e**power * r ** (params.dim - 1)) @ w)
+    grids = [gl_panels(np.concatenate(([0.0], _geometric_edges(min(1.0, k), k))), 10)
+             for k in cutoffs]
+    r_pool, r_index = _pooled([r for r, _ in grids])
+    s_pool, s_index = _pooled(s_alphas)
+    need = np.zeros((s_pool.size, r_pool.size), dtype=bool)
+    for si, ri in zip(s_index, r_index):
+        need[np.ix_(si, ri)] = True
+    table = np.empty(need.shape)
+    table[need] = ml_eval(order, -np.outer(s_pool, symbol_a(params, kernel, r_pool))[need])
+    return [_surface_factor(params.dim)
+            * ((table[np.ix_(si, ri)] ** power * r ** (params.dim - 1)) @ w)
+            for (r, w), ri, si in zip(grids, r_index, s_index)]
 
 
 def _trend(cutoff_scales, values):
@@ -208,8 +230,9 @@ def probe_m1(
     ks = [float(k) for k in cutoff_schedule]
     if len(ks) < 3 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise DomainError("cutoff schedule must be >= 3 strictly increasing values")
-    order, t_alpha = MLOrder(params.alpha, 1.0), [t**params.alpha]
-    values = [float(_radial(params, kernel, order, 1, t_alpha, k)[0]) for k in ks]
+    t_alpha = np.array([t**params.alpha])
+    radial = _radial(params, kernel, MLOrder(params.alpha, 1.0), 1, [t_alpha] * len(ks), ks)
+    values = [float(v[0]) for v in radial]
     slope, status = _trend(ks, values)
     return ProbeReport(
         quantity="M1_L1_tail",
@@ -233,7 +256,10 @@ def probe_m2(
     sigma^2 (2 pi)^(-N) int_eps^t s^(2 alpha - 2)
         int_{|xi|<=K} (E_{alpha,alpha}(-s^alpha a(xi)))^2 dxi ds,
     evaluated on a jointly refining (K, eps) schedule with geometric time
-    panels accumulating at s = 0.
+    panels accumulating at s = 0.  Where t and every eps are powers of ten the
+    time edges step by a quarter decade down from t, so the coarser entries'
+    s-nodes are among the finest entry's; _radial pools them, and at t = 1
+    the default schedule costs one ml_eval call on its finest 160 x 170 grid.
     """
     if not t > 0:
         raise DomainError("probe_m2 requires t > 0")
@@ -244,11 +270,12 @@ def probe_m2(
         if k1 < k0 or e1 > e0 or (k1 == k0 and e1 == e0):
             raise DomainError("schedule must refine: K nondecreasing, eps nonincreasing")
 
-    order, values = MLOrder(params.alpha, params.alpha), []
-    for k, eps in sched:
-        s, w = gl_panels(_geometric_edges(eps, t), 10)
-        radial = _radial(params, kernel, order, 2, s**params.alpha, k)
-        total = float(np.dot(w, s ** (2.0 * params.alpha - 2.0) * radial))
+    grids = [gl_panels(_geometric_edges(eps, t), 10) for _, eps in sched]
+    radial = _radial(params, kernel, MLOrder(params.alpha, params.alpha), 2,
+                     [s**params.alpha for s, _ in grids], [k for k, _ in sched])
+    values = []
+    for (s, w), rad in zip(grids, radial):
+        total = float(np.dot(w, s ** (2.0 * params.alpha - 2.0) * rad))
         values.append(
             params.sigma**2 * (2.0 * math.pi) ** (-params.dim) * total
         )

@@ -1,8 +1,11 @@
 """Tests for the exact mildness classification and the numerical probes."""
 
+import math
+
 import numpy as np
 import pytest
 
+from fracfield import mildness
 from fracfield.errors import DegenerateParametersError, DomainError
 from fracfield.mildness import (
     Rule,
@@ -15,7 +18,8 @@ from fracfield.mildness import (
     prop_superdiffusive_condition,
     verdict_to_json,
 )
-from fracfield.symbol import DiffusionParams, KernelSpec
+from fracfield.special_fn import MLOrder, gl_panels, ml_eval
+from fracfield.symbol import DiffusionParams, KernelSpec, symbol_a
 
 GAUSS = KernelSpec("gaussian", 1.0)
 
@@ -176,3 +180,76 @@ class TestProbeM2:
         assert all(len(c) == 2 for c in obj["cutoffs"])
         assert isinstance(obj["diverges"], bool)
         assert obj["status"] in ("diverges", "converges", "inconclusive")
+
+
+def _radial_grid(k):
+    return gl_panels(np.concatenate(([0.0], mildness._geometric_edges(min(1.0, k), k))), 10)
+
+
+def _m1_per_entry(p, kernel, t, ks):
+    """probe_m1's values with one ml_eval call per cutoff, on its own grid."""
+    values = []
+    for k in ks:
+        r, w = _radial_grid(k)
+        e = ml_eval(MLOrder(p.alpha, 1.0), -np.outer([t**p.alpha], symbol_a(p, kernel, r)))
+        values.append(float(mildness._surface_factor(p.dim) * ((e * r ** (p.dim - 1)) @ w)[0]))
+    return values
+
+
+def _m2_per_entry(p, kernel, t, sched):
+    """probe_m2's values with one ml_eval call per (K, eps), on its own grid."""
+    values = []
+    for k, eps in sched:
+        s, ws = gl_panels(mildness._geometric_edges(eps, t), 10)
+        r, w = _radial_grid(k)
+        e = ml_eval(MLOrder(p.alpha, p.alpha), -np.outer(s**p.alpha, symbol_a(p, kernel, r)))
+        radial = mildness._surface_factor(p.dim) * ((e**2 * r ** (p.dim - 1)) @ w)
+        total = float(np.dot(ws, s ** (2.0 * p.alpha - 2.0) * radial))
+        values.append(p.sigma**2 * (2.0 * math.pi) ** (-p.dim) * total)
+    return values
+
+
+class TestPooledNodes:
+    """The probes pool the nodes of all schedule entries into one ml_eval
+    call; each value must equal the per-entry evaluation bit for bit."""
+
+    M2_SCHEDULES = [
+        (((1e2, 1e-2), (1e3, 1e-3), (1e4, 1e-4)), 1.0),  # the default
+        (((1e4, 1e-2), (1e4, 1e-3), (1e4, 1e-4)), 1.0),  # criterion 6's eps-only
+        (((1e2, 1e-2), (3e2, 1e-2), (3e2, 3e-3), (1e4, 1e-5)), 0.3),  # not nested
+    ]
+    M1_SCHEDULES = [((1e2, 1e3, 1e4), 1.0), ((50.0, 333.0, 1e3, 2e4), 0.7)]
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_equal_to_per_entry_evaluation(self, alpha, dim, mu):
+        p = params(alpha, 1.0, mu, dim)
+        for sched, t in self.M2_SCHEDULES:
+            got = probe_m2(p, GAUSS, t, sched).values
+            assert np.array_equal(got, _m2_per_entry(p, GAUSS, t, sched)), sched
+        for ks, t in self.M1_SCHEDULES:
+            got = probe_m1(p, GAUSS, t, ks).values
+            assert np.array_equal(got, _m1_per_entry(p, GAUSS, t, ks)), ks
+
+    def test_one_ml_eval_call_per_probe(self, monkeypatch):
+        # the default schedules are nested at t = 1: 160 s-nodes x 170 r-nodes
+        # for M2 (the per-entry grids held 7,200 + 15,600 + 27,200 points),
+        # and 170 r-nodes for M1 (90 + 130 + 170)
+        sizes = []
+
+        def counting(order, x):
+            sizes.append(np.size(x))
+            return ml_eval(order, x)
+
+        monkeypatch.setattr(mildness, "ml_eval", counting)
+        probe_m2(params(0.8, 1.0, 0.0, 1), GAUSS, 1.0)
+        assert sizes == [27_200]
+        sizes.clear()
+        probe_m1(params(0.8, 1.0, 0.0, 1), GAUSS, 1.0)
+        assert sizes == [170]
+        sizes.clear()
+        # at t = 2 the entries share no s-node, and each needed (s, r) pair is
+        # still evaluated once: 9,000 + 18,200 + 30,600, not 420 x 170
+        probe_m2(params(0.8, 1.0, 0.0, 1), GAUSS, 2.0)
+        assert sizes == [57_800]

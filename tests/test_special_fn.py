@@ -1,6 +1,7 @@
 """Special-function unit tests against independent high-precision oracles."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracfield import special_fn
 from fracfield.errors import DomainError, NoConvergenceError
 from fracfield.special_fn import (
     MLOrder,
@@ -26,6 +28,7 @@ from fracfield.special_fn import (
     _hurwitz_zeta,
     _ml_coef,
     _rgamma,
+    _series,
 )
 
 from ml_oracle import ml_oracle
@@ -115,6 +118,22 @@ class TestSeries:
         for z in (10.0, 40.0):
             with pytest.raises(NoConvergenceError):
                 ml_series(MLOrder(0.5, 1.0), z)
+
+    # (alpha, beta, reach): a typical order, slow orders near the disc edge, and
+    # beta > alpha + 1.75, which the series serves up to |z| = 1
+    @pytest.mark.parametrize("alpha,beta,reach", [(0.8, 0.8, 0.5), (0.1, 1.0, 0.5),
+                                                  (0.1, 0.1, 0.5), (0.1, 2.0, 1.0),
+                                                  (0.5, 4.0, 1.0), (0.3, 8.0, 1.0)])
+    def test_block_size_sets_work_not_values(self, monkeypatch, alpha, beta, reach):
+        # every point stops at its own first stop index, so the number of
+        # terms per pass must not move a single bit
+        z = np.concatenate((np.linspace(-reach, reach, 1601),
+                            reach * (1.0 - np.geomspace(1e-9, 0.1, 400))))
+        coef = _ml_coef(alpha, beta)
+        ref = _series(coef, z)
+        for block in (8, 64):
+            monkeypatch.setattr(special_fn, "_SERIES_BLOCK", block)
+            assert _series(coef, z).tobytes() == ref.tobytes()
 
 
 class TestEval:
@@ -235,6 +254,28 @@ class TestEval:
         vals = ml_eval(order, x)
         assert np.array_equal(vals, [ml_eval(order, float(v)) for v in x])
         assert np.array_equal(vals[::-1], ml_eval(order, x[::-1].reshape(-1, 3)).ravel())
+
+    @pytest.mark.parametrize("alpha,beta", [(0.8, 1.0), (1.5, 1.5), (1.0, 1.0), (2.0, 1.0)])
+    def test_blocks_do_not_move_values(self, monkeypatch, alpha, beta):
+        x = -np.geomspace(1e-3, 1e4, 2000).reshape(40, 50)
+        x[::3] *= -0.01
+        ref = ml_eval(MLOrder(alpha, beta), x)
+        monkeypatch.setattr(special_fn, "_EVAL_BLOCK", 7)
+        assert ml_eval(MLOrder(alpha, beta), x).tobytes() == ref.tobytes()
+
+    def test_temporaries_do_not_scale_with_input(self):
+        # blocks of _EVAL_BLOCK points: a 256k-point call allocates its 2 MB
+        # output and about 1 MB more, not several input-sized arrays
+        x = -np.geomspace(1e-3, 1e4, 1 << 18)
+        order = MLOrder(0.8, 1.0)
+        ml_eval(order, x[:: 1 << 8])  # fill the node caches
+        tracemalloc.start()
+        try:
+            ml_eval(order, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - x.nbytes < 2e6
 
     def test_complete_monotonicity_proxy(self):
         for alpha in (0.3, 0.5, 0.8):
