@@ -178,6 +178,8 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     K = max(240, _tail_onset), with E_alpha evaluated once, and the
     transform of S over [0, inf) is added in closed form
     (_matern_transform); the O(k^-8) remainder of E - S beyond K is left out.
+    S takes a(k) = lam k^2 + mu, so where mu > 0 a Gaussian kernel's j_hat
+    must have fallen below 1e-17 by K: K >= sqrt(2 ln 1e17) / scale.
     """
     if not t > 0:
         raise DomainError("mean_fourier requires t > 0")
@@ -188,6 +190,8 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
         )
     alpha, lam, ta = params.alpha, params.lam, t**params.alpha
     cutoff = max(240.0, _tail_onset(alpha, lam, t))
+    if params.mu > 0 and kernel.kind == "gaussian":
+        cutoff = max(cutoff, math.sqrt(2.0 * math.log(1e17)) / kernel.scale)
     ax = np.abs(np.asarray(x, dtype=float))
     # a 32-node panel spans at most 4 widths of E near k = 0, 32 radians of
     # cos(kx) and 4 widths of the kernel's transform

@@ -12,8 +12,9 @@ relevant Fourier integrals diverge, and no dimension is mild.  The boundary
 alpha = 2/3 is classified not mild (the subdiffusive criterion is strict).
 
 `classify` encodes the decision exactly; `probe_m1` / `probe_m2` evaluate
-the truncated integrals behind it on a refining cutoff schedule and report
-a divergence trend.  The probes are numerical evidence, not proof.
+the truncated integrals behind it on a refining cutoff schedule and read
+their limit by Aitken's delta^2 process.  The probes are numerical
+evidence, not proof.
 """
 
 from __future__ import annotations
@@ -62,17 +63,19 @@ class MildnessVerdict:
 class ProbeReport:
     """Truncated-integral values along a refining cutoff schedule.
 
-    `status` is "diverges", "converges" or "inconclusive"; `diverges` is the
-    boolean used by callers (True only for a clear divergence trend).
+    `status` is "converges" or "diverges", and `diverges` says the same as a
+    boolean.  `limit` is the Aitken extrapolation of the values (None when
+    they diverge); `tail_exponent_fit` is the power of the cutoff scale that
+    their last steps shrink or grow by (None when the last step is rounding).
     """
 
     quantity: str  # "M1_L1_tail" or "M2_spacetime"
     cutoffs: tuple
     values: tuple
-    tail_exponent_fit: float
+    tail_exponent_fit: float | None
     diverges: bool
     status: str
-    tol_used: float
+    limit: float | None
 
 
 def classify(params: DiffusionParams) -> MildnessVerdict:
@@ -118,8 +121,11 @@ def lemma_lp_condition(alpha: float, n: int, p: float, which: str) -> bool:
     """L^p membership of the Mittag-Leffler frequency profiles.
 
     For 0 < alpha < 1: E_alpha(-|xi|^2) is in L^p iff N < 2p, and
-    E_{alpha,alpha}(-|xi|^2) iff N < 4p.  For 1 <= alpha < 2 both profiles
-    decay fast enough that membership holds for every N and p.
+    E_{alpha,alpha}(-|xi|^2) iff N < 4p.  For 1 <= alpha < 2 this returns
+    True for every N and p, as the paper states; that holds only at
+    alpha = 1 (exp).  For 1 < alpha < 2 the profiles keep the algebraic
+    tails x^-1 / Gamma(1 - alpha) and -x^-2 / Gamma(-alpha), so the same
+    bounds apply: probe_m1 measures the L^1 norm growing like log K at N = 2.
     """
     if not 0 < alpha < 2:
         raise DomainError("alpha must lie in (0, 2)")
@@ -149,7 +155,11 @@ def prop_superdiffusive_condition(alpha: float, n: int) -> bool:
 # numerical probes
 
 _PANELS_PER_DECADE = 4
-_TREND_TOL = 0.05  # relative growth per refinement that counts as a trend
+# a step ratio of at least this reads as divergent: a tail that shrinks by
+# less than 4.3e-4 decades per decade of the cutoff is not told from none
+_RATIO_MAX = 1.0 - 1e-3
+# a last step below this fraction of the values is rounding, not a tail
+_ROUNDING = 1e-12
 
 
 def _geometric_edges(lo: float, hi: float):
@@ -198,24 +208,26 @@ def _radial(params, kernel, order, power, s_alphas, cutoffs):
             for (r, w), ri, si in zip(grids, r_index, s_index)]
 
 
-def _trend(cutoff_scales, values):
-    """Three-state divergence verdict per the refinement rule: "diverges" when
-    the last two refinements each grow the value by more than _TREND_TOL and
-    the log-log slope exceeds 0.1, "converges" when both change it by less
-    than _TREND_TOL / 10."""
-    v = np.asarray(values, dtype=float)
-    x = np.asarray(cutoff_scales, dtype=float)
-    slope = float(np.polyfit(np.log(x[-3:]), np.log(np.maximum(v[-3:], 1e-300)), 1)[0])
-    rel = (v[1:] - v[:-1]) / v[1:]
-    growing = bool(np.all(rel[-2:] > _TREND_TOL)) and slope > 0.1
-    settled = bool(np.all(np.abs(rel[-2:]) < _TREND_TOL / 10.0))
-    if growing:
-        status = "diverges"
-    elif settled:
-        status = "converges"
+def _report(quantity, cutoffs, scales, values):
+    """ProbeReport of values that refine on a geometric schedule of scales.
+
+    A tail c * scale^p shrinks by the same ratio r = d2/d1 at every step, d1
+    and d2 being the last two increments, so Aitken's delta^2 process gives
+    the limit v3 + d2 r / (1 - r) and the exponent p = log|r| / log(q), q
+    being the scales' ratio per step (the geometric mean of the last two).
+    The values converge when |r| < _RATIO_MAX, or when d2 is at rounding
+    level (then the limit is v3 and no exponent can be read).
+    """
+    v1, v2, v3 = values[-3:]
+    d1, d2 = v2 - v1, v3 - v2
+    if abs(d2) <= _ROUNDING * max(abs(v1), abs(v2), abs(v3)):
+        limit, fit = v3, None
     else:
-        status = "inconclusive"
-    return slope, status
+        r = d2 / d1 if d1 else math.inf
+        fit = math.log(abs(r)) / (0.5 * math.log(scales[-1] / scales[-3]))
+        limit = v3 + d2 * r / (1.0 - r) if abs(r) < _RATIO_MAX else None
+    status = "diverges" if limit is None else "converges"
+    return ProbeReport(quantity, tuple(cutoffs), tuple(values), fit, limit is None, status, limit)
 
 
 def probe_m1(
@@ -232,17 +244,7 @@ def probe_m1(
         raise DomainError("cutoff schedule must be >= 3 strictly increasing values")
     t_alpha = np.array([t**params.alpha])
     radial = _radial(params, kernel, MLOrder(params.alpha, 1.0), 1, [t_alpha] * len(ks), ks)
-    values = [float(v[0]) for v in radial]
-    slope, status = _trend(ks, values)
-    return ProbeReport(
-        quantity="M1_L1_tail",
-        cutoffs=tuple(ks),
-        values=tuple(values),
-        tail_exponent_fit=slope,
-        diverges=(status == "diverges"),
-        status=status,
-        tol_used=_TREND_TOL,
-    )
+    return _report("M1_L1_tail", ks, ks, [float(v[0]) for v in radial])
 
 
 def probe_m2(
@@ -273,27 +275,13 @@ def probe_m2(
     grids = [gl_panels(_geometric_edges(eps, t), 10) for _, eps in sched]
     radial = _radial(params, kernel, MLOrder(params.alpha, params.alpha), 2,
                      [s**params.alpha for s, _ in grids], [k for k, _ in sched])
-    values = []
-    for (s, w), rad in zip(grids, radial):
-        total = float(np.dot(w, s ** (2.0 * params.alpha - 2.0) * rad))
-        values.append(
-            params.sigma**2 * (2.0 * math.pi) ** (-params.dim) * total
-        )
-    # trend scale: use K when it refines, otherwise 1/eps
-    if sched[-1][0] > sched[0][0]:
-        scales = [k for k, _ in sched]
-    else:
-        scales = [1.0 / e for _, e in sched]
-    slope, status = _trend(scales, values)
-    return ProbeReport(
-        quantity="M2_spacetime",
-        cutoffs=tuple(sched),
-        values=tuple(values),
-        tail_exponent_fit=slope,
-        diverges=(status == "diverges"),
-        status=status,
-        tol_used=_TREND_TOL,
-    )
+    norm = params.sigma**2 * (2.0 * math.pi) ** (-params.dim)
+    values = [norm * float(np.dot(w, s ** (2.0 * params.alpha - 2.0) * rad))
+              for (s, w), rad in zip(grids, radial)]
+    # the scale of the tail: K when it refines, otherwise 1/eps
+    k_refines = sched[-1][0] > sched[0][0]
+    scales = [k if k_refines else 1.0 / e for k, e in sched]
+    return _report("M2_spacetime", sched, scales, values)
 
 
 def verdict_to_json(verdict: MildnessVerdict) -> dict:
@@ -308,5 +296,5 @@ def probe_to_json(report: ProbeReport) -> dict:
         "diverges": report.diverges,
         "status": report.status,
         "tail_exponent_fit": report.tail_exponent_fit,
-        "tol_used": report.tol_used,
+        "limit": report.limit,
     }

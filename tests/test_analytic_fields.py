@@ -131,22 +131,27 @@ class TestMeanFourier:
                 err = abs(got - ref) / (abs(ref) if abs(ref) > 1e-3 else 1.0)
                 assert err <= 1e-10, (t, x, got, ref)
 
-    @pytest.mark.parametrize("kind, mu", [
-        pytest.param("gaussian", 0.5, id="gaussian"), pytest.param("uniform", 0.5, id="uniform"),
-        pytest.param("gaussian", 1000.0, id="gaussian-mu1000")])
-    def test_mu_tail_against_long_quadrature(self, kind, mu):
+    @pytest.mark.parametrize("kind, mu, scale", [
+        pytest.param("gaussian", 0.5, 1.0, id="gaussian"),
+        pytest.param("uniform", 0.5, 1.0, id="uniform"),
+        pytest.param("gaussian", 1000.0, 1.0, id="gaussian-mu1000"),
+        pytest.param("gaussian", 1.0, 0.01, id="gaussian-scale0.01"),
+        pytest.param("gaussian", 100.0, 0.01, id="gaussian-scale0.01-mu100"),
+        pytest.param("gaussian", 100.0, 0.003, id="gaussian-scale0.003-mu100")])
+    def test_mu_tail_against_long_quadrature(self, kind, mu, scale):
         # mu > 0: Gauss-Legendre over [0, 2e4] plus a QUADPACK tail of the exact
         # integrand; the default cutoff's analytic tail must carry the mu part,
-        # also where mu/lam is large.  The uniform kernel's mu sin(k)/k, left
-        # out of the tail, costs about mu/K^5: 8.8e-11 at mu = 1000, so that
-        # pair is not taken.
+        # also where mu/lam is large, and a narrow Gaussian kernel's j_hat must
+        # have died out by the cutoff (at scale 0.003 it reaches 1e-17 only at
+        # k = 2950).  The uniform kernel's mu sin(k)/k, left out of the tail,
+        # costs about mu/K^5: 8.8e-11 at mu = 1000, so that pair is not taken.
         from scipy import integrate
 
         from fracfield.special_fn import MLOrder, ml_eval
         from fracfield.symbol import symbol_a
 
         p = DiffusionParams(alpha=0.8, lam=1.0, mu=mu, sigma=1.0, dim=1)
-        kernel = KernelSpec(kind, 1.0)
+        kernel = KernelSpec(kind, scale)
         cutoff = 2e4
         u, w = np.polynomial.legendre.leggauss(32)
         edges = np.concatenate([np.arange(0.0, 64.0, 0.25), np.arange(64.0, cutoff + 1.0, 8.0)])

@@ -55,7 +55,7 @@ GOLDEN_ANALYTIC_SHA256 = {
         "327380a95dbc1df69ac668e6ce1e46df876d34c634449172794e25863f927ad0"),
     "mild_probe": (
         ["mild", "--alpha", "0.8", "--probe"],
-        "12990a3d1e3a944fbe4585a45358f765f9d7619adf91bed1d22d86f7b72534e9"),
+        "6b34bbb125ffa1af58fac697bf9af6fe7abdf998aed5b96022e97b8df4e5429e"),
 }
 
 _EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -324,6 +324,8 @@ class TestMild:
         assert obj["probe_m1"]["quantity"] == "M1_L1_tail"
         assert obj["probe_m2"]["quantity"] == "M2_spacetime"
         assert obj["probe_m1"]["diverges"] is False
+        assert obj["probe_m2"]["status"] == "converges"
+        assert obj["probe_m2"]["limit"] == pytest.approx(0.2923775, rel=1e-6)
 
 
 class TestMeanVariance:

@@ -131,9 +131,28 @@ class TestProbeM1:
         assert rep.status == "diverges"
         assert rep.tail_exponent_fit == pytest.approx(1.0, abs=0.1)
 
-    def test_superdiffusive_converges(self):
-        rep = probe_m1(params(1.5, 1.0, 0.0, 2), GAUSS, 1.0)
-        assert rep.diverges is False
+    def test_superdiffusive_n2_diverges_logarithmically(self):
+        # for alpha != 1, E_alpha(-x) ~ x^-1 / Gamma(1 - alpha), so in 2-D
+        # int_{|xi|<=K} E_alpha(-lam |xi|^2 t^alpha) dxi grows like
+        # 2 pi ln(K) / (Gamma(1 - alpha) lam t^alpha): a fixed increment per decade
+        alpha = 1.5
+        rep = probe_m1(params(alpha, 1.0, 0.0, 2), GAUSS, 1.0)
+        assert rep.diverges is True
+        assert rep.status == "diverges"
+        assert rep.limit is None
+        per_decade = 2.0 * math.pi * math.log(10.0) / math.gamma(1.0 - alpha)
+        assert per_decade == pytest.approx(-4.0812258, abs=1e-7)
+        for lo, hi in zip(rep.values, rep.values[1:]):
+            assert hi - lo == pytest.approx(per_decade, abs=1e-6)
+
+    def test_alpha_one_settles_to_the_last_bit(self):
+        # exp(-|xi|^2) is below rounding long before K = 100: the values agree
+        # exactly, the limit is the Gaussian integral and no exponent is read
+        rep = probe_m1(params(1.0, 1.0, 0.0, 1), GAUSS, 1.0)
+        assert rep.values[0] == rep.values[1] == rep.values[2]
+        assert rep.status == "converges"
+        assert rep.limit == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert rep.tail_exponent_fit is None
 
     def test_schedule_validation(self):
         p = params(0.5, 1.0, 0.0, 1)
@@ -160,6 +179,30 @@ class TestProbeM2:
         rep = probe_m2(params(0.5, 0.0, 1.0, 1), GAUSS, 1.0)
         assert rep.diverges is True
 
+    # V(1) at lam = sigma = 1, mu = 0, N = 1, from the closed form
+    # t^(3 alpha/2 - 1) I_alpha / (pi (3 alpha/2 - 1) sqrt(lam)),
+    # I_alpha = int_0^inf E_{alpha,alpha}(-u^2)^2 du
+    V_TABLE = [(0.7, 2.027838), (0.8, 0.6597378), (0.9, 0.4712405),
+               (1.2, 0.3369799), (1.5, 0.2923775)]
+
+    @pytest.mark.parametrize("alpha, v", V_TABLE)
+    def test_limit_matches_v(self, alpha, v):
+        # at alpha = 0.7 the tail shrinks by only 10^-0.05 per step, and the
+        # values (0.417, 0.592, 0.748) are far from V; the extrapolation is not
+        rep = probe_m2(params(alpha, 1.0, 0.0, 1), GAUSS, 1.0)
+        assert rep.status == "converges"
+        assert rep.limit == pytest.approx(v, rel=1e-6)
+
+    def test_limit_at_alpha_one(self):
+        rep = probe_m2(params(1.0, 1.0, 0.0, 1), GAUSS, 1.0)
+        assert abs(rep.limit - 1.0 / math.sqrt(2.0 * math.pi)) <= 1e-12
+        assert rep.tail_exponent_fit == pytest.approx(-0.5, abs=1e-12)
+
+    def test_diverging_has_no_limit(self):
+        rep = probe_m2(params(0.5, 1.0, 0.0, 1), GAUSS, 1.0)
+        assert rep.limit is None
+        assert probe_to_json(rep)["limit"] is None
+
     def test_schedule_validation(self):
         p = params(1.5, 1.0, 0.0, 1)
         with pytest.raises(DomainError):
@@ -179,7 +222,77 @@ class TestProbeM2:
         assert len(obj["cutoffs"]) == len(obj["values"]) == 3
         assert all(len(c) == 2 for c in obj["cutoffs"])
         assert isinstance(obj["diverges"], bool)
-        assert obj["status"] in ("diverges", "converges", "inconclusive")
+        assert obj["status"] in ("diverges", "converges")
+        assert obj["limit"] == rep.limit
+        assert isinstance(obj["tail_exponent_fit"], float)
+
+
+# alpha on a 0.05 grid at (lam, mu) = (1, 0), on a 0.1 grid at (1, 0.5) and
+# (0, 1); N in {1, 2, 3} each
+_FINE = [round(0.3 + 0.05 * i, 2) for i in range(34)]  # 0.3 ... 1.95
+_COARSE = [round(0.3 + 0.1 * i, 1) for i in range(17)]  # 0.3 ... 1.9
+_SWEEP = ([(a, 1.0, 0.0) for a in _FINE] + [(a, 1.0, 0.5) for a in _COARSE]
+          + [(a, 0.0, 1.0) for a in _COARSE])
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """(alpha, lam, mu, N) -> (classify verdict, probe_m1, probe_m2) over _SWEEP.
+
+    The probes' ml_eval tables do not depend on N, and ml_eval is pointwise
+    and deterministic, so each (alpha, lam, mu) evaluates its tables once and
+    the three dimensions reuse them.
+    """
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for alpha, lam, mu in _SWEEP:
+            memo = {}
+
+            def once(order, x, memo=memo):
+                key = (order, x.tobytes())
+                if key not in memo:
+                    memo[key] = ml_eval(order, x)
+                return memo[key]
+
+            mp.setattr(mildness, "ml_eval", once)
+            for n in (1, 2, 3):
+                p = params(alpha, lam, mu, n)
+                out[alpha, lam, mu, n] = (
+                    classify(p).mild, probe_m1(p, GAUSS, 1.0), probe_m2(p, GAUSS, 1.0))
+    return out
+
+
+class TestRegimeSweep:
+    """The probes against the paper's sharp characterization across regimes."""
+
+    # probe_m1 reads these divergent integrals as convergent: for alpha near 2,
+    # E_alpha(-x) still oscillates with the slowly damped factor
+    # exp(x^(1/alpha) cos(pi/alpha)) at K = 100, and its x^-1 tail, which makes
+    # the integral diverge for N >= 2, has not taken over
+    M1_PRE_ASYMPTOTIC = {
+        (1.9, 1.0, 0.0, 2), (1.95, 1.0, 0.0, 2), (1.95, 1.0, 0.0, 3),
+        (1.9, 1.0, 0.5, 2),
+    }
+
+    def test_m2_verdict_is_classify(self, sweep):
+        wrong = [(cell, rep.values) for cell, (mild, _, rep) in sweep.items()
+                 if rep.diverges == mild]
+        assert not wrong
+
+    def test_m2_tail_exponent(self, sweep):
+        # the eps-tail dominates: the truncated integral misses about
+        # eps^((alpha/2)(4 - 2/alpha - N)), alpha/2 times classify's margin
+        gaps = {cell: rep.tail_exponent_fit + (cell[0] / 2) * (4 - 2 / cell[0] - cell[3])
+                for cell, (_, _, rep) in sweep.items() if cell[1] > 0}
+        worst = max(gaps, key=lambda c: abs(gaps[c]))
+        assert abs(gaps[worst]) <= 0.06, (worst, gaps[worst])
+
+    def test_m1_verdict(self, sweep):
+        # int E_alpha(-a |xi|^2 t^alpha) dxi is finite iff lam > 0 and either
+        # alpha = 1 (exp) or N = 1 (the x^-1 tail is integrable only in 1-D)
+        wrong = {cell for cell, (_, rep, _) in sweep.items()
+                 if rep.diverges == (cell[1] > 0 and (cell[0] == 1.0 or cell[3] == 1))}
+        assert wrong == self.M1_PRE_ASYMPTOTIC
 
 
 def _radial_grid(k):
