@@ -10,9 +10,12 @@ Subcommands:
 
 Exit codes: 0 success (and "mild" for `mild`), 2 usage or domain errors,
 3 not-mild, 4 variance-series resonance.  All tabular output is CSV with
-17-significant-digit decimals.  FRACFIELD_THREADS caps internal worker
-count (0 = auto); the current engine runs serially, so any value yields
-byte-identical output.
+17-significant-digit decimals.  FRACFIELD_THREADS sets w, the number of
+threads a `simulate --samples N` ensemble computes its paths on: the
+usable CPUs when 0 (the default), and never more than the usable CPUs or
+the ceil(N/8) blocks of 8 paths, so an ensemble of at most 8 paths stays
+on one thread.  The paths are summed in seed order, so any value yields
+byte-identical output; a value that is not a non-negative integer exits 2.
 """
 
 from __future__ import annotations
@@ -42,17 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_MILD = 3
 EXIT_RESONANCE = 4
-
-
-def _threads() -> int:
-    raw = os.environ.get("FRACFIELD_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"FRACFIELD_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise DomainError("FRACFIELD_THREADS must be >= 0")
-    return n
 
 
 def _parse_range(spec: str) -> np.ndarray:
@@ -314,7 +306,7 @@ def _from_json(cls, obj, section):
 
 
 def cmd_simulate(args) -> int:
-    _threads()  # validate the env var contract even though the engine is serial
+    simulate._threads()  # a bad FRACFIELD_THREADS fails single paths too
     if args.config:
         cfg = _load_config(args.config)
         params = _from_json(DiffusionParams, cfg.get("params", {}), "params")

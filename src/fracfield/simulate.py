@@ -38,13 +38,19 @@ for a given seed differs from a time stepper's.  Everything is deterministic
 given (params, kernel, grid, snapshots, seed): a counter-based generator
 (Philox) keyed by the seed, and an ensemble that is the exact grid mean
 plus sigma times the noise's own moments, summed path by path in seed
-order.
+order.  A path's noise field depends on its seed alone, so the ensemble
+computes the fields in blocks of 8 consecutive seeds on up to
+FRACFIELD_THREADS threads (0, the default: every usable CPU) while the
+calling thread sums them in seed order; its result is bit-identical for
+any thread count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +74,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 8  # consecutive seeds per block: the unit of work an ensemble thread takes
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -259,18 +266,29 @@ def _prepare(params, kernel, grid, snapshot_steps, force):
     return snapshot_steps, [steps.index(s) for s in snapshot_steps], tables
 
 
-def _mode_noise(factor, seed):
-    """sigma = 1 noise of every mode for one seed, shape (2, J, n/2+1): the
-    real parts R_k^T g[0, k] and the imaginary parts R_k^T g[1, k]."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    g = rng.standard_normal((2,) + factor.shape[:2])
-    return np.swapaxes((g[:, :, None, :] @ factor)[:, :, 0, :], 1, 2)
+def _mode_noise(factor, seeds):
+    """sigma = 1 noise spectra of a run of seeds, shape (len(seeds), J, n/2+1):
+    the real parts R_k^T g[b, 0, k] and the imaginary parts R_k^T g[b, 1, k]
+    of seed b, each product written straight into the complex array."""
+    g = np.empty((len(seeds), 2) + factor.shape[:2])
+    for b, seed in enumerate(seeds):
+        np.random.Generator(np.random.Philox(key=seed)).standard_normal(out=g[b])
+    z = np.empty((len(seeds), factor.shape[1], factor.shape[0]), complex)
+    for part, out in enumerate((z.real, z.imag)):
+        np.matmul(g[:, part, :, None, :], factor, out=out.swapaxes(1, 2)[:, :, None, :])
+    return z
 
 
 def _synthesize(z_half, grid):
-    """Fields at the grid points from half-spectrum rows: (n/2L) irfft."""
-    return np.fft.irfft(z_half, grid.n_points, axis=1) * (
-        grid.n_points / (2.0 * grid.half_length))
+    """Fields at the grid points from half-spectrum rows (last axis): (n/2L) irfft."""
+    fields = np.fft.irfft(z_half, grid.n_points, axis=-1)
+    fields *= grid.n_points / (2.0 * grid.half_length)
+    return fields
+
+
+def _noise_fields(factor, grid, seeds):
+    """sigma = 1 noise fields of a block of seeds, shape (len(seeds), J, n)."""
+    return _synthesize(_mode_noise(factor, seeds), grid)
 
 
 def simulate_path(
@@ -299,12 +317,102 @@ def simulate_path(
         params, kernel, grid, snapshot_steps, force)
     z_half = dirac.astype(complex)
     if params.sigma != 0.0:
-        noise = params.sigma * _mode_noise(factor, seed)
-        z_half.real += noise[0]
-        z_half.imag += noise[1]
+        noise = _mode_noise(factor, [seed])[0]
+        z_half.real += params.sigma * noise.real
+        z_half.imag += params.sigma * noise.imag
     fields = _synthesize(z_half, grid)
     snapshots = tuple((s * grid.dt, fields[i]) for s, i in zip(snapshot_steps, rows))
     return SamplePath(grid=grid, snapshots=snapshots, seed=seed)
+
+
+def _threads() -> int:
+    """FRACFIELD_THREADS as a thread count; 0, the default, means every usable CPU."""
+    raw = os.environ.get("FRACFIELD_THREADS", "0")
+    try:
+        n = int(raw)
+    except ValueError:
+        raise DomainError(f"FRACFIELD_THREADS must be an integer, got {raw!r}")
+    if n < 0:
+        raise DomainError("FRACFIELD_THREADS must be >= 0")
+    return n
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # absent on macOS and Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _add_noise_moments(factor, grid, seeds, threads, s1, s2):
+    """Add the sigma = 1 noise field f of each seed to s1 and f^2 to s2, path
+    by path in seed order.
+
+    The fields are computed in blocks of _BLOCK consecutive seeds (_noise_fields)
+    by the calling thread and w - 1 extra threads: w = threads, or every
+    usable CPU when it is 0, capped at the usable CPUs and at the number of
+    blocks.  Each thread takes the next block whenever it is free, and at
+    most w blocks are taken but not yet consumed, which bounds the fields
+    held at once.  Only the calling thread adds, block by block in seed
+    order, so the sums do not depend on w; with w = 1 it computes every
+    block itself and starts no thread.  An exception raised while computing
+    a block reaches the caller once the extra threads have stopped.
+    """
+    blocks = [seeds[i:i + _BLOCK] for i in range(0, len(seeds), _BLOCK)]
+    cpus = _usable_cpus()
+    w = min(threads or cpus, cpus, len(blocks))
+    cond = threading.Condition()
+    done = {}  # block index -> fields, or the exception its computation raised
+    taken = consumed = 0
+    stop = False
+
+    def work():
+        nonlocal taken
+        while True:
+            with cond:
+                cond.wait_for(lambda: stop or taken == len(blocks) or taken - consumed < w)
+                if stop or taken == len(blocks):
+                    return
+                i, taken = taken, taken + 1
+            try:
+                fields = _noise_fields(factor, grid, blocks[i])
+            except BaseException as exc:  # handed to the calling thread, which re-raises it
+                fields = exc
+            with cond:
+                done[i] = fields
+                cond.notify_all()
+
+    extra = []
+    try:
+        for _ in range(w - 1):
+            extra.append(threading.Thread(target=work, daemon=True))
+            extra[-1].start()
+        for k in range(len(blocks)):
+            while True:
+                with cond:
+                    if k in done:
+                        fields = done.pop(k)
+                        consumed = k + 1
+                        cond.notify_all()
+                        break
+                    if taken == len(blocks) or taken - consumed >= w:
+                        cond.wait()  # another thread is computing block k
+                        continue
+                    i, taken = taken, taken + 1
+                fields = _noise_fields(factor, grid, blocks[i])
+                with cond:
+                    done[i] = fields
+            if isinstance(fields, BaseException):
+                raise fields
+            for f in fields:
+                s1 += f
+                s2 += f * f
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in extra:
+            if thread.is_alive():  # not when its start failed
+                thread.join()
 
 
 def ensemble_stats(
@@ -325,19 +433,24 @@ def ensemble_stats(
     sigma^2 (S2 - S1^2 / N) / (N - 1).  The noise has mean zero, so no
     mean^2 >> variance cancellation occurs, and a power-of-two sigma scales
     the variance exactly.
+
+    The f_i are computed in blocks of 8 consecutive seeds, on the calling
+    thread and up to w - 1 others: w is FRACFIELD_THREADS, or the number of
+    usable CPUs when it is 0, capped at the usable CPUs and at the number
+    of blocks, so N <= 8 runs on the calling thread alone.  The calling
+    thread adds them to S1 and S2 in seed order, so the result is bit for
+    bit the same for every w.  Raises DomainError when FRACFIELD_THREADS
+    is not a non-negative integer.
     """
     if n_samples < 2:
         raise DomainError("ensemble_stats requires n_samples >= 2")
+    threads = _threads()
     snapshot_steps, rows, (dirac, factor) = _prepare(
         params, kernel, grid, snapshot_steps, force)
     s1, s2 = np.zeros((2, len(dirac), grid.n_points))
     if params.sigma != 0.0:
-        z_half = np.empty(dirac.shape, complex)
-        for i in range(n_samples):
-            z_half.real, z_half.imag = _mode_noise(factor, mix_seed(master_seed, i))
-            f = _synthesize(z_half, grid)
-            s1 += f
-            s2 += f * f
+        seeds = [mix_seed(master_seed, i) for i in range(n_samples)]
+        _add_noise_moments(factor, grid, seeds, threads, s1, s2)
     mean = _synthesize(dirac, grid) + params.sigma * s1 / n_samples
     variance = params.sigma**2 * np.maximum(s2 - s1 * s1 / n_samples, 0.0) / (n_samples - 1)
     return EnsembleStats(

@@ -342,15 +342,23 @@ def test_criterion_12_mc_fractional():
 def test_criterion_13_determinism(tmp_path, monkeypatch, capsys):
     from fracfield.cli import main
 
-    outputs = []
-    for threads in ("0", "1", "7"):
-        monkeypatch.setenv("FRACFIELD_THREADS", threads)
-        code = main([
-            "simulate", "--alpha", "1", "--half-length", "5",
-            "--n-points", "64", "--n-steps", "16", "--seed", "42",
-        ])
-        captured = capsys.readouterr()
-        assert code == 0
-        outputs.append(captured.out.encode())
-    ok = outputs[0] == outputs[1] == outputs[2]
-    report(13, ok, f"3 runs, {len(outputs[0])} bytes each, byte-identical={ok}")
+    # one sample path, and a 19-path ensemble whose blocks of 8 seeds the
+    # engine spreads over its threads
+    argvs = (
+        ["simulate", "--alpha", "1", "--half-length", "5",
+         "--n-points", "64", "--n-steps", "16", "--seed", "42"],
+        ["simulate", "--alpha", "1.5", "--samples", "19",
+         "--n-points", "64", "--n-steps", "16", "--seed", "7"],
+    )
+    ok, sizes = True, []
+    for argv in argvs:
+        outputs = []
+        for threads in ("0", "1", "7"):
+            monkeypatch.setenv("FRACFIELD_THREADS", threads)
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 0
+            outputs.append(captured.out.encode())
+        ok = ok and outputs[0] == outputs[1] == outputs[2]
+        sizes.append(len(outputs[0]))
+    report(13, ok, f"2 commands x 3 runs, {sizes} bytes each, byte-identical={ok}")

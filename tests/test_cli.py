@@ -33,6 +33,13 @@ GOLDEN_ENSEMBLE_SIGMA0_SHA256 = (
      "--sigma", "0"],
     "5deef8669906f549e06f3fd5c189ce5c6a619788fb31e2b57b319277f87c8652")
 
+# stdout digest of a 19-path ensemble, two full blocks of 8 seeds and a
+# partial one, as the serial engine printed it: no thread count may move it
+GOLDEN_ENSEMBLE_19_SHA256 = (
+    ["simulate", "--alpha", "1.5", "--samples", "19", "--n-points", "64", "--n-steps", "16",
+     "--seed", "7"],
+    "8b1b1d4ab5cecfe993ef949022d3ef6b885bbdcd028b8b02c2a744e11b0df5cb")
+
 # stdout digests of analytic commands, pinned so that refactors of the
 # evaluators behind them move no output bit
 GOLDEN_ANALYTIC_SHA256 = {
@@ -458,6 +465,16 @@ class TestSimulateCli:
             assert code == EXIT_OK
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_thread_env_does_not_change_ensemble(self, capsys, monkeypatch):
+        import hashlib
+
+        argv, digest = GOLDEN_ENSEMBLE_19_SHA256
+        for threads in ("0", "1", "2", "3"):
+            monkeypatch.setenv("FRACFIELD_THREADS", threads)
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, threads
 
     def test_bad_thread_env(self, capsys, monkeypatch):
         monkeypatch.setenv("FRACFIELD_THREADS", "many")

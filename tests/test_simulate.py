@@ -1,6 +1,7 @@
 """Tests for the spectral Monte Carlo simulator."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -382,6 +383,137 @@ class TestEnsemble:
         assert var_p.method == "mc_ensemble_var"
         assert mean_p.values.shape == (8, SMALL_ZERO.n_points)
         assert mean_p.meta["n_samples"] == 4
+
+
+class TestEnsembleThreads:
+    """ensemble_stats computes blocks of 8 seeds on FRACFIELD_THREADS threads
+    and sums them in seed order, so nothing it returns depends on the count."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n_samples", [2, 8, 9, 19])
+    def test_sums_in_seed_order(self, monkeypatch, n_samples, threads):
+        # with a zero initial condition and sigma = 1 the mean is S1 / N and
+        # the variance (S2 - S1^2 / N) / (N - 1), S1 and S2 summed over
+        # simulate_path's fields one seed after another
+        monkeypatch.setenv("FRACFIELD_THREADS", threads)
+        prm = params(1.5)
+        stats = ensemble_stats(prm, GAUSS, SMALL_ZERO, n_samples, master_seed=5)
+        s1 = s2 = 0.0
+        for i in range(n_samples):
+            path = simulate_path(prm, GAUSS, SMALL_ZERO, mix_seed(5, i))
+            f = np.array([field for _, field in path.snapshots])
+            s1 = s1 + f
+            s2 = s2 + f * f
+        assert np.array_equal(stats.mean, s1 / n_samples)
+        assert np.array_equal(stats.variance,
+                              np.maximum(s2 - s1 * s1 / n_samples, 0.0) / (n_samples - 1))
+
+    @pytest.mark.parametrize("raw", ["many", "-1"])
+    def test_bad_thread_env(self, monkeypatch, raw):
+        monkeypatch.setenv("FRACFIELD_THREADS", raw)
+        with pytest.raises(DomainError, match="FRACFIELD_THREADS"):
+            ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, 2, master_seed=1)
+
+    @pytest.mark.parametrize("threads,n_samples,blocks", [
+        ("7", 64, 8), ("0", 19, 3), ("2", 64, 8), ("1", 64, 8), ("0", 8, 1)])
+    def test_thread_count(self, monkeypatch, threads, n_samples, blocks):
+        # w = FRACFIELD_THREADS (0: every usable CPU), capped at the usable
+        # CPUs and the blocks; the calling thread is one of the w
+        from fracfield.simulate import _usable_cpus
+
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        monkeypatch.setenv("FRACFIELD_THREADS", threads)
+        ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, n_samples, master_seed=1)
+        cpus = _usable_cpus()
+        assert len(started) == min(int(threads) or cpus, cpus, blocks) - 1
+
+    def test_stress_more_threads_than_cpus(self, monkeypatch):
+        # four threads on at most two CPUs, switching every microsecond, must
+        # give the sums of one thread: a block's fields filed under another
+        # block's index would move them
+        import sys
+
+        from fracfield import simulate
+
+        monkeypatch.setenv("FRACFIELD_THREADS", "1")
+        serial = ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, 37, master_seed=11)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
+        monkeypatch.setenv("FRACFIELD_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                stats, exc = _in_thread(lambda: ensemble_stats(
+                    params(1.5), GAUSS, SMALL_ZERO, 37, master_seed=11))
+                assert exc is None
+                assert np.array_equal(stats.mean, serial.mean)
+                assert np.array_equal(stats.variance, serial.variance)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_block_failure_surfaces(self, monkeypatch):
+        from fracfield import simulate
+
+        second = mix_seed(3, 8)
+        real = simulate._noise_fields
+
+        def fail_second(factor, grid, seeds):
+            if seeds[0] == second:
+                raise RuntimeError("second block")
+            return real(factor, grid, seeds)
+
+        monkeypatch.setattr(simulate, "_noise_fields", fail_second)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("FRACFIELD_THREADS", "2")
+        before = threading.active_count()
+        _, exc = _in_thread(lambda: ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, 32, 3))
+        assert isinstance(exc, RuntimeError) and str(exc) == "second block"
+        assert threading.active_count() == before
+
+    def test_extra_thread_failure_surfaces(self, monkeypatch):
+        # the calling thread holds its first block until the extra thread has
+        # failed on one, so the exception crosses threads every time
+        from fracfield import simulate
+
+        real = simulate._noise_fields
+        failed = threading.Event()
+
+        def fail_off_caller(factor, grid, seeds):
+            if threading.current_thread().name == "caller":
+                assert failed.wait(timeout=30)
+                return real(factor, grid, seeds)
+            failed.set()
+            raise RuntimeError("extra thread")
+
+        monkeypatch.setattr(simulate, "_noise_fields", fail_off_caller)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("FRACFIELD_THREADS", "2")
+        before = threading.active_count()
+        _, exc = _in_thread(lambda: ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, 32, 3))
+        assert isinstance(exc, RuntimeError) and str(exc) == "extra thread"
+        assert threading.active_count() == before
+
+
+def _in_thread(call):
+    """(value, exception) of call() run on a daemon thread named "caller",
+    waited for at most 60 s, so that a hang fails the test instead of
+    stalling the run."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((call(), None))
+        except Exception as exc:
+            outcome.append((None, exc))
+
+    caller = threading.Thread(target=run, name="caller", daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "ensemble_stats did not return within 60 s"
+    return outcome[0]
 
 
 class TestCompare:
