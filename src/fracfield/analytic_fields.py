@@ -178,8 +178,12 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     K = max(240, _tail_onset), with E_alpha evaluated once, and the
     transform of S over [0, inf) is added in closed form
     (_matern_transform); the O(k^-8) remainder of E - S beyond K is left out.
-    S takes a(k) = lam k^2 + mu, so where mu > 0 a Gaussian kernel's j_hat
-    must have fallen below 1e-17 by K: K >= sqrt(2 ln 1e17) / scale.
+    S takes a(k) = lam k^2 + mu, so where mu > 0 the kernel's j_hat is left
+    out beyond K.  A Gaussian kernel's must have fallen below 1e-17 there:
+    K >= sqrt(2 ln 1e17) / scale.  A uniform kernel's adds about
+    d_1 mu sin(scale k) / (lam scale k^5) to E, whose transform over
+    [K, inf) is at most |d_1| mu / (pi lam scale^2 K^5), and K makes that
+    1e-14 (where |x| is within a few 1/K of scale it falls only as K^-4).
     """
     if not t > 0:
         raise DomainError("mean_fourier requires t > 0")
@@ -189,9 +193,13 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
             "no pointwise mean field exists"
         )
     alpha, lam, ta = params.alpha, params.lam, t**params.alpha
+    c, d = _matern_terms(alpha, lam, params.mu, t)
     cutoff = max(240.0, _tail_onset(alpha, lam, t))
     if params.mu > 0 and kernel.kind == "gaussian":
         cutoff = max(cutoff, math.sqrt(2.0 * math.log(1e17)) / kernel.scale)
+    elif params.mu > 0:  # the uniform kernel
+        cutoff = max(cutoff, (abs(d[0]) * params.mu
+                              / (math.pi * lam * kernel.scale**2 * 1e-14)) ** 0.2)
     ax = np.abs(np.asarray(x, dtype=float))
     # a 32-node panel spans at most 4 widths of E near k = 0, 32 radians of
     # cos(kx) and 4 widths of the kernel's transform
@@ -201,7 +209,6 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     if panels > 1 << 16:
         raise QuadratureError(f"frequency cutoff {cutoff:.3g} needs {panels} panels")
     k, w = gl_panels(np.linspace(0.0, cutoff, panels + 1), 32)
-    c, d = _matern_terms(alpha, lam, params.mu, t)
     q = 1.0 / (k * k + c * c)
     subtracted = q * (d[0] + q * (d[1] + q * d[2]))
     wf = w * (ml_eval(MLOrder(alpha, 1.0), -symbol_a(params, kernel, k) * ta) - subtracted)

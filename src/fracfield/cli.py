@@ -14,8 +14,8 @@ Exit codes: 0 success (and "mild" for `mild`), 2 usage or domain errors,
 threads a `simulate --samples N` ensemble computes its paths on: the
 usable CPUs when 0 (the default), and never more than the usable CPUs or
 the ceil(N/8) blocks of 8 paths, so an ensemble of at most 8 paths stays
-on one thread.  The paths are summed in seed order, so any value yields
-byte-identical output; a value that is not a non-negative integer exits 2.
+on one thread.  Any value yields byte-identical output; a value that is
+not a non-negative integer exits 2.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 from . import analytic_fields as af
 from . import mildness, simulate, special_fn
 from .errors import (
-    DegenerateParametersError,
     DomainError,
     FracfieldError,
     NotMildError,
@@ -467,8 +466,7 @@ def main(argv=None) -> int:
     except NotMildError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_MILD
-    except (DegenerateParametersError, DomainError, FracfieldError, OSError,
-            ValueError) as exc:
+    except (FracfieldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -39,10 +39,10 @@ given (params, kernel, grid, snapshots, seed): a counter-based generator
 (Philox) keyed by the seed, and an ensemble that is the exact grid mean
 plus sigma times the noise's own moments, summed path by path in seed
 order.  A path's noise field depends on its seed alone, so the ensemble
-computes the fields in blocks of 8 consecutive seeds on up to
-FRACFIELD_THREADS threads (0, the default: every usable CPU) while the
-calling thread sums them in seed order; its result is bit-identical for
-any thread count.
+computes the fields on w threads: w = FRACFIELD_THREADS, or every usable
+CPU when it is 0 (the default), capped at the usable CPUs and at the
+ceil(N/8) blocks of 8 consecutive seeds, so N <= 8 paths run serially.
+Its result is bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -347,69 +347,60 @@ def _add_noise_moments(factor, grid, seeds, threads, s1, s2):
     """Add the sigma = 1 noise field f of each seed to s1 and f^2 to s2, path
     by path in seed order.
 
-    The fields are computed in blocks of _BLOCK consecutive seeds (_noise_fields)
-    by the calling thread and w - 1 extra threads: w = threads, or every
-    usable CPU when it is 0, capped at the usable CPUs and at the number of
-    blocks.  Each thread takes the next block whenever it is free, and at
-    most w blocks are taken but not yet consumed, which bounds the fields
-    held at once.  Only the calling thread adds, block by block in seed
-    order, so the sums do not depend on w; with w = 1 it computes every
-    block itself and starts no thread.  An exception raised while computing
-    a block reaches the caller once the extra threads have stopped.
+    The fields are computed in blocks of _BLOCK consecutive seeds
+    (_noise_fields) by w threads, the calling thread (j = 0) and w - 1 extra
+    ones: w = threads, or every usable CPU when it is 0, capped at the
+    usable CPUs and at the number of blocks.  They go in lockstep waves: in
+    the wave that starts at block lo, thread j computes block lo + j, if
+    there is one, and all w meet at a barrier.  The calling thread then
+    adds the wave's fields in seed order, drops them and re-raises the
+    first exception a block of the wave raised, and all w meet at the
+    barrier again before the next wave.  So at most w blocks' fields are
+    held at once, the sums do not depend on w, and with w = 1 the barrier
+    never blocks and no thread starts.  On the way out the barrier is
+    aborted, which ends the extra threads, and they are joined.
     """
     blocks = [seeds[i:i + _BLOCK] for i in range(0, len(seeds), _BLOCK)]
     cpus = _usable_cpus()
     w = min(threads or cpus, cpus, len(blocks))
-    cond = threading.Condition()
-    done = {}  # block index -> fields, or the exception its computation raised
-    taken = consumed = 0
-    stop = False
+    barrier = threading.Barrier(w)
+    wave = [None] * w  # thread j's fields of the current wave, or the exception they raised
 
-    def work():
-        nonlocal taken
-        while True:
-            with cond:
-                cond.wait_for(lambda: stop or taken == len(blocks) or taken - consumed < w)
-                if stop or taken == len(blocks):
-                    return
-                i, taken = taken, taken + 1
+    def compute(j, lo):
+        if lo + j < len(blocks):
             try:
-                fields = _noise_fields(factor, grid, blocks[i])
+                wave[j] = _noise_fields(factor, grid, blocks[lo + j])
             except BaseException as exc:  # handed to the calling thread, which re-raises it
-                fields = exc
-            with cond:
-                done[i] = fields
-                cond.notify_all()
+                wave[j] = exc
+
+    def work(j):
+        try:
+            for lo in range(0, len(blocks), w):
+                compute(j, lo)
+                barrier.wait()  # the calling thread adds the wave in between
+                barrier.wait()
+        except threading.BrokenBarrierError:  # the calling thread has stopped
+            pass
 
     extra = []
     try:
-        for _ in range(w - 1):
-            extra.append(threading.Thread(target=work, daemon=True))
+        for j in range(1, w):
+            extra.append(threading.Thread(target=work, args=(j,), daemon=True))
             extra[-1].start()
-        for k in range(len(blocks)):
-            while True:
-                with cond:
-                    if k in done:
-                        fields = done.pop(k)
-                        consumed = k + 1
-                        cond.notify_all()
-                        break
-                    if taken == len(blocks) or taken - consumed >= w:
-                        cond.wait()  # another thread is computing block k
-                        continue
-                    i, taken = taken, taken + 1
-                fields = _noise_fields(factor, grid, blocks[i])
-                with cond:
-                    done[i] = fields
-            if isinstance(fields, BaseException):
-                raise fields
-            for f in fields:
-                s1 += f
-                s2 += f * f
+        for lo in range(0, len(blocks), w):
+            compute(0, lo)
+            barrier.wait()
+            for j in range(min(w, len(blocks) - lo)):
+                fields, wave[j] = wave[j], None
+                if isinstance(fields, BaseException):
+                    raise fields
+                for f in fields:
+                    s1 += f
+                    s2 += f * f
+            del fields, f  # no field of this wave outlives it
+            barrier.wait()
     finally:
-        with cond:
-            stop = True
-            cond.notify_all()
+        barrier.abort()
         for thread in extra:
             if thread.is_alive():  # not when its start failed
                 thread.join()
@@ -434,13 +425,11 @@ def ensemble_stats(
     mean^2 >> variance cancellation occurs, and a power-of-two sigma scales
     the variance exactly.
 
-    The f_i are computed in blocks of 8 consecutive seeds, on the calling
-    thread and up to w - 1 others: w is FRACFIELD_THREADS, or the number of
-    usable CPUs when it is 0, capped at the usable CPUs and at the number
-    of blocks, so N <= 8 runs on the calling thread alone.  The calling
-    thread adds them to S1 and S2 in seed order, so the result is bit for
-    bit the same for every w.  Raises DomainError when FRACFIELD_THREADS
-    is not a non-negative integer.
+    The f_i are computed on w threads: w is FRACFIELD_THREADS, or the
+    number of usable CPUs when it is 0, capped at the usable CPUs and at
+    the ceil(N/8) blocks of 8 consecutive seeds, so N <= 8 runs on the
+    calling thread alone.  The result is bit for bit the same for every w.
+    Raises DomainError when FRACFIELD_THREADS is not a non-negative integer.
     """
     if n_samples < 2:
         raise DomainError("ensemble_stats requires n_samples >= 2")

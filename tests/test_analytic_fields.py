@@ -137,14 +137,15 @@ class TestMeanFourier:
         pytest.param("gaussian", 1000.0, 1.0, id="gaussian-mu1000"),
         pytest.param("gaussian", 1.0, 0.01, id="gaussian-scale0.01"),
         pytest.param("gaussian", 100.0, 0.01, id="gaussian-scale0.01-mu100"),
-        pytest.param("gaussian", 100.0, 0.003, id="gaussian-scale0.003-mu100")])
+        pytest.param("gaussian", 100.0, 0.003, id="gaussian-scale0.003-mu100"),
+        pytest.param("uniform", 1000.0, 1.0, id="uniform-mu1000")])
     def test_mu_tail_against_long_quadrature(self, kind, mu, scale):
         # mu > 0: Gauss-Legendre over [0, 2e4] plus a QUADPACK tail of the exact
         # integrand; the default cutoff's analytic tail must carry the mu part,
         # also where mu/lam is large, and a narrow Gaussian kernel's j_hat must
         # have died out by the cutoff (at scale 0.003 it reaches 1e-17 only at
-        # k = 2950).  The uniform kernel's mu sin(k)/k, left out of the tail,
-        # costs about mu/K^5: 8.8e-11 at mu = 1000, so that pair is not taken.
+        # k = 2950); the uniform kernel's mu sin(k)/k, left out of the tail,
+        # must be negligible beyond its own cutoff.
         from scipy import integrate
 
         from fracfield.special_fn import MLOrder, ml_eval

@@ -454,23 +454,30 @@ class TestEnsembleThreads:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_block_failure_surfaces(self, monkeypatch):
+    @pytest.mark.parametrize("block,n_samples", [
+        pytest.param(1, 32, id="extra-thread-first-wave"),
+        pytest.param(2, 32, id="caller-second-wave"),
+        pytest.param(4, 40, id="partial-last-wave")])
+    def test_block_failure_surfaces(self, monkeypatch, block, n_samples):
+        # two threads; in the last case block 4 is the calling thread's and
+        # the extra thread has none, but still meets it at the barrier
         from fracfield import simulate
 
-        second = mix_seed(3, 8)
+        failing = mix_seed(3, 8 * block)
         real = simulate._noise_fields
 
-        def fail_second(factor, grid, seeds):
-            if seeds[0] == second:
-                raise RuntimeError("second block")
+        def fail_one(factor, grid, seeds):
+            if seeds[0] == failing:
+                raise RuntimeError(f"block {block}")
             return real(factor, grid, seeds)
 
-        monkeypatch.setattr(simulate, "_noise_fields", fail_second)
+        monkeypatch.setattr(simulate, "_noise_fields", fail_one)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
         monkeypatch.setenv("FRACFIELD_THREADS", "2")
         before = threading.active_count()
-        _, exc = _in_thread(lambda: ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, 32, 3))
-        assert isinstance(exc, RuntimeError) and str(exc) == "second block"
+        _, exc = _in_thread(lambda: ensemble_stats(
+            params(1.5), GAUSS, SMALL_ZERO, n_samples, 3))
+        assert isinstance(exc, RuntimeError) and str(exc) == f"block {block}"
         assert threading.active_count() == before
 
     def test_extra_thread_failure_surfaces(self, monkeypatch):
@@ -495,6 +502,30 @@ class TestEnsembleThreads:
         _, exc = _in_thread(lambda: ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, 32, 3))
         assert isinstance(exc, RuntimeError) and str(exc) == "extra thread"
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_fields_held_at_once(self, monkeypatch, threads):
+        # fewer than w blocks' fields are alive whenever a block starts, so
+        # at most w are held at once, the new one included
+        import weakref
+
+        from fracfield import simulate
+
+        real = simulate._noise_fields
+        results, alive = [], []
+
+        def tracked(factor, grid, seeds):
+            alive.append(sum(ref() is not None for ref in results))
+            fields = real(factor, grid, seeds)
+            results.append(weakref.ref(fields))
+            return fields
+
+        monkeypatch.setattr(simulate, "_noise_fields", tracked)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
+        monkeypatch.setenv("FRACFIELD_THREADS", str(threads))
+        _, exc = _in_thread(lambda: ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, 75, 3))
+        assert exc is None
+        assert len(alive) == 10 and max(alive) < threads, alive
 
 
 def _in_thread(call):
