@@ -40,7 +40,7 @@ from .special_fn import (
     mainardi_series,
     ml_eval,
 )
-from .symbol import DiffusionParams, KernelSpec, symbol_a
+from .symbol import DiffusionParams, KernelSpec, j_hat, symbol_a
 
 __all__ = [
     "Profile",
@@ -168,6 +168,22 @@ def _matern_transform(n: int, c: float, x):
     return np.exp(-c * x) * poly / (2 ** (2 * n + 1) * math.factorial(n) * c ** (2 * n + 1))
 
 
+def _uniform_transform(c: float, scale: float, x):
+    """(1/pi) int_0^inf cos(kx) j_hat(k) (k^2 + c^2)^-2 dk for x >= 0, c > 0 and
+    the uniform kernel's j_hat(k) = sin(scale k) / (scale k):
+
+    (I(scale + x) + I(scale - x)) / (2 pi scale), where
+    I(w) = int_0^inf sin(wk) / (k (k^2 + c^2)^2) dk
+         = sign(w) pi ((1 - e^(-c|w|)) / (2 c^4) - |w| e^(-c|w|) / (4 c^3)).
+    """
+    def half(w):
+        aw = np.abs(w)
+        return np.sign(w) * (-np.expm1(-c * aw) / (2.0 * c**4)
+                             - aw * np.exp(-c * aw) / (4.0 * c**3))
+
+    return (half(scale + x) + half(scale - x)) / (2.0 * scale)
+
+
 def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     """Mean field by Fourier inversion, (1/pi) int_0^inf cos(kx) E_alpha(-a(k) t^alpha) dk.
 
@@ -180,10 +196,14 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     (_matern_transform); the O(k^-8) remainder of E - S beyond K is left out.
     S takes a(k) = lam k^2 + mu, so where mu > 0 the kernel's j_hat is left
     out beyond K.  A Gaussian kernel's must have fallen below 1e-17 there:
-    K >= sqrt(2 ln 1e17) / scale.  A uniform kernel's adds about
-    d_1 mu sin(scale k) / (lam scale k^5) to E, whose transform over
-    [K, inf) is at most |d_1| mu / (pi lam scale^2 K^5), and K makes that
-    1e-14 (where |x| is within a few 1/K of scale it falls only as K^-4).
+    K >= sqrt(2 ln 1e17) / scale.  For the uniform kernel, with m = mu/lam,
+    d_1 m j_hat(k) (k^2 + c^2)^-2 is subtracted as well and added back in
+    closed form (_uniform_transform): E's leading j_hat term, re-expanded
+    about c^2 like S, so that it stays bounded as mu -> 0.  What is left of
+    j_hat beyond K is 2 d_2 m j_hat k^-6 + d_1 m^2 j_hat^2 k^-6 to leading
+    order, and |j_hat| <= 1/(scale k) bounds their transforms over [K, inf)
+    at every x by |d_2| m / (3 pi scale K^6) and |d_1| m^2 / (7 pi scale^2
+    K^7); K makes each 1e-14.
     """
     if not t > 0:
         raise DomainError("mean_fourier requires t > 0")
@@ -195,11 +215,12 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     alpha, lam, ta = params.alpha, params.lam, t**params.alpha
     c, d = _matern_terms(alpha, lam, params.mu, t)
     cutoff = max(240.0, _tail_onset(alpha, lam, t))
+    m, scale = params.mu / lam, kernel.scale
     if params.mu > 0 and kernel.kind == "gaussian":
-        cutoff = max(cutoff, math.sqrt(2.0 * math.log(1e17)) / kernel.scale)
-    elif params.mu > 0:  # the uniform kernel
-        cutoff = max(cutoff, (abs(d[0]) * params.mu
-                              / (math.pi * lam * kernel.scale**2 * 1e-14)) ** 0.2)
+        cutoff = max(cutoff, math.sqrt(2.0 * math.log(1e17)) / scale)
+    elif kernel.kind == "uniform":
+        cutoff = max(cutoff, (abs(d[1]) * m / (3.0 * math.pi * scale * 1e-14)) ** (1 / 6),
+                     (abs(d[0]) * m * m / (7.0 * math.pi * scale**2 * 1e-14)) ** (1 / 7))
     ax = np.abs(np.asarray(x, dtype=float))
     # a 32-node panel spans at most 4 widths of E near k = 0, 32 radians of
     # cos(kx) and 4 widths of the kernel's transform
@@ -211,12 +232,16 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     k, w = gl_panels(np.linspace(0.0, cutoff, panels + 1), 32)
     q = 1.0 / (k * k + c * c)
     subtracted = q * (d[0] + q * (d[1] + q * d[2]))
+    if kernel.kind == "uniform":
+        subtracted += d[0] * m * j_hat(kernel, k) * q * q
     wf = w * (ml_eval(MLOrder(alpha, 1.0), -symbol_a(params, kernel, k) * ta) - subtracted)
     flat, step = ax.ravel(), max(1, _CHUNK_ELEMS // k.size)
     val = np.concatenate([np.cos(np.outer(flat[i : i + step], k)) @ wf
                           for i in range(0, flat.size, step)])
     out = val.reshape(ax.shape) / math.pi + sum(
         dp * _matern_transform(n, c, ax) for n, dp in enumerate(d))
+    if kernel.kind == "uniform":
+        out += d[0] * m * _uniform_transform(c, scale, ax)
     if not np.all(np.isfinite(out)):
         raise QuadratureError("frequency quadrature failed")
     return float(out) if out.ndim == 0 else out

@@ -50,7 +50,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -343,67 +342,46 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _add_moments(blocks_fields, s1, s2):
+    """Add each field f of each block's fields, in turn, to s1 and f^2 to s2."""
+    for fields in blocks_fields:
+        for f in fields:
+            s1 += f
+            s2 += f * f
+
+
 def _add_noise_moments(factor, grid, seeds, threads, s1, s2):
     """Add the sigma = 1 noise field f of each seed to s1 and f^2 to s2, path
     by path in seed order.
 
     The fields are computed in blocks of _BLOCK consecutive seeds
-    (_noise_fields) by w threads, the calling thread (j = 0) and w - 1 extra
-    ones: w = threads, or every usable CPU when it is 0, capped at the
-    usable CPUs and at the number of blocks.  They go in lockstep waves: in
-    the wave that starts at block lo, thread j computes block lo + j, if
-    there is one, and all w meet at a barrier.  The calling thread then
-    adds the wave's fields in seed order, drops them and re-raises the
-    first exception a block of the wave raised, and all w meet at the
-    barrier again before the next wave.  So at most w blocks' fields are
-    held at once, the sums do not depend on w, and with w = 1 the barrier
-    never blocks and no thread starts.  On the way out the barrier is
-    aborted, which ends the extra threads, and they are joined.
+    (_noise_fields) by w threads, the calling thread and a pool of w - 1:
+    w = threads, or every usable CPU when it is 0, capped at the usable CPUs
+    and at the number of blocks.  They go in waves: for the wave that
+    starts at block lo, blocks lo + 1 .. lo + w - 1 are submitted to the
+    pool, the calling thread computes block lo, and it adds the wave's
+    fields in seed order, awaiting each pool block's result in turn.  No
+    name keeps a wave's fields past its end, so fewer than w blocks' fields
+    are alive when a block starts, and the sums do not depend on w.  The
+    first block of a wave to fail, in seed order, is re-raised once the pool
+    has been shut down and its threads joined.  With w = 1 no pool is made,
+    and concurrent.futures, which imports logging, is not loaded.
     """
     blocks = [seeds[i:i + _BLOCK] for i in range(0, len(seeds), _BLOCK)]
     cpus = _usable_cpus()
     w = min(threads or cpus, cpus, len(blocks))
-    barrier = threading.Barrier(w)
-    wave = [None] * w  # thread j's fields of the current wave, or the exception they raised
+    fields_of = functools.partial(_noise_fields, factor, grid)
+    if w == 1:
+        for block in blocks:
+            _add_moments([fields_of(block)], s1, s2)
+        return
+    from concurrent.futures import ThreadPoolExecutor
 
-    def compute(j, lo):
-        if lo + j < len(blocks):
-            try:
-                wave[j] = _noise_fields(factor, grid, blocks[lo + j])
-            except BaseException as exc:  # handed to the calling thread, which re-raises it
-                wave[j] = exc
-
-    def work(j):
-        try:
-            for lo in range(0, len(blocks), w):
-                compute(j, lo)
-                barrier.wait()  # the calling thread adds the wave in between
-                barrier.wait()
-        except threading.BrokenBarrierError:  # the calling thread has stopped
-            pass
-
-    extra = []
-    try:
-        for j in range(1, w):
-            extra.append(threading.Thread(target=work, args=(j,), daemon=True))
-            extra[-1].start()
+    with ThreadPoolExecutor(w - 1) as pool:
         for lo in range(0, len(blocks), w):
-            compute(0, lo)
-            barrier.wait()
-            for j in range(min(w, len(blocks) - lo)):
-                fields, wave[j] = wave[j], None
-                if isinstance(fields, BaseException):
-                    raise fields
-                for f in fields:
-                    s1 += f
-                    s2 += f * f
-            del fields, f  # no field of this wave outlives it
-            barrier.wait()
-    finally:
-        barrier.abort()
-        for thread in extra:
-            if thread.is_alive():  # not when its start failed
-                thread.join()
+            wave = pool.map(fields_of, blocks[lo + 1:lo + w])  # all submitted here
+            _add_moments([fields_of(blocks[lo])], s1, s2)
+            _add_moments(wave, s1, s2)
 
 
 def ensemble_stats(

@@ -144,8 +144,9 @@ class TestMeanFourier:
         # integrand; the default cutoff's analytic tail must carry the mu part,
         # also where mu/lam is large, and a narrow Gaussian kernel's j_hat must
         # have died out by the cutoff (at scale 0.003 it reaches 1e-17 only at
-        # k = 2950); the uniform kernel's mu sin(k)/k, left out of the tail,
-        # must be negligible beyond its own cutoff.
+        # k = 2950); what the uniform kernel's mu sin(k)/k leaves beyond its
+        # own cutoff must be negligible, also within 1/K of |x| = scale,
+        # where sin(k) cos(kx) beats slowly.
         from scipy import integrate
 
         from fracfield.special_fn import MLOrder, ml_eval
@@ -164,7 +165,7 @@ class TestMeanFourier:
                 return ml_eval(MLOrder(p.alpha, 1.0), -symbol_a(p, kernel, kk) * t**p.alpha)
 
             head = wk * mean_hat(k)
-            for x in (0.0, 1.0):
+            for x in (0.0, 0.999, 1.0, 1.001):
                 if x == 0.0:
                     tail = integrate.quad(mean_hat, cutoff, np.inf, epsabs=1e-16)[0]
                 else:

@@ -112,7 +112,9 @@ def test_import_loads_no_scipy():
 
 
 def test_commands_load_no_numpy_ma():
-    # np.unique imports numpy.ma on first use, 11-14 ms and 1.3 MB per process
+    # np.unique imports numpy.ma on first use, 11-14 ms and 1.3 MB per process;
+    # concurrent.futures imports logging, which only an ensemble run on more
+    # than one thread needs
     argvs = [
         ["ml", "--alpha", "0.6", "--x-range=-40:2:85", "--bounds", "--asymptotic"],
         ["mean", "--method", "fourier", "--alpha", "0.6", "--x-range=0:2:9"],
@@ -121,14 +123,16 @@ def test_commands_load_no_numpy_ma():
         ["mild", "--alpha", "0.8", "--probe"],
         ["simulate", "--n-points", "64", "--n-steps", "16", "--samples", "4", "--alpha", "0.8",
          "--mu", "0.5"],
+        ["simulate", "--n-points", "64", "--n-steps", "16", "--samples", "19"],
     ]
-    probe = ("import contextlib, io, sys\n"
+    probe = ("import contextlib, io, os, sys\n"
+             "os.environ['FRACFIELD_THREADS'] = '1'\n"
              "from fracfield.cli import main\n"
              f"for argv in {argvs!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        assert main(argv) == 0, argv\n"
-             "print('numpy.ma' in sys.modules)")
-    assert _fresh_python(probe) == "False"
+             "print('numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)")
+    assert _fresh_python(probe) == "False False"
 
 
 def test_commands_run_without_scipy():

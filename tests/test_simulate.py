@@ -418,7 +418,8 @@ class TestEnsembleThreads:
         ("7", 64, 8), ("0", 19, 3), ("2", 64, 8), ("1", 64, 8), ("0", 8, 1)])
     def test_thread_count(self, monkeypatch, threads, n_samples, blocks):
         # w = FRACFIELD_THREADS (0: every usable CPU), capped at the usable
-        # CPUs and the blocks; the calling thread is one of the w
+        # CPUs and the blocks; the calling thread is one of the w, and every
+        # other one has been joined when the call returns
         from fracfield.simulate import _usable_cpus
 
         started = []
@@ -426,9 +427,11 @@ class TestEnsembleThreads:
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
         monkeypatch.setenv("FRACFIELD_THREADS", threads)
+        before = threading.active_count()
         ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, n_samples, master_seed=1)
         cpus = _usable_cpus()
         assert len(started) == min(int(threads) or cpus, cpus, blocks) - 1
+        assert threading.active_count() == before
 
     def test_stress_more_threads_than_cpus(self, monkeypatch):
         # four threads on at most two CPUs, switching every microsecond, must
@@ -460,7 +463,7 @@ class TestEnsembleThreads:
         pytest.param(4, 40, id="partial-last-wave")])
     def test_block_failure_surfaces(self, monkeypatch, block, n_samples):
         # two threads; in the last case block 4 is the calling thread's and
-        # the extra thread has none, but still meets it at the barrier
+        # the pool has none in that wave
         from fracfield import simulate
 
         failing = mix_seed(3, 8 * block)
