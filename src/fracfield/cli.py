@@ -178,7 +178,7 @@ def _emit_crosscheck(profile, check, out_path):
 def cmd_mean(args) -> int:
     if args.preset:
         _apply_preset(args, "mean")
-    params = DiffusionParams(args.alpha, args.lam, args.mu, args.sigma, 1)
+    params = DiffusionParams(args.alpha, args.lam, args.mu)
     kernel = KernelSpec()
     ts = _parse_tlist(args.t_list)
     xs = _parse_range(args.x_range)
@@ -318,7 +318,7 @@ def cmd_simulate(args) -> int:
             raise DomainError("config \"force\" must be true or false")
         force = force or args.force
     else:
-        params = DiffusionParams(args.alpha, args.lam, args.mu, args.sigma, args.dim)
+        params = DiffusionParams(args.alpha, args.lam, args.mu, args.sigma)
         kernel = KernelSpec()
         grid = simulate.GridSpec(
             half_length=args.half_length,
@@ -395,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--alpha", type=float, default=1.0)
         c.add_argument("--lambda", dest="lam", type=float, default=1.0)
         c.add_argument("--mu", type=float, default=0.0)
-        c.add_argument("--sigma", type=float, default=1.0)
+        if name == "variance":  # no mean route reads sigma
+            c.add_argument("--sigma", type=float, default=1.0)
         c.add_argument("--t-list", default="1", help="comma-separated times")
         c.add_argument("--t", type=float, help="single time (overrides --t-list)")
         c.add_argument("--x-range", default="-3:3:121")
@@ -410,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sim.add_argument("--mu", type=float, default=0.0)
     sim.add_argument("--sigma", type=float, default=1.0)
-    sim.add_argument("--dim", type=int, default=1)
     sim.add_argument("--half-length", type=float, default=20.0)
     sim.add_argument("--n-points", type=int, default=1024)
     sim.add_argument("--n-steps", type=int, default=256)

@@ -1,20 +1,24 @@
 """Mildness classification and numerical integrability probes.
 
 A parameter set (alpha, lambda, mu, N) admits a mild solution exactly when
-lambda > 0 and one of the following holds:
 
-  * alpha = 1 and N = 1,
-  * 2/3 < alpha < 1 and N = 1,
-  * 1 < alpha < 2 and N in {1, 2}.
+    lambda > 0  and  N < 4 - 2/alpha,
+
+the condition under which the variance V(t) is finite.  Read in the three
+regimes of alpha in (0, 2), the inequality says:
+
+  * 0 < alpha < 1: 4 - 2/alpha < 2, so only N = 1, and only for
+    alpha > 2/3 (strict: at alpha = 2/3 the bound is 1);
+  * alpha = 1: the bound is 2, so N = 1;
+  * 1 < alpha < 2: the bound lies in (2, 3), so N in {1, 2}.
 
 With lambda = 0 the symbol saturates at mu for high frequencies, the
-relevant Fourier integrals diverge, and no dimension is mild.  The boundary
-alpha = 2/3 is classified not mild (the subdiffusive criterion is strict).
+relevant Fourier integrals diverge, and no dimension is mild.
 
-`classify` encodes the decision exactly; `probe_m1` / `probe_m2` evaluate
-the truncated integrals behind it on a refining cutoff schedule and read
-their limit by Aitken's delta^2 process.  The probes are numerical
-evidence, not proof.
+`classify` decides by the inequality and labels the verdict by its regime;
+`probe_m1` / `probe_m2` evaluate the truncated integrals behind it on a
+refining cutoff schedule and read their limit by Aitken's delta^2 process.
+The probes are numerical evidence, not proof.
 """
 
 from __future__ import annotations
@@ -78,43 +82,34 @@ class ProbeReport:
     limit: float | None
 
 
+# (regime, mild) -> (rule, detail); the regime is -1, 0 or 1 as alpha is
+# below, at or above 1
+_READINGS = {
+    (-1, True): (Rule.SUBDIFFUSIVE_N1, "N=1 and alpha={a} > 2/3"),
+    (-1, False): (Rule.NOT_MILD_OTHERWISE, "subdiffusive range requires N=1 and "
+                  "alpha > 2/3 (strict); got alpha={a}, N={n}"),
+    (0, True): (Rule.ALPHA_ONE_N1, "alpha=1 with N=1"),
+    (0, False): (Rule.NOT_MILD_OTHERWISE, "alpha=1 requires N=1, got N={n}"),
+    (1, True): (Rule.SUPERDIFFUSIVE_N12, "1<alpha<2 with N={n} in {{1,2}}"),
+    (1, False): (Rule.NOT_MILD_OTHERWISE, "1<alpha<2 requires N in {{1,2}}, got N={n}"),
+}
+
+
 def classify(params: DiffusionParams) -> MildnessVerdict:
-    """Exact mildness decision for (alpha, lambda, mu, dim)."""
-    a, lam, mu, n = params.alpha, params.lam, params.mu, params.dim
-    if lam == 0 and mu == 0:
+    """Exact mildness decision: lambda > 0 and N < 4 - 2/alpha."""
+    a, n = params.alpha, params.dim
+    if params.lam == 0 and params.mu == 0:
         raise DegenerateParametersError("lambda = mu = 0 leaves no spatial operator")
-    if lam == 0:
+    if params.lam == 0:
         return MildnessVerdict(
             False,
             Rule.LAMBDA_ZERO_NOT_MILD,
             "lambda=0: the symbol saturates at mu, the frequency integral "
             "diverges for every dimension",
         )
-    if a == 1.0:
-        if n == 1:
-            return MildnessVerdict(True, Rule.ALPHA_ONE_N1, "alpha=1 with N=1")
-        return MildnessVerdict(
-            False, Rule.NOT_MILD_OTHERWISE, f"alpha=1 requires N=1, got N={n}"
-        )
-    if a < 1.0:
-        if n == 1 and a > 2.0 / 3.0:
-            return MildnessVerdict(
-                True, Rule.SUBDIFFUSIVE_N1, f"N=1 and alpha={a} > 2/3"
-            )
-        return MildnessVerdict(
-            False,
-            Rule.NOT_MILD_OTHERWISE,
-            "subdiffusive range requires N=1 and alpha > 2/3 (strict); "
-            f"got alpha={a}, N={n}",
-        )
-    # 1 < alpha < 2
-    if n in (1, 2):
-        return MildnessVerdict(
-            True, Rule.SUPERDIFFUSIVE_N12, f"1<alpha<2 with N={n} in {{1,2}}"
-        )
-    return MildnessVerdict(
-        False, Rule.NOT_MILD_OTHERWISE, f"1<alpha<2 requires N in {{1,2}}, got N={n}"
-    )
+    mild = n < 4.0 - 2.0 / a
+    rule, detail = _READINGS[(a > 1.0) - (a < 1.0), mild]
+    return MildnessVerdict(mild, rule, detail.format(a=a, n=n))
 
 
 def lemma_lp_condition(alpha: float, n: int, p: float, which: str) -> bool:
@@ -138,10 +133,11 @@ def lemma_lp_condition(alpha: float, n: int, p: float, which: str) -> bool:
 
 
 def lemma_b_condition(alpha: float, n: int) -> bool:
-    """Finiteness of the subdiffusive space-time integral: N=1 and alpha>2/3."""
+    """Finiteness of the subdiffusive space-time integral: N < 4 - 2/alpha,
+    which below alpha = 1 means N = 1 and alpha > 2/3."""
     if not 0 < alpha < 1:
         raise DomainError("lemma_b_condition requires 0 < alpha < 1")
-    return n == 1 and alpha > 2.0 / 3.0
+    return n < 4.0 - 2.0 / alpha
 
 
 def prop_superdiffusive_condition(alpha: float, n: int) -> bool:

@@ -244,10 +244,13 @@ def _snapshot_tables(params: DiffusionParams, kernel: KernelSpec, grid: GridSpec
 
 
 def _prepare(params, kernel, grid, snapshot_steps, force):
-    """Refuse non-mild parameter sets unless forced, check the snapshot steps
-    (default 8 times) and look up the tables of their sorted distinct steps.
-    Returns the steps, the table row of each, and (dirac, factor)."""
-    verdict = classify(replace(params, dim=1))
+    """Refuse dim != 1 (the engine is one-dimensional) and non-mild parameter
+    sets unless forced, check the snapshot steps (default 8 times) and look
+    up the tables of their sorted distinct steps.  Returns the steps, the
+    table row of each, and (dirac, factor)."""
+    if params.dim != 1:
+        raise DomainError(f"the simulator is one-dimensional, got dim={params.dim}")
+    verdict = classify(params)
     if not verdict.mild and not force:
         raise NotMildError(
             f"not mild ({verdict.rule.value}): {verdict.detail}; "
@@ -310,7 +313,8 @@ def simulate_path(
     of one real part of mode k at the J steps.  irfft discards the
     imaginary part at k = 0 and n/2, so g[1, 0] and g[1, n/2] are unused.
 
-    Refuses non-mild parameter sets (with dim=1 semantics) unless force=True.
+    Refuses dim != 1 with DomainError, and non-mild parameter sets unless
+    force=True.
     """
     snapshot_steps, rows, (dirac, factor) = _prepare(
         params, kernel, grid, snapshot_steps, force)
@@ -350,26 +354,22 @@ def _add_moments(blocks_fields, s1, s2):
             s2 += f * f
 
 
-def _add_noise_moments(factor, grid, seeds, threads, s1, s2):
+def _add_noise_moments(factor, grid, seeds, w, s1, s2):
     """Add the sigma = 1 noise field f of each seed to s1 and f^2 to s2, path
     by path in seed order.
 
     The fields are computed in blocks of _BLOCK consecutive seeds
-    (_noise_fields) by w threads, the calling thread and a pool of w - 1:
-    w = threads, or every usable CPU when it is 0, capped at the usable CPUs
-    and at the number of blocks.  They go in waves: for the wave that
-    starts at block lo, blocks lo + 1 .. lo + w - 1 are submitted to the
-    pool, the calling thread computes block lo, and it adds the wave's
+    (_noise_fields) by w threads, the calling thread and a pool of w - 1,
+    w being at most the number of blocks.  They go in waves: for the wave
+    that starts at block lo, blocks lo + 1 .. lo + w - 1 are submitted to
+    the pool, the calling thread computes block lo, and it adds the wave's
     fields in seed order, awaiting each pool block's result in turn.  No
     name keeps a wave's fields past its end, so fewer than w blocks' fields
     are alive when a block starts, and the sums do not depend on w.  The
     first block of a wave to fail, in seed order, is re-raised once the pool
-    has been shut down and its threads joined.  With w = 1 no pool is made,
-    and concurrent.futures, which imports logging, is not loaded.
+    has been shut down and its threads joined.  With w = 1 no pool is made.
     """
     blocks = [seeds[i:i + _BLOCK] for i in range(0, len(seeds), _BLOCK)]
-    cpus = _usable_cpus()
-    w = min(threads or cpus, cpus, len(blocks))
     fields_of = functools.partial(_noise_fields, factor, grid)
     if w == 1:
         for block in blocks:
@@ -411,13 +411,20 @@ def ensemble_stats(
     """
     if n_samples < 2:
         raise DomainError("ensemble_stats requires n_samples >= 2")
-    threads = _threads()
+    cpus = _usable_cpus()
+    w = min(_threads() or cpus, cpus, -(-n_samples // _BLOCK))
+    if w > 1 and params.sigma != 0.0:
+        # concurrent.futures (which imports logging) is loaded only for a
+        # pool, and before the tables and sums exist: imported after them,
+        # its objects land above them on the heap, and the process keeps
+        # about 1 MB more peak RSS
+        import concurrent.futures  # noqa: F401
     snapshot_steps, rows, (dirac, factor) = _prepare(
         params, kernel, grid, snapshot_steps, force)
     s1, s2 = np.zeros((2, len(dirac), grid.n_points))
     if params.sigma != 0.0:
         seeds = [mix_seed(master_seed, i) for i in range(n_samples)]
-        _add_noise_moments(factor, grid, seeds, threads, s1, s2)
+        _add_noise_moments(factor, grid, seeds, w, s1, s2)
     mean = _synthesize(dirac, grid) + params.sigma * s1 / n_samples
     variance = params.sigma**2 * np.maximum(s2 - s1 * s1 / n_samples, 0.0) / (n_samples - 1)
     return EnsembleStats(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fracfield
-from fracfield.analytic_fields import heat_kernel, var_frac_quadrature
+from fracfield.analytic_fields import heat_kernel, mean_fourier, mean_mainardi, var_frac_quadrature
 from fracfield.cli import (
     EXIT_NOT_MILD,
     EXIT_OK,
@@ -21,7 +21,7 @@ from fracfield.cli import (
     main,
 )
 from fracfield.special_fn import MLOrder, ml_asymptotic_neg, ml_bounds, ml_eval
-from fracfield.symbol import KernelSpec, kernel_from_json
+from fracfield.symbol import DiffusionParams, KernelSpec, kernel_from_json
 
 
 GOLDEN_PATH_SHA256 = "cddb572cf5cdcac02a4886eaaf5c47c6aa36731aeb4a535283f8e93a9369a2df"
@@ -356,6 +356,66 @@ class TestMeanVariance:
             assert v == pytest.approx(heat_kernel(t, x, 1.0), rel=1e-6)
             assert r[3] == "fourier"
 
+    def test_mean_heat_kernel_matches_fourier(self, capsys):
+        # at alpha = 1, mu = 0 the Fourier route inverts the heat kernel's
+        # transform: they agree to a few ulps of the peak
+        argv = ["--t-list", "0.5,1,2", "--x-range", "-3:3:13"]
+        code, out, _ = run(capsys, "mean", "--method", "heat_kernel", *argv)
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        _, fourier = parse_csv(run(capsys, "mean", "--method", "fourier", *argv)[1])
+        assert [r[3] for r in rows] == ["heat_kernel"] * 39
+        peak = max(float(r[2]) for r in rows)
+        for r, f in zip(rows, fourier):
+            assert r[:2] == f[:2]
+            assert float(r[2]) == heat_kernel(float(r[0]), float(r[1]), 1.0)
+            assert abs(float(r[2]) - float(f[2])) <= 5e-15 * peak
+
+    def test_mean_mainardi_emits_crosscheck(self, capsys, tmp_path):
+        # the printed Mainardi form, reported against the Fourier route: on
+        # stderr without --out, next to the output file with it
+        argv = ["mean", "--method", "mainardi", "--alpha", "0.6", "--t-list", "0.5,1",
+                "--x-range", "-2:2:5"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert [r[3] for r in rows] == ["mainardi"] * 10
+        header, checks = parse_csv(err)
+        assert header == ["t", "x", "method_a", "value_a", "method_b", "value_b", "ratio"]
+        params = DiffusionParams(alpha=0.6)
+        for r, c in zip(rows, checks):
+            t, x = float(r[0]), float(r[1])
+            assert float(r[2]) == pytest.approx(mean_mainardi(t, x, 0.6, 1.0), rel=1e-15)
+            assert c[:5] == [r[0], r[1], "mainardi", r[2], "fourier"]
+            assert float(c[5]) == pytest.approx(
+                mean_fourier(params, KernelSpec(), t, x), rel=1e-15)
+        out_path = tmp_path / "mean.csv"
+        code, out_file, err_file = run(capsys, *argv, "--out", str(out_path))
+        assert (code, out_file, err_file) == (EXIT_OK, "", "")
+        assert out_path.read_text() == out
+        assert (tmp_path / "mean.crosscheck.csv").read_text() == err
+
+    def test_mean_has_no_sigma(self, capsys):
+        # no mean route reads sigma: the flag is refused, not ignored
+        code, out, err = run(capsys, "mean", "--sigma", "5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--sigma" in err
+
+    def test_variance_quadrature_alpha_one_is_flat(self, capsys):
+        # at alpha = 1 the quadrature is the classical integral, whose value
+        # sigma^2 sqrt(t / (2 pi lambda)) does not depend on x
+        code, out, _ = run(capsys, "variance", "--method", "quadrature", "--alpha", "1",
+                           "--t", "0.5", "--x-range", "-3:3:7")
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert [r[2:] for r in rows] == [["0.28209479177387814", "var_quadrature"]] * 7
+        assert float(rows[0][2]) == pytest.approx(math.sqrt(0.5 / (2.0 * math.pi)),
+                                                  rel=1e-15)
+        _, scaled = parse_csv(run(capsys, "variance", "--method", "quadrature", "--alpha",
+                                  "1", "--t", "0.5", "--x", "1", "--sigma", "2")[1])
+        assert float(scaled[0][2]) == 4.0 * float(rows[0][2])
+
     def test_variance_series_resonance_exit_four(self, capsys):
         code, _, err = run(
             capsys,
@@ -663,7 +723,7 @@ class TestSimulateCli:
             return ["lambda" if f.name == "lam" else f.name for f in dataclasses.fields(cls)]
 
         cfg = {"version": 1,
-               "params": {"alpha": 1.5, "lambda": 0.5, "mu": 0.25, "sigma": 2.0, "dim": 2},
+               "params": {"alpha": 1.5, "lambda": 0.5, "mu": 0.25, "sigma": 2.0, "dim": 1},
                "grid": {"half_length": 4.0, "n_points": 128, "n_steps": 32, "t_end": 0.5,
                         "ic": "zero"},
                "seed": 11, "samples": 2}
@@ -677,6 +737,27 @@ class TestSimulateCli:
         meta = json.loads(meta_path.read_text())
         assert meta["params"] == cfg["params"] and list(meta["params"]) == names(DiffusionParams)
         assert meta["grid"] == cfg["grid"] and list(meta["grid"]) == names(GridSpec)
+
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "forced"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_dim_other_than_one_rejected(self, capsys, tmp_path, source, force):
+        # the engine is one-dimensional: a dim 2 run would print the dim 1
+        # fields under a manifest that says dim 2
+        meta_path = tmp_path / "meta.json"
+        if source == "flag":
+            argv = [*self.ARGS, "--alpha", "1.5", "--dim", "2"]
+            if force:
+                argv.append("--force")
+        else:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"version": 1, "params": {"alpha": 1.5, "dim": 2},
+                                        "force": force}))
+            argv = ["simulate", "--config", str(path)]
+        code, out, err = run(capsys, *argv, "--meta-out", str(meta_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert ("--dim 2" if source == "flag" else "one-dimensional, got dim=2") in err
+        assert not meta_path.exists()
 
     def test_config_bad_version(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

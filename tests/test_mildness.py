@@ -41,6 +41,14 @@ class TestClassify:
         ((1.0, 1.0, 3.0, 2), (False, Rule.NOT_MILD_OTHERWISE)),
         ((1.5, 1.0, 0.0, 2), (True, Rule.SUPERDIFFUSIVE_N12)),
         ((1.5, 1.0, 0.0, 3), (False, Rule.NOT_MILD_OTHERWISE)),
+        # N < 4 - 2/alpha decides at the last bit on either side of the
+        # boundaries 2/3 (N = 1), 1 (N = 2) and 2 (N = 3)
+        ((float(np.nextafter(2.0 / 3.0, 1.0)), 1.0, 0.0, 1), (True, Rule.SUBDIFFUSIVE_N1)),
+        ((float(np.nextafter(2.0 / 3.0, 0.0)), 1.0, 0.0, 1), (False, Rule.NOT_MILD_OTHERWISE)),
+        ((1.0, 1.0, 0.0, 2), (False, Rule.NOT_MILD_OTHERWISE)),
+        ((float(np.nextafter(1.0, 2.0)), 1.0, 0.0, 2), (True, Rule.SUPERDIFFUSIVE_N12)),
+        ((float(np.nextafter(2.0, 0.0)), 1.0, 0.0, 2), (True, Rule.SUPERDIFFUSIVE_N12)),
+        ((float(np.nextafter(2.0, 0.0)), 1.0, 0.0, 3), (False, Rule.NOT_MILD_OTHERWISE)),
     ]
 
     @pytest.mark.parametrize("case,expected", TABLE)
@@ -103,6 +111,7 @@ class TestLemmas:
         assert lemma_b_condition(0.8, 1) is True
         assert lemma_b_condition(0.6, 1) is False
         assert lemma_b_condition(2.0 / 3.0, 1) is False
+        assert lemma_b_condition(float(np.nextafter(2.0 / 3.0, 1.0)), 1) is True
         assert lemma_b_condition(0.9, 2) is False
         with pytest.raises(DomainError):
             lemma_b_condition(1.2, 1)

@@ -255,6 +255,16 @@ class TestSimulatePath:
         peak = 1.0 / (2.0 * math.gamma(1.0 - alpha / 2.0) * math.sqrt(t**alpha))
         assert f[SMALL.n_points // 2] == pytest.approx(peak, rel=1e-13)
 
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "forced"])
+    def test_dim_other_than_one_rejected(self, force):
+        # the engine is one-dimensional; alpha = 1.5 is mild at N = 2, so
+        # only the dimension can refuse it
+        prm = DiffusionParams(alpha=1.5, dim=2)
+        with pytest.raises(DomainError, match="one-dimensional"):
+            simulate_path(prm, GAUSS, SMALL, seed=1, force=force)
+        with pytest.raises(DomainError, match="one-dimensional"):
+            ensemble_stats(prm, GAUSS, SMALL, 2, master_seed=1, force=force)
+
     def test_forced_lambda_zero_keeps_band_limited_mean(self):
         # without diffusion E does not decay and no pointwise mean exists;
         # a forced run still gives the band-limited Dirac part

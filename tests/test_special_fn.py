@@ -351,6 +351,16 @@ class TestBoundsAsymptotics:
         with pytest.raises(DomainError):
             ml_asymptotic_neg(MLOrder(1.0, 1.0), 100.0)
 
+    def test_superdiffusive_two_parameter_term(self):
+        # E_{alpha,alpha}(-x) for 1 < alpha < 2 is the oscillatory term plus
+        # the algebraic tail, led by -x^-2 / Gamma(-alpha); without that tail
+        # the evaluator must match the oscillatory term
+        alpha = 1.8
+        for x in (40.0, 80.0, 160.0):
+            oscillatory = ml_eval(MLOrder(alpha, alpha), -x) + x**-2 / math.gamma(-alpha)
+            assert ml_asymptotic_neg(MLOrder(alpha, alpha), x) == pytest.approx(
+                oscillatory, rel=8e-4)
+
     def test_superdiffusive_envelope(self):
         for alpha in (1.3, 1.5, 1.8):
             for x in (1e3, 1e4):
