@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 import fracfield
-from fracfield.analytic_fields import heat_kernel, mean_fourier, mean_mainardi, var_frac_quadrature
+from fracfield.analytic_fields import (
+    heat_kernel,
+    mean_fourier,
+    mean_mainardi,
+    var_frac_quadrature,
+)
 from fracfield.cli import (
     EXIT_NOT_MILD,
     EXIT_OK,
