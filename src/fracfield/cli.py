@@ -46,30 +46,38 @@ EXIT_NOT_MILD = 3
 EXIT_RESONANCE = 4
 
 
-def _parse_range(spec: str) -> np.ndarray:
-    """Parse 'a:b:n' into n equispaced values from a to b."""
+def _positions(spec: str) -> np.ndarray:
+    """--x-range 'a:b:n' as n equispaced values from a to b."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise DomainError(f"range must be a:b:n, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"range must be a:b:n, got {spec!r}")
     a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1:
-        raise DomainError("range point count must be >= 1")
+        raise argparse.ArgumentTypeError("range point count must be >= 1")
     return np.linspace(a, b, n)
 
 
-def _parse_tlist(spec: str):
+def _point(spec: str) -> np.ndarray:
+    """--x X as the one-point range X:X:1."""
+    x = float(spec)
+    return np.linspace(x, x, 1)
+
+
+def _times(spec: str) -> list:
+    """--t-list 't1,t2,...' (or --t T) as a list of floats."""
     ts = [float(v) for v in spec.split(",") if v]
     if not ts:
-        raise DomainError("empty time list")
+        raise argparse.ArgumentTypeError("empty time list")
     return ts
 
 
-def _emit(text: str, out_path):
+def _emit(text: str, out_path, stream="stdout"):
+    """text into the file out_path, else onto sys.stdout (or sys.stderr)."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        getattr(sys, stream).write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +92,7 @@ def cmd_ml(args) -> int:
         zl = special_fn.ml_real_zeros(args.alpha, lo)
         _emit(af.columns_to_csv("zero", [z for z in zl.zeros if z <= hi]), args.out)
         return EXIT_OK
-    xs = _parse_range(args.x_range)
+    xs = args.x_range
     order = special_fn.MLOrder(args.alpha, args.beta)
     header = ["x", "value"]
     columns = [xs, special_fn.ml_eval(order, xs)]
@@ -125,39 +133,15 @@ def cmd_mild(args) -> int:
 # ---------------------------------------------------------------------------
 # mean / variance
 
+# Each preset is the arguments it stands for, parsed after the user's own so
+# that it wins.  fig4 prints the beta_m table at its alpha instead of a profile.
 _PRESETS = {
-    "fig1": dict(kind="mean", method="fourier", alpha=1.0,
-                 t_list=[0.5, 1.0, 2.0], x_range="-3:3:121"),
-    "fig2": dict(kind="variance", method="closed", alpha=1.0,
-                 t_list=[0.5, 1.0, 2.0], x_range="-3:3:121"),
-    "fig3": dict(kind="mean", method="fourier", alpha=0.6,
-                 t_list=[0.5, 1.0, 2.0], x_range="-3:3:121"),
-    "fig4": dict(kind="beta", alpha=0.6, max_m=30),
-    "fig5": dict(kind="variance", method="series", alpha=0.6,
-                 t_list=[0.5, 1.0, 2.0], x_range="-3:3:121"),
+    "fig1": ("mean", "--method=fourier --alpha=1 --t-list=0.5,1,2 --x-range=-3:3:121"),
+    "fig2": ("variance", "--method=closed --alpha=1 --t-list=0.5,1,2 --x-range=-3:3:121"),
+    "fig3": ("mean", "--method=fourier --alpha=0.6 --t-list=0.5,1,2 --x-range=-3:3:121"),
+    "fig4": ("variance", "--alpha=0.6"),
+    "fig5": ("variance", "--method=series --alpha=0.6 --t-list=0.5,1,2 --x-range=-3:3:121"),
 }
-
-
-def _apply_preset(args, command):
-    """Rewrite args from the preset; the fig4 beta table is returned instead."""
-    preset = _PRESETS[args.preset]
-    owner = "variance" if preset["kind"] == "beta" else preset["kind"]
-    if owner != command:
-        raise DomainError(f"preset {args.preset} belongs to the {owner} command")
-    if preset["kind"] == "beta":
-        return preset
-    args.method = preset["method"]
-    args.alpha = preset["alpha"]
-    args.t_list = ",".join(str(t) for t in preset["t_list"])
-    args.x_range = preset["x_range"]
-    return None
-
-
-def _crosscheck_path(out_path):
-    if not out_path:
-        return None
-    root, ext = os.path.splitext(out_path)
-    return root + ".crosscheck" + (ext or ".csv")
 
 
 def _emit_crosscheck(profile, check, out_path):
@@ -167,85 +151,71 @@ def _emit_crosscheck(profile, check, out_path):
         for i, t in enumerate(profile.times)
         for j, x in enumerate(profile.positions)
     ])
-    target = _crosscheck_path(out_path)
-    if target:
-        with open(target, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stderr.write(text)
+    root, ext = os.path.splitext(out_path or "")
+    _emit(text, out_path and root + ".crosscheck" + (ext or ".csv"), "stderr")
 
 
-def cmd_mean(args) -> int:
-    if args.preset:
-        _apply_preset(args, "mean")
-    params = DiffusionParams(args.alpha, args.lam, args.mu)
-    kernel = KernelSpec()
-    ts = _parse_tlist(args.t_list)
-    xs = _parse_range(args.x_range)
-    if args.method == "fourier":
-        fn = lambda t, x: af.mean_fourier(params, kernel, t, x)
-        tag = "fourier"
-    elif args.method == "mainardi":
-        if args.mu != 0.0:
-            raise DomainError("mainardi route has mu=0 semantics")
-        fn = lambda t, x: af.mean_mainardi(t, x, args.alpha, args.lam)
-        tag = "mainardi"
-    elif args.method == "heat_kernel":
-        if args.alpha != 1.0 or args.mu != 0.0:
-            raise DomainError("heat_kernel route has alpha=1, mu=0 semantics")
-        fn = lambda t, x: af.heat_kernel(t, x, args.lam)
-        tag = "heat_kernel"
-    else:
-        raise DomainError(f"unknown mean method {args.method!r}")
-    profile = af.make_profile(ts, xs, fn, tag, {"alpha": args.alpha})
-    _emit(af.profile_to_csv(profile), args.out)
-    if tag == "mainardi":
-        check = af.make_profile(ts, xs, lambda t, x: af.mean_fourier(params, kernel, t, x),
-                                "fourier")
-        _emit_crosscheck(profile, check, args.out)
-    return EXIT_OK
+def _routes(args, params):
+    """Each method of args.command: (refusal or None, tag, fn of (t, x), the
+    method that cross-checks it or None).  A refusal is the domain error the
+    method raises at these arguments."""
+    alpha, lam, mu = args.alpha, args.lam, args.mu
+    if args.command == "mean":
+        kernel = KernelSpec()
+        return {
+            "fourier": (None, "fourier", lambda t, x: af.mean_fourier(params, kernel, t, x),
+                        None),
+            "mainardi": ("mainardi route has mu=0 semantics" if mu != 0.0 else None,
+                         "mainardi", lambda t, x: af.mean_mainardi(t, x, alpha, lam),
+                         "fourier"),
+            "heat_kernel": ("heat_kernel route has alpha=1, mu=0 semantics"
+                            if alpha != 1.0 or mu != 0.0 else None,
+                            "heat_kernel", lambda t, x: af.heat_kernel(t, x, lam), None),
+        }
+    sigma = args.sigma
+    quadrature = ((lambda t, x: af.var_classical_quadrature(t, x, lam, sigma)) if alpha == 1.0
+                  else lambda t, x: af.var_frac_quadrature(t, np.abs(x), alpha, lam, sigma))
+    return {  # every variance route is a mu = 0 formula: cmd_profile refuses mu first
+        "quadrature": (None, "var_quadrature", quadrature, None),
+        "closed": ("closed variance route has alpha=1 semantics" if alpha != 1.0 else None,
+                   "var_closed", lambda t, x: af.var_classical_closed(t, x, lam, sigma),
+                   "quadrature"),
+        "series": (None, "var_series", lambda t, x: af.var_series(t, x, alpha, lam, sigma),
+                   "quadrature"),
+    }
 
 
-def cmd_variance(args) -> int:
-    if args.mu != 0.0:
+def cmd_profile(args) -> int:
+    """mean and variance: the profile of args.method on the t_list x x_range
+    grid, then its cross-check report, if the method has one."""
+    if args.command == "variance" and args.mu != 0.0:
         raise DomainError("variance routes have mu=0 semantics")
     if args.preset:
-        beta_preset = _apply_preset(args, "variance")
-        if beta_preset is not None:
-            ms = range(beta_preset["max_m"] + 1)
+        owner = _PRESETS[args.preset][0]
+        if owner != args.command:
+            raise DomainError(f"preset {args.preset} belongs to the {owner} command")
+        if args.preset == "fig4":
+            ms = range(31)  # beta_0 .. beta_30
             betas = [af.beta_coeff(m, args.alpha) for m in ms]
             _emit(af.columns_to_csv("m,beta_m", ms, betas), args.out)
             return EXIT_OK
-    params = DiffusionParams(args.alpha, args.lam, args.mu, args.sigma, 1)
-    ts = _parse_tlist(args.t_list)
-    xs = _parse_range(args.x_range)
-    frac_quadrature = lambda t, x: af.var_frac_quadrature(
-        t, np.abs(x), args.alpha, args.lam, args.sigma
-    )
-    crosscheck = None
-    if args.method == "quadrature":
-        if args.alpha == 1.0:
-            fn = lambda t, x: af.var_classical_quadrature(t, x, args.lam, args.sigma)
-        else:
-            fn = frac_quadrature
-        tag = "var_quadrature"
-    elif args.method == "closed":
-        if args.alpha != 1.0:
-            raise DomainError("closed variance route has alpha=1 semantics")
-        fn = lambda t, x: af.var_classical_closed(t, x, args.lam, args.sigma)
-        tag = "var_closed"
-        crosscheck = lambda t, x: af.var_classical_quadrature(t, x, args.lam, args.sigma)
-    elif args.method == "series":
-        fn = lambda t, x: af.var_series(t, x, args.alpha, args.lam, args.sigma)
-        tag = "var_series"
-        crosscheck = frac_quadrature
-    else:
-        raise DomainError(f"unknown variance method {args.method!r}")
-    profile = af.make_profile(ts, xs, fn, tag, {"alpha": args.alpha})
+    params = DiffusionParams(args.alpha, args.lam, args.mu, getattr(args, "sigma", 1.0))
+    routes = _routes(args, params)
+    if args.method not in routes:
+        raise DomainError(f"unknown {args.command} method {args.method!r}")
+    refusal, tag, fn, crosscheck = routes[args.method]
+    if refusal:
+        raise DomainError(refusal)
+    profile = af.make_profile(args.t_list, args.x_range, fn, tag, {"alpha": args.alpha})
     _emit(af.profile_to_csv(profile), args.out)
-    if crosscheck is not None:
-        check = af.make_profile(ts, xs, crosscheck, "var_quadrature")
+    if crosscheck:
+        _, check_tag, check_fn, _ = routes[crosscheck]
+        check = af.make_profile(args.t_list, args.x_range, check_fn, check_tag)
         _emit_crosscheck(profile, check, args.out)
+        negative = profile.values[profile.values < 0.0]
+        if negative.size:  # the Mainardi series, printed verbatim, is negative in places
+            sys.stderr.write(f"warning: {negative.size} negative {tag} values, "
+                             f"minimum {negative.min():.17g}\n")
     return EXIT_OK
 
 
@@ -304,30 +274,27 @@ def _from_json(cls, obj, section):
                   for k, f in fields.items() if k in obj})
 
 
+def _flag_block(cls, args) -> dict:
+    """The config block that the flags stand for: each field of cls that has one."""
+    return {_JSON_NAMES.get(f.name, f.name): getattr(args, f.name)
+            for f in dataclasses.fields(cls) if hasattr(args, f.name)}
+
+
 def cmd_simulate(args) -> int:
     simulate._threads()  # a bad FRACFIELD_THREADS fails single paths too
-    if args.config:
-        cfg = _load_config(args.config)
-        params = _from_json(DiffusionParams, cfg.get("params", {}), "params")
-        kernel = kernel_from_json(cfg.get("kernel", {"type": "gaussian", "scale": 1.0}))
-        grid = _from_json(simulate.GridSpec, cfg.get("grid", {}), "grid")
-        seed = _checked(cfg.get("seed", args.seed), "int", "seed")
-        samples = _checked(cfg.get("samples", args.samples), "int", "samples")
-        force = cfg.get("force", False)
-        if not isinstance(force, bool):
-            raise DomainError("config \"force\" must be true or false")
-        force = force or args.force
-    else:
-        params = DiffusionParams(args.alpha, args.lam, args.mu, args.sigma)
-        kernel = KernelSpec()
-        grid = simulate.GridSpec(
-            half_length=args.half_length,
-            n_points=args.n_points,
-            n_steps=args.n_steps,
-            t_end=args.t_end,
-            ic=args.ic,
-        )
-        seed, samples, force = args.seed, args.samples, args.force
+    # without --config the flags are the params and grid of a version-1 config
+    cfg = _load_config(args.config) if args.config else {
+        "params": _flag_block(DiffusionParams, args),
+        "grid": _flag_block(simulate.GridSpec, args)}
+    params = _from_json(DiffusionParams, cfg.get("params", {}), "params")
+    kernel = kernel_from_json(cfg.get("kernel", {"type": "gaussian", "scale": 1.0}))
+    grid = _from_json(simulate.GridSpec, cfg.get("grid", {}), "grid")
+    seed = _checked(cfg.get("seed", args.seed), "int", "seed")
+    samples = _checked(cfg.get("samples", args.samples), "int", "samples")
+    force = cfg.get("force", False)
+    if not isinstance(force, bool):
+        raise DomainError("config \"force\" must be true or false")
+    force = force or args.force
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     if not 0 <= seed < 1 << 64:  # mix_seed works mod 2^64: larger seeds would alias
@@ -371,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     ml = sub.add_parser("ml", help="Mittag-Leffler evaluation")
     ml.add_argument("--alpha", type=float, required=True)
     ml.add_argument("--beta", type=float, default=1.0)
-    ml.add_argument("--x-range", default="0:0:1")
+    ml.add_argument("--x-range", type=_positions, default="0:0:1")
     ml.add_argument("--bounds", action="store_true")
     ml.add_argument("--asymptotic", action="store_true")
     ml.add_argument("--zeros", action="store_true")
@@ -389,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     mild.add_argument("--out")
     mild.set_defaults(fn=cmd_mild)
 
-    for name, fn in (("mean", cmd_mean), ("variance", cmd_variance)):
+    for name in ("mean", "variance"):
         c = sub.add_parser(name, help=f"{name} profiles")
         c.add_argument("--method", default="fourier" if name == "mean" else "quadrature")
         c.add_argument("--alpha", type=float, default=1.0)
@@ -397,13 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--mu", type=float, default=0.0)
         if name == "variance":  # no mean route reads sigma
             c.add_argument("--sigma", type=float, default=1.0)
-        c.add_argument("--t-list", default="1", help="comma-separated times")
-        c.add_argument("--t", type=float, help="single time (overrides --t-list)")
-        c.add_argument("--x-range", default="-3:3:121")
-        c.add_argument("--x", type=float, help="single position (overrides --x-range)")
-        c.add_argument("--preset", choices=sorted(_PRESETS))
+        # --t T is --t-list T and --x X is --x-range X:X:1; the last one given wins
+        c.add_argument("--t-list", "--t", dest="t_list", type=_times, default="1",
+                       help="comma-separated times")
+        c.add_argument("--x-range", type=_positions, default="-3:3:121")
+        c.add_argument("--x", dest="x_range", type=_point, help="single position")
+        c.add_argument("--preset", choices=sorted(_PRESETS),
+                       help="a paper figure's arguments, which win over the given ones")
         c.add_argument("--out")
-        c.set_defaults(fn=fn)
+        c.set_defaults(fn=cmd_profile)
 
     sim = sub.add_parser("simulate", help="spectral Monte Carlo")
     sim.add_argument("--config")
@@ -447,17 +416,13 @@ def _join_negative_values(argv):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _join_negative_values(list(argv))
+    argv = _join_negative_values(list(sys.argv[1:] if argv is None else argv))
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "preset", None):
+            args = parser.parse_args(argv + _PRESETS[args.preset][1].split())
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "t", None) is not None:
-        args.t_list = str(args.t)
-    if getattr(args, "x", None) is not None and args.fn in (cmd_mean, cmd_variance):
-        args.x_range = f"{args.x}:{args.x}:1"
     try:
         return args.fn(args)
     except ResonanceError as exc:

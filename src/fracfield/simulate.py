@@ -177,18 +177,27 @@ def _aliased_row(params, kernel, grid, t, row):
     |m| <= M are evaluated; the rest lie beyond _tail_onset, where the
     k^(-2p) terms of _tail_coefficients sum in closed form to Hurwitz zeta
     values: sum_{m>M} (2Km +- xi)^(-2p) = (2K)^(-2p) zeta(2p, M+1 +- xi/2K).
+    Those terms take a(k) = lam k^2 + mu.  A Gaussian kernel's j_hat is
+    below 1e-17 beyond the onset wherever it matters; the uniform kernel's
+    leaves b_1 (mu/lam) j_hat(k) k^-4 out, and |j_hat| <= 1/(scale k) bounds
+    its synthesis from the copies beyond K' = (2M+1)K by
+    |b_1| (mu/lam) / (4 pi scale K'^4), so K' makes that 1e-14.
     """
     xi = grid.frequencies()[: grid.n_points // 2 + 1]
     band = math.pi / grid.dx
-    m_max = max(0, math.ceil((_tail_onset(params.alpha, params.lam, t) / band - 1.0) / 2.0))
+    coefficients = _tail_coefficients(params.alpha, params.lam, params.mu, t)
+    onset = _tail_onset(params.alpha, params.lam, t)
+    if kernel.kind == "uniform":
+        bound = abs(coefficients[0]) * params.mu / (params.lam * 4.0 * math.pi * kernel.scale)
+        onset = max(onset, (bound / 1e-14) ** 0.25)
+    m_max = max(0, math.ceil((onset / band - 1.0) / 2.0))
     shift = 2.0 * band * np.arange(1, m_max + 1)[:, None]
     a = symbol_a(params, kernel, np.concatenate([xi + shift, xi - shift]))
     copies = ml_eval(MLOrder(params.alpha, 1.0), -a * t**params.alpha)
     q = xi / (2.0 * band)
     rest = sum(b * (2.0 * band) ** (-2 * p)
                * (_hurwitz_zeta(2 * p, m_max + 1 + q) + _hurwitz_zeta(2 * p, m_max + 1 - q))
-               for p, b in enumerate(
-                   _tail_coefficients(params.alpha, params.lam, params.mu, t), 1))
+               for p, b in enumerate(coefficients, 1))
     return row + (copies.sum(axis=0) + rest)
 
 

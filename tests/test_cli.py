@@ -91,7 +91,7 @@ GOLDEN_WRITER_SHA256 = {
         _EMPTY_SHA256),
     "variance_fig4": (
         ["variance", "--preset", "fig4"],
-        "a435aa1f4e5f980dde8379f8ee699b51d081e6728ccbbbf51d3ebb330f6a3f76",
+        "c4a64be3baadf7332d44d9f0f1e8cf58a9b2fdf79ebbbcf50df88d212d0e8883",
         _EMPTY_SHA256),
     "ml_zeros": (
         ["ml", "--alpha", "1.5", "--zeros"],
@@ -197,7 +197,8 @@ def test_golden_writer_output(capsys, argv, out_digest, err_digest):
 
 def test_parser_reused_across_calls(capsys):
     # one parser serves every call of a process; no call may leak into the
-    # next, a usage error and a preset (which rewrites its arguments) included
+    # next, a usage error and a preset (its arguments parsed after the given
+    # ones) included
     assert build_parser() is build_parser()
     sequence = [
         ["mean", "--x", "1"],
@@ -206,6 +207,8 @@ def test_parser_reused_across_calls(capsys):
         ["variance", "--preset", "fig5"],
         ["variance", "--method", "quadrature", "--alpha", "0.6"],
         ["simulate", "--samples", "1"],
+        ["variance", "--preset", "fig4", "--alpha", "1"],
+        ["variance", "--alpha", "1", "--t", "1", "--x", "0"],
     ]
     alone = []
     for argv in sequence:
@@ -385,8 +388,16 @@ class TestMeanVariance:
         assert code == EXIT_OK
         _, rows = parse_csv(out)
         assert [r[3] for r in rows] == ["mainardi"] * 10
-        header, checks = parse_csv(err)
+        # the report, then one line on the printed values that are negative
+        *report, warning = err.splitlines(keepends=True)
+        report = "".join(report)
+        negative = [float(r[2]) for r in rows if float(r[2]) < 0.0]
+        assert len(negative) == 8
+        assert warning == (f"warning: 8 negative mainardi values, "
+                           f"minimum {min(negative):.17g}\n")
+        header, checks = parse_csv(report)
         assert header == ["t", "x", "method_a", "value_a", "method_b", "value_b", "ratio"]
+        assert len(checks) == 10
         params = DiffusionParams(alpha=0.6)
         for r, c in zip(rows, checks):
             t, x = float(r[0]), float(r[1])
@@ -396,9 +407,9 @@ class TestMeanVariance:
                 mean_fourier(params, KernelSpec(), t, x), rel=1e-15)
         out_path = tmp_path / "mean.csv"
         code, out_file, err_file = run(capsys, *argv, "--out", str(out_path))
-        assert (code, out_file, err_file) == (EXIT_OK, "", "")
+        assert (code, out_file, err_file) == (EXIT_OK, "", warning)
         assert out_path.read_text() == out
-        assert (tmp_path / "mean.crosscheck.csv").read_text() == err
+        assert (tmp_path / "mean.crosscheck.csv").read_text() == report
 
     def test_mean_has_no_sigma(self, capsys):
         # no mean route reads sigma: the flag is refused, not ignored
@@ -434,16 +445,21 @@ class TestMeanVariance:
         assert "error" in err
 
     def test_fig4_beta_table(self, capsys):
+        # the table is at the preset's alpha = 0.6, which wins over --alpha
         code, out, _ = run(capsys, "variance", "--preset", "fig4")
         assert code == EXIT_OK
         header, rows = parse_csv(out)
         assert header == ["m", "beta_m"]
         assert len(rows) == 31
         vals = [float(r[1]) for r in rows]
+        assert vals[0] == pytest.approx(1.0 / math.gamma(0.6), rel=1e-15)
+        assert vals[2] == pytest.approx(2.498548, abs=1e-6)
+        assert vals[3] == pytest.approx(2.535194, abs=1e-6)
         assert all(v > 0 for v in vals)
         # the large-m coefficients do decrease (the small-m ones do not)
         tail = vals[10:]
         assert all(a > b for a, b in zip(tail, tail[1:]))
+        assert run(capsys, "variance", "--preset", "fig4", "--alpha", "1")[1] == out
 
     @pytest.mark.parametrize("command, preset, owner", [
         ("mean", "fig2", "variance"), ("mean", "fig4", "variance"),
@@ -514,6 +530,26 @@ class TestMeanVariance:
         assert code == EXIT_USAGE
         assert out == ""
         assert "mu=0" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mean", "--x-range=0:1:0"], "range point count must be >= 1"),
+    (["variance", "--x-range", "0:1:0"], "range point count must be >= 1"),
+    (["mean", "--t-list", ""], "empty time list"),
+    (["variance", "--t-list", ","], "empty time list"),
+    (["mean", "--method", "bogus"], "unknown mean method 'bogus'"),
+    (["variance", "--method", "bogus"], "unknown variance method 'bogus'"),
+    (["variance", "--method", "closed", "--alpha", "0.6"],
+     "closed variance route has alpha=1 semantics"),
+    (["mean", "--method", "heat_kernel", "--alpha", "0.6"],
+     "heat_kernel route has alpha=1, mu=0 semantics"),
+], ids=["x_range_zero_points", "var_x_range_zero_points", "empty_t_list", "var_empty_t_list",
+        "unknown_mean_method", "unknown_variance_method", "closed_alpha", "heat_kernel_alpha"])
+def test_profile_input_checks(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
 
 
 class TestSimulateCli:
@@ -621,12 +657,21 @@ class TestSimulateCli:
             "grid": {"half_length": 5.0, "n_points": 64, "n_steps": 16},
             "seed": 42,
         }
+        # the flags are read as the config they stand for: the same bytes
+        # and the same manifest, up to its wall time
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
-        code, out_cfg, _ = run(capsys, "simulate", "--config", str(path))
-        assert code == EXIT_OK
-        _, out_flags, _ = run(capsys, *self.ARGS)
-        assert out_cfg == out_flags
+        runs = []
+        for i, argv in enumerate([["simulate", "--config", str(path)], self.ARGS]):
+            meta_path = tmp_path / f"meta{i}.json"
+            code, out, err = run(capsys, *argv, "--meta-out", str(meta_path))
+            assert (code, err) == (EXIT_OK, "")
+            meta = json.loads(meta_path.read_text())
+            del meta["wall_time_s"]
+            runs.append((out, meta))
+        assert runs[0] == runs[1]
+        assert runs[0][1]["params"] == {"alpha": 1.0, "lambda": 1.0, "mu": 0.0, "sigma": 1.0,
+                                        "dim": 1}
 
     def test_meta_out_kernel_round_trip(self, capsys, tmp_path):
         cfg = {
@@ -763,6 +808,22 @@ class TestSimulateCli:
         assert out == ""
         assert ("--dim 2" if source == "flag" else "one-dimensional, got dim=2") in err
         assert not meta_path.exists()
+
+    @pytest.mark.parametrize("cfg,message", [
+        ([1], "config must be a JSON object"),
+        ({"version": 1, "params": {"alpha": 1.0, "beta": 2.0}}, "unknown params keys: ['beta']"),
+        ({"version": 1, "params": {"alpha": 1.0}, "grid": {"width": 3}},
+         "unknown grid keys: ['width']"),
+        ({"version": 1, "params": {"alpha": 1.0}, "force": 1},
+         'config "force" must be true or false'),
+    ], ids=["not_object", "params_key", "grid_key", "force_not_bool"])
+    def test_config_checks(self, capsys, tmp_path, cfg, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
 
     def test_config_bad_version(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -245,6 +245,21 @@ class TestSimulatePath:
             ref = mean_fourier(prm, GAUSS, t, x[near])
             assert np.max(np.abs(f[near] - ref)) <= 1e-11 * np.max(ref)
 
+    @pytest.mark.parametrize("mu", [0.5, 10.0])
+    def test_uniform_kernel_row_against_mean_fourier(self, mu):
+        # the uniform kernel's j_hat falls only as 1/k: the copies must reach
+        # past the term of it that the zeta tail leaves out (2.5e-12 to
+        # 1.2e-10 of the peak with the Gaussian kernel's copies)
+        prm = params(0.8, mu=mu, sigma=0.0)
+        kernel = KernelSpec("uniform", 1.0)
+        grid = GridSpec(half_length=20.0, n_points=1024, n_steps=16)
+        path = simulate_path(prm, kernel, grid, seed=1, snapshot_steps=[4, 16])
+        x = grid.positions()
+        near = np.abs(x) <= 5.0
+        for t, f in path.snapshots:
+            ref = mean_fourier(prm, kernel, t, x[near])
+            assert np.max(np.abs(f[near] - ref)) <= 1e-13 * np.max(ref)
+
     @pytest.mark.parametrize("alpha", [0.8, 1.5, 1.9])
     def test_dirac_peak_closed_form_at_first_step(self, alpha):
         # at t = dt most of the mean's spectrum lies beyond Nyquist (the
