@@ -133,8 +133,9 @@ def cmd_mild(args) -> int:
 # ---------------------------------------------------------------------------
 # mean / variance
 
-# Each preset is the arguments it stands for, parsed after the user's own so
-# that it wins.  fig4 prints the beta_m table at its alpha instead of a profile.
+# Each preset: its command, and the arguments it stands for, which are parsed
+# after the given ones so that they win.  fig4 prints the beta_m table at its
+# alpha instead of a profile.
 _PRESETS = {
     "fig1": ("mean", "--method=fourier --alpha=1 --t-list=0.5,1,2 --x-range=-3:3:121"),
     "fig2": ("variance", "--method=closed --alpha=1 --t-list=0.5,1,2 --x-range=-3:3:121"),
