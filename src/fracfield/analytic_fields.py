@@ -6,8 +6,9 @@ The mean field started from a Dirac mass admits several evaluation routes:
   * the Mainardi-function closed form for the local operator (mu = 0),
   * the Gaussian heat kernel at alpha = 1.
 
-The variance field likewise: direct space-time quadrature of the
-fluctuation-kernel integral, an erfc closed form at alpha = 1, and a power
+The variance field likewise: the space-time fluctuation-kernel integral
+itself (by quadrature for 0 < alpha < 1; at alpha = 1 its exact value,
+which does not depend on x), an erfc closed form at alpha = 1, and a power
 series in |x| with coefficients beta_m for 0 < alpha < 1.
 
 The closed forms are implemented exactly as printed in their sources even
@@ -272,25 +273,19 @@ def mean_half_closed(t: float, x, lam: float):
 
 
 def var_classical_quadrature(t: float, x, lam: float, sigma: float):
-    """Variance at alpha = 1 by direct quadrature of
+    """Variance at alpha = 1, the exact value of
 
     sigma^2 int_0^t int_R (4 pi lam (t-tau))^(-1) exp(-(x-y)^2/(2 lam (t-tau))) dy dtau.
 
     The substitutions s = t - tau = v^2 (dtau = 2 v dv) and
-    y - x = u sqrt(2 lam s) turn it into a smooth integrand on
-    [0, sqrt(t)] x [-8, 8] (exp(-u^2) < 1e-27 beyond), which fixed
-    Gauss-Legendre panels integrate exactly to rounding; the result equals
-    sigma^2 sqrt(t / (2 pi lam)).  It does not depend on x, so it is
-    computed once for scalar or array x.
+    y - x = u sqrt(2 lam s) turn it into
+    sigma^2 int_0^sqrt(t) int_R exp(-u^2) / (sqrt(2 lam) pi) du dv, and
+    int_R exp(-u^2) du = sqrt(pi) leaves sigma^2 sqrt(t / (2 pi lam)).  It
+    does not depend on x, so it is broadcast over scalar or array x.
     """
     if not t > 0 or not lam > 0:
         raise DomainError("var_classical_quadrature requires t > 0 and lambda > 0")
-    v, wv = gl_panels([0.0, math.sqrt(t)], 32)
-    u, wu = gl_panels(np.arange(-8.0, 9.0), 32)
-    s = (v * v)[:, None]
-    dens = np.exp(-(u * u)) / (4.0 * math.pi * lam * s)
-    val = (2.0 * v * wv) @ (dens * np.sqrt(2.0 * lam * s)) @ wu
-    out = np.full(np.shape(x), sigma * sigma * val)
+    out = np.full(np.shape(x), sigma * sigma * math.sqrt(t / (2.0 * math.pi * lam)))
     return float(out) if out.ndim == 0 else out
 
 

@@ -46,21 +46,29 @@ EXIT_NOT_MILD = 3
 EXIT_RESONANCE = 4
 
 
+# A colon spec with the wrong number of parts, or a part that is no number,
+# fails to unpack or convert: argparse reports the ValueError as "argument
+# --flag: invalid <type function> value: 'spec'" and exits 2.
 def _positions(spec: str) -> np.ndarray:
     """--x-range 'a:b:n' as n equispaced values from a to b."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"range must be a:b:n, got {spec!r}")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1:
+    a, b, n = spec.split(":")
+    if int(n) < 1:
         raise argparse.ArgumentTypeError("range point count must be >= 1")
-    return np.linspace(a, b, n)
+    return np.linspace(float(a), float(b), int(n))
 
 
 def _point(spec: str) -> np.ndarray:
     """--x X as the one-point range X:X:1."""
     x = float(spec)
     return np.linspace(x, x, 1)
+
+
+def _interval(spec: str) -> tuple:
+    """--interval 'lo:hi' as the pair (lo, hi), lo < hi."""
+    lo, hi = map(float, spec.split(":"))
+    if not lo < hi:
+        raise argparse.ArgumentTypeError(f"lo:hi needs lo < hi, got {spec!r}")
+    return lo, hi
 
 
 def _times(spec: str) -> list:
@@ -86,9 +94,7 @@ def _emit(text: str, out_path, stream="stdout"):
 
 def cmd_ml(args) -> int:
     if args.zeros:
-        lo, hi = (float(v) for v in args.interval.split(":"))
-        if not lo < hi:
-            raise DomainError(f"--interval lo:hi needs lo < hi, got {args.interval!r}")
+        lo, hi = args.interval
         zl = special_fn.ml_real_zeros(args.alpha, lo)
         _emit(af.columns_to_csv("zero", [z for z in zl.zeros if z <= hi]), args.out)
         return EXIT_OK
@@ -343,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     ml.add_argument("--bounds", action="store_true")
     ml.add_argument("--asymptotic", action="store_true")
     ml.add_argument("--zeros", action="store_true")
-    ml.add_argument("--interval", default="-30:0")
+    ml.add_argument("--interval", type=_interval, default="-30:0")
     ml.add_argument("--out")
     ml.set_defaults(fn=cmd_ml)
 

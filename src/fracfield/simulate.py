@@ -74,6 +74,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 8  # consecutive seeds per block: the unit of work an ensemble thread takes
+_MODE_BLOCK = 64  # modes per lag gather and QR in _snapshot_tables
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -234,11 +235,16 @@ def _snapshot_tables(params: DiffusionParams, kernel: KernelSpec, grid: GridSpec
         limit = (t_alpha[1:] - t_alpha[:-1]) / (gamma_fn(params.alpha + 1.0) * grid.dt)
         weights[:, zero] = limit[:, None]
     lag = np.array(steps)[None, :] - 1 - np.arange(steps[-1])[:, None]
-    w_t = weights.T[:, np.maximum(lag, 0)]  # (n/2+1, s_J, J)
-    w_t[:, lag < 0] = 0.0
     c = np.full(n // 2 + 1, 0.5 * n * grid.dt * grid.dx)
     c[[0, -1]] *= 2.0
-    factor = np.linalg.qr(w_t, mode="r") * np.sqrt(c)[:, None, None]
+    # the layout a batched qr returns; only one block's (b, s_J, J) lag
+    # gather, and qr's copy of it, is alive at a time
+    factor = np.empty((len(steps), len(steps), n // 2 + 1)).transpose(2, 0, 1)
+    for lo in range(0, n // 2 + 1, _MODE_BLOCK):
+        w_t = weights.T[lo:lo + _MODE_BLOCK, np.maximum(lag, 0)]
+        w_t[:, lag < 0] = 0.0
+        factor[lo:lo + _MODE_BLOCK] = (np.linalg.qr(w_t, mode="r")
+                                       * np.sqrt(c[lo:lo + _MODE_BLOCK])[:, None, None])
     phase = np.where(np.arange(n // 2 + 1) % 2 == 0, 1.0, -1.0)
     dirac = np.zeros((len(steps), n // 2 + 1))
     if grid.ic == "dirac_spectral":

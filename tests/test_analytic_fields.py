@@ -287,13 +287,26 @@ class TestClassicalVariance:
         assert v4 == pytest.approx(2.0 * v1, rel=1e-6)
 
     def test_equals_closed_variance_integral(self):
-        # the stated integral is sigma^2 sqrt(t / (2 pi lambda)) exactly
+        # QUADPACK on the stated (tau, y) integrand, y split at x, against the
+        # value in closed form; the inner integral leaves (t - tau)^(-1/2) at tau = t
+        def direct(t, x, lam, sigma):
+            def inner(tau):
+                s = t - tau
+
+                def density(y):
+                    return math.exp(-(x - y) ** 2 / (2.0 * lam * s)) / (4.0 * math.pi * lam * s)
+
+                return sum(integrate.quad(density, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                           for a, b in ((-math.inf, x), (x, math.inf)))
+
+            return sigma * sigma * integrate.quad(inner, 0.0, t, epsabs=0.0, epsrel=1e-12,
+                                                  limit=200)[0]
+
         for t in (0.25, 1.0, 4.0):
             for lam in (0.5, 2.0):
-                for sigma in (1.0, 3.0):
-                    ref = sigma * sigma * math.sqrt(t / (2.0 * math.pi * lam))
-                    got = var_classical_quadrature(t, 0.0, lam, sigma)
-                    assert got == pytest.approx(ref, rel=1e-13), (t, lam, sigma)
+                for sigma, x in ((1.0, 0.0), (3.0, 2.5)):
+                    got = var_classical_quadrature(t, x, lam, sigma)
+                    assert got == pytest.approx(direct(t, x, lam, sigma), rel=1e-10), (t, lam, sigma)
 
     def test_array_x_identical(self):
         xs = np.linspace(-10.0, 10.0, 41)
@@ -310,8 +323,8 @@ class TestClassicalVariance:
         assert var_classical_closed(1.0, 60.0, 1.0, 1.0) < 1e-20
 
     def test_routes_disagree_by_design(self):
-        # quadrature of the printed integral and the printed closed form do
-        # not coincide; both are exposed, consumers see the cross-check
+        # the printed integral's value and the printed closed form do not
+        # coincide; both are exposed, consumers see the cross-check
         vq = var_classical_quadrature(1.0, 0.0, 1.0, 1.0)
         vc = var_classical_closed(1.0, 0.0, 1.0, 1.0)
         assert vq > 0 and vc > 0

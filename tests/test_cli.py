@@ -84,7 +84,7 @@ GOLDEN_WRITER_SHA256 = {
     "variance_closed_crosscheck": (
         ["variance", "--method", "closed", "--alpha", "1", "--x-range=-3:3:13"],
         "43121223312ebe4f54e9e184d7bdaeeed971db26606739422dd90fcf63e88254",
-        "987c8fefd5d6cd2ca51cef2a64deb3e06f17f42ca23f6fbd6208d2d0ea1b348d"),
+        "c8322a26dc158ca5cacaa6c55eb39ef47f359f57ebef5e339ccdbf713fbe2024"),
     "ml_bounds_asymptotic": (
         ["ml", "--alpha", "0.5", "--x-range=-10:-1:10", "--bounds", "--asymptotic"],
         "d605482620162b046223f93b362a3b09d0187d4b3b3f78de00f4ad99624f4b4b",
@@ -301,17 +301,24 @@ class TestMl:
         zeros = [float(line) for line in out.strip().splitlines()[1:]]
         assert zeros == pytest.approx([-((1.5 * math.pi) ** 2)], abs=1e-8)
 
-    @pytest.mark.parametrize("interval", ["-5:-30", "-5:-5"])
-    def test_zeros_empty_interval(self, capsys, interval):
-        code, _, err = run(
+    @pytest.mark.parametrize("interval,message", [
+        ("-5:-30", "lo < hi"), ("-5:-5", "lo < hi"),
+        ("1", "invalid _interval value: '1'"), ("a:b", "invalid _interval value: 'a:b'"),
+    ], ids=["-5:-30", "-5:-5", "1", "a:b"])
+    def test_zeros_empty_interval(self, capsys, interval, message):
+        code, out, err = run(
             capsys, "ml", "--alpha", "2", "--zeros", "--interval", interval
         )
         assert code == EXIT_USAGE
-        assert "lo < hi" in err
+        assert out == ""
+        assert "argument --interval: " in err and message in err
 
     def test_usage_error(self, capsys):
-        code, _, _ = run(capsys, "ml", "--alpha", "0.5", "--x-range", "oops")
-        assert code == EXIT_USAGE
+        for x_range in ("oops", "0:1", "0:1:2:3", "a:1:3", "0:1:n"):
+            code, out, err = run(capsys, "ml", "--alpha", "0.5", "--x-range", x_range)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert f"argument --x-range: invalid _positions value: '{x_range}'" in err
 
 
 class TestMild:
@@ -550,6 +557,28 @@ def test_profile_input_checks(capsys, argv, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ml", "--alpha", "2.5", "--x-range=-3:-1:3"],
+     "E_(2.5,1.0) off the series disc needs alpha <= 2"),
+    (["ml", "--alpha", "1.5", "--zeros", "--interval=1:2"], "x_min must be negative"),
+    (["ml", "--alpha", "0.8", "--beta", "0.5", "--asymptotic", "--x-range=-3:-1:3"],
+     "asymptotics only for beta in {1, alpha}"),
+    (["mean", "--x-range=0:1e6:2"], "frequency cutoff 240 needs 7500000 panels"),
+    (["mean", "--t", "0"], "mean_fourier requires t > 0"),
+    (["mean", "--method", "mainardi", "--alpha", "0.6", "--t", "0"],
+     "mean_mainardi requires t > 0 and lambda > 0"),
+    (["variance", "--t", "0"], "var_classical_quadrature requires t > 0 and lambda > 0"),
+    (["variance", "--method", "series", "--alpha", "0.6", "--t", "0"],
+     "var_series requires t > 0 and lambda > 0"),
+], ids=["ml_alpha_above_2", "zeros_positive_interval", "asymptotic_beta", "mean_panels",
+        "mean_t0", "mainardi_t0", "variance_t0", "series_t0"])
+def test_error_exits(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 class TestSimulateCli:
