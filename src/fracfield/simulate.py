@@ -42,7 +42,8 @@ order.  A path's noise field depends on its seed alone, so the ensemble
 computes the fields on w threads: w = FRACFIELD_THREADS, or every usable
 CPU when it is 0 (the default), capped at the usable CPUs and at the
 ceil(N/8) blocks of 8 consecutive seeds, so N <= 8 paths run serially.
-Its result is bit-identical for any thread count.
+Each block is written into one of w buffers that the calling thread
+allocates.  The result is bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -283,29 +284,56 @@ def _prepare(params, kernel, grid, snapshot_steps, force):
     return snapshot_steps, [steps.index(s) for s in snapshot_steps], tables
 
 
-def _mode_noise(factor, seeds):
-    """sigma = 1 noise spectra of a run of seeds, shape (len(seeds), J, n/2+1):
-    the real parts R_k^T g[b, 0, k] and the imaginary parts R_k^T g[b, 1, k]
-    of seed b, each product written straight into the complex array."""
-    g = np.empty((len(seeds), 2) + factor.shape[:2])
+class _Workspace:
+    """Noise buffers for up to `size` seeds at a time: the draws
+    (size, 2, n/2+1, J), the spectra (size, J, n/2+1), the fields (size, J, n)
+    and one Philox generator.  The thread that makes it allocates them, so a
+    thread that only fills it allocates no array."""
+
+    def __init__(self, factor, grid, size):
+        half, j = factor.shape[:2]
+        self.bits = np.random.Philox(0)  # re-keyed before every draw
+        self.normals = np.random.Generator(self.bits).standard_normal
+        self.draws = np.empty((size, 2, half, j))
+        self.spectra = np.empty((size, j, half), complex)
+        self.fields = np.empty((size, j, grid.n_points))
+
+    def draw(self, seed, out):
+        """Fill out with the first normals of Generator(Philox(key=seed)).
+        The generator is reset to the state Philox(key=seed) starts from,
+        which skips the OS entropy read of a new Philox."""
+        self.bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [seed & _MASK64, seed >> 64]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        self.normals(out=out)
+
+
+def _mode_noise(factor, seeds, ws):
+    """sigma = 1 noise spectra of a run of seeds in ws, shape
+    (len(seeds), J, n/2+1): the real parts R_k^T g[b, 0, k] and the imaginary
+    parts R_k^T g[b, 1, k] of seed b, each product written straight into the
+    complex array."""
+    g, z = ws.draws[:len(seeds)], ws.spectra[:len(seeds)]
     for b, seed in enumerate(seeds):
-        np.random.Generator(np.random.Philox(key=seed)).standard_normal(out=g[b])
-    z = np.empty((len(seeds), factor.shape[1], factor.shape[0]), complex)
+        ws.draw(seed, g[b])
     for part, out in enumerate((z.real, z.imag)):
         np.matmul(g[:, part, :, None, :], factor, out=out.swapaxes(1, 2)[:, :, None, :])
     return z
 
 
-def _synthesize(z_half, grid):
+def _synthesize(z_half, grid, out=None):
     """Fields at the grid points from half-spectrum rows (last axis): (n/2L) irfft."""
-    fields = np.fft.irfft(z_half, grid.n_points, axis=-1)
+    fields = np.fft.irfft(z_half, grid.n_points, axis=-1, out=out)
     fields *= grid.n_points / (2.0 * grid.half_length)
     return fields
 
 
-def _noise_fields(factor, grid, seeds):
-    """sigma = 1 noise fields of a block of seeds, shape (len(seeds), J, n)."""
-    return _synthesize(_mode_noise(factor, seeds), grid)
+def _noise_fields(factor, grid, seeds, ws):
+    """sigma = 1 noise fields of a block of seeds, written into ws: a view of
+    shape (len(seeds), J, n) that the next call on ws overwrites."""
+    return _synthesize(_mode_noise(factor, seeds, ws), grid, ws.fields[:len(seeds)])
 
 
 def simulate_path(
@@ -335,7 +363,7 @@ def simulate_path(
         params, kernel, grid, snapshot_steps, force)
     z_half = dirac.astype(complex)
     if params.sigma != 0.0:
-        noise = _mode_noise(factor, [seed])[0]
+        noise = _mode_noise(factor, [seed], _Workspace(factor, grid, 1))[0]
         z_half.real += params.sigma * noise.real
         z_half.imag += params.sigma * noise.imag
     fields = _synthesize(z_half, grid)
@@ -375,27 +403,30 @@ def _add_noise_moments(factor, grid, seeds, w, s1, s2):
 
     The fields are computed in blocks of _BLOCK consecutive seeds
     (_noise_fields) by w threads, the calling thread and a pool of w - 1,
-    w being at most the number of blocks.  They go in waves: for the wave
-    that starts at block lo, blocks lo + 1 .. lo + w - 1 are submitted to
-    the pool, the calling thread computes block lo, and it adds the wave's
-    fields in seed order, awaiting each pool block's result in turn.  No
-    name keeps a wave's fields past its end, so fewer than w blocks' fields
-    are alive when a block starts, and the sums do not depend on w.  The
-    first block of a wave to fail, in seed order, is re-raised once the pool
-    has been shut down and its threads joined.  With w = 1 no pool is made.
+    w being at most the number of blocks.  The calling thread first makes w
+    workspaces, one per thread slot, and no thread allocates another array.
+    The blocks go in waves: for the wave that starts at block lo, block
+    lo + i is computed in slot i, blocks lo + 1 .. lo + w - 1 are submitted
+    to the pool, the calling thread computes block lo, and it adds the
+    wave's fields in seed order, awaiting each pool block's result in turn.
+    So a slot is rewritten only after its fields were added, and the sums
+    do not depend on w.  The first block of a wave to fail, in seed order,
+    is re-raised once the pool has been shut down and its threads joined.
+    With w = 1 no pool is made.
     """
     blocks = [seeds[i:i + _BLOCK] for i in range(0, len(seeds), _BLOCK)]
+    slots = [_Workspace(factor, grid, len(blocks[0])) for _ in range(w)]
     fields_of = functools.partial(_noise_fields, factor, grid)
     if w == 1:
         for block in blocks:
-            _add_moments([fields_of(block)], s1, s2)
+            _add_moments([fields_of(block, slots[0])], s1, s2)
         return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(w - 1) as pool:
         for lo in range(0, len(blocks), w):
-            wave = pool.map(fields_of, blocks[lo + 1:lo + w])  # all submitted here
-            _add_moments([fields_of(blocks[lo])], s1, s2)
+            wave = pool.map(fields_of, blocks[lo + 1:lo + w], slots[1:])  # all submitted here
+            _add_moments([fields_of(blocks[lo], slots[0])], s1, s2)
             _add_moments(wave, s1, s2)
 
 
@@ -432,7 +463,7 @@ def ensemble_stats(
         # concurrent.futures (which imports logging) is loaded only for a
         # pool, and before the tables and sums exist: imported after them,
         # its objects land above them on the heap, and the process keeps
-        # about 1 MB more peak RSS
+        # more peak RSS (0.26 MB more in perfbench's mc_super median)
         import concurrent.futures  # noqa: F401
     snapshot_steps, rows, (dirac, factor) = _prepare(
         params, kernel, grid, snapshot_steps, force)

@@ -335,6 +335,47 @@ class TestSnapshotTables:
         assert peak <= 6e6
 
 
+class TestWorkspace:
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1, 2**100 + 1])
+    def test_reset_generator_draws_as_fresh(self, seed):
+        # a workspace re-keys one Philox per seed; its draws equal those of
+        # Generator(Philox(key=seed)), also after it has drawn other values
+        # (uint32 draws leave half a word buffered).  The CLI's seeds are
+        # below 2^64; simulate_path takes any 128-bit Philox key
+        from fracfield import simulate
+
+        fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal((2, 513, 8))
+        ws = simulate._Workspace(np.empty((513, 8, 8)), GridSpec(), 1)
+        for before in (lambda: None, lambda: ws.normals(5),
+                       lambda: np.random.Generator(ws.bits).integers(9, size=3, dtype=np.uint32)):
+            before()
+            out = np.empty((2, 513, 8))
+            ws.draw(seed, out)
+            assert np.array_equal(out, fresh)
+
+    def test_block_allocates_no_array(self):
+        # the fields of 8 seeds at the default grid are written into the
+        # workspace's 1.6 MB of buffers; what the call itself allocates is
+        # a few small objects (about 1 MB of arrays before workspaces)
+        import tracemalloc
+
+        from fracfield import simulate
+
+        grid = GridSpec()
+        _, factor = simulate._snapshot_tables(params(1.5), GAUSS, grid,
+                                              tuple(range(32, 257, 32)))
+        ws = simulate._Workspace(factor, grid, 8)
+        seeds = [mix_seed(5, i) for i in range(8)]
+        tracemalloc.start()
+        try:
+            fields = simulate._noise_fields(factor, grid, seeds, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(fields, ws.fields) and fields.shape == (8, 8, 1024)
+        assert peak <= 16384
+
+
 class TestEnsemble:
     def test_determinism(self):
         s1 = ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 8, master_seed=1)
@@ -453,12 +494,17 @@ class TestEnsembleThreads:
     """ensemble_stats computes blocks of 8 seeds on FRACFIELD_THREADS threads
     and sums them in seed order, so nothing it returns depends on the count."""
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("n_samples", [2, 8, 9, 19])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("n_samples", [2, 8, 9, 19, 37])
     def test_sums_in_seed_order(self, monkeypatch, n_samples, threads):
         # with a zero initial condition and sigma = 1 the mean is S1 / N and
         # the variance (S2 - S1^2 / N) / (N - 1), S1 and S2 summed over
-        # simulate_path's fields one seed after another
+        # simulate_path's fields one seed after another.  37 paths end in a
+        # partial block, written into a workspace a full block used before:
+        # the caller's on 2 threads, a pool slot's on 3
+        from fracfield import simulate
+
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
         monkeypatch.setenv("FRACFIELD_THREADS", threads)
         prm = params(1.5)
         stats = ensemble_stats(prm, GAUSS, SMALL_ZERO, n_samples, master_seed=5)
@@ -533,10 +579,10 @@ class TestEnsembleThreads:
         failing = mix_seed(3, 8 * block)
         real = simulate._noise_fields
 
-        def fail_one(factor, grid, seeds):
+        def fail_one(factor, grid, seeds, ws):
             if seeds[0] == failing:
                 raise RuntimeError(f"block {block}")
-            return real(factor, grid, seeds)
+            return real(factor, grid, seeds, ws)
 
         monkeypatch.setattr(simulate, "_noise_fields", fail_one)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
@@ -555,10 +601,10 @@ class TestEnsembleThreads:
         real = simulate._noise_fields
         failed = threading.Event()
 
-        def fail_off_caller(factor, grid, seeds):
+        def fail_off_caller(factor, grid, seeds, ws):
             if threading.current_thread().name == "caller":
                 assert failed.wait(timeout=30)
-                return real(factor, grid, seeds)
+                return real(factor, grid, seeds, ws)
             failed.set()
             raise RuntimeError("extra thread")
 
@@ -581,9 +627,9 @@ class TestEnsembleThreads:
         real = simulate._noise_fields
         results, alive = [], []
 
-        def tracked(factor, grid, seeds):
+        def tracked(factor, grid, seeds, ws):
             alive.append(sum(ref() is not None for ref in results))
-            fields = real(factor, grid, seeds)
+            fields = real(factor, grid, seeds, ws)
             results.append(weakref.ref(fields))
             return fields
 
