@@ -20,6 +20,7 @@ f_hat(k) = integral e^{-ikx} f(x) dx, inversion carries 1/(2 pi).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +59,7 @@ __all__ = [
     "resonance_set",
     "make_profile",
     "profile_to_csv",
+    "profile_csv_parts",
     "crosscheck_to_csv",
     "columns_to_csv",
 ]
@@ -443,29 +445,200 @@ def make_profile(times, positions, fn, method: str, meta: dict | None = None) ->
 
 
 _CELL = "%.17g"  # the one number format: 17 significant digits round-trip any double
+_VECTOR_MIN = 512  # cells: a smaller table is one % on a template of whole rows
+_CHUNK = 2048  # cells per _g17 call in a table, which bounds its temporaries
+_X_MIN, _X_MAX = -324, 308  # decimal exponents of the nonzero finite doubles
+
+
+@functools.cache
+def _g17_tables():
+    """_g17's lookup tables, built from exact integers on its first call.
+
+    h, l, lo, s: 10^(16 - X) = (h + l + lo) 2^(s - 1023) for the row
+      _X_MAX - X, X in [_X_MIN, _X_MAX]: h + l in [1, 2) the nearest double,
+      split into 26 and 27 bits (Veltkamp), lo the nearest double to the rest.
+    group: the ASCII of 0000 ... 9999, four bytes little-endian in a uint64.
+    sig: the digits of a group up to its last nonzero one (-99 for 0000).
+    mask[w, b], dot[w, b]: word w of a 24-byte string in three little-endian
+      words, holding its bytes below b, or a '.' at byte b (24: none).
+    head[2 (X - _X_MIN) + negative], tail[X - _X_MIN]: the sign and the 0.000
+      prefix of a value of exponent X, and its e+XX suffix from byte 2 on.
+    lead[X - _X_MIN], dot_at[X - _X_MIN]: the digits always written, and
+      the dot's byte among the digits (24: none).
+    """
+    pow10 = np.empty((4, _X_MAX - _X_MIN + 1))
+    for i, k in enumerate(range(16 - _X_MAX, 17 - _X_MIN)):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        s = num.bit_length() - den.bit_length()  # floor(log2(num/den)) or one above
+        s -= num << max(-s, 0) < den << max(s, 0)
+        num, den = num << max(-s, 0) + 64, den << max(s, 0) + 64  # num/den in [1, 2)
+        hi = num / den  # int / int rounds correctly
+        h = 134217729.0 * hi
+        h -= h - hi
+        pow10[:, i] = h, hi - h, (num * 2**52 - int(hi * 2**52) * den) / (den * 2**52), s + 1023
+    digits = np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+    digits = (digits % 10).astype(np.uint8)
+    group = (digits + 48).view("<u4").ravel().astype(np.uint64)
+    sig = np.where(digits.any(1), 4 - np.argmax(digits[:, ::-1] != 0, 1), -99).astype(np.int8)
+    byte = np.arange(25) - 8 * np.arange(3)[:, None]
+    shift = 8 * np.clip(byte, 0, 7).astype(np.uint64)
+    mask = np.where(byte > 7, ~np.uint64(0), (np.uint64(1) << shift) - np.uint64(1))
+    dot = np.where((byte >= 0) & (byte < 8), np.uint64(46) << shift, np.uint64(0))
+    exps = range(_X_MIN, _X_MAX + 1)
+    head = [int.from_bytes(b"\0" + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b""), "little")
+            for x in exps]
+    tail = [int.from_bytes(b"\0\0e%+03d" % x if not -4 <= x <= 16 else b"", "little")
+            for x in exps]
+    x = np.arange(_X_MIN, _X_MAX + 1)
+    fixed = (x >= 0) & (x <= 16)
+    return (*pow10[:3], pow10[3].astype(np.int64), group, sig, mask, dot,
+            (np.array(head, np.uint64)[:, None] | np.array([0, 45], np.uint64)).ravel(),
+            np.array(tail, np.uint64), np.where(fixed, x + 1, 1),
+            np.where(fixed, x + 1, np.where((x >= -4) & (x < 0), 24, 1)))
+
+
+def _g17(values) -> np.ndarray:
+    """The %.17g text of each value: an (n, 32) uint8 matrix whose row i,
+    with its NUL bytes dropped, is format(values[i], ".17g").
+
+    Fast, then verified (as in Grisu, Loitsch 2010): with |v| = m 2^e and
+    X = floor(log10 |v|), the 17 digits D round m 2^e 10^(16 - X), whose
+    integer part and fraction come from Dekker's exact product (1971) of m
+    with the head h + l of 10^(16 - X), plus m lo; the fraction is off by
+    less than 2^-45.  A value whose fraction lies within 2^-30 of 1/2
+    (every exact tie), whose integer part is not 17 digits long (log10 off
+    next to a power of ten), or which is 0, -0, inf or nan is formatted by
+    format() instead.  A row is four words: the sign and the 0.000 prefix;
+    the digits, looked up four at a time, in two words and a byte, with the
+    bytes from the dot's on moved up one and those past the text cleared;
+    and the e+XX suffix.  Temporaries take about 300 bytes per value, so
+    callers pass at most _CHUNK values at a time.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    h_t, l_t, lo_t, s_t, group, sig, mask, dot, head, tail, lead, dot_at = _g17_tables()
+    av = np.abs(v)
+    ok = (av > 0) & (av < np.inf)
+    av[~ok] = 1.0
+    x = np.floor(np.log10(av)).astype(np.int64)
+    k = _X_MAX - x
+    m, e = np.frexp(av)
+    h, l = h_t[k], l_t[k]
+    p = m * (h + l)
+    mh = 134217729.0 * m
+    mh -= mh - m
+    ml = m - mh
+    err = ((mh * h - p) + mh * l + ml * h) + ml * l  # p + err = m (h + l)
+    scale = ((e + s_t[k]) << 52).view(np.float64)  # 2^(e + s - 1023): p scale < 2^57
+    rest = (err + m * lo_t[k]) * scale
+    whole = np.floor(rest)
+    frac = rest - whole
+    floor = (p * scale).astype(np.int64) + whole.astype(np.int64)
+    d = floor + (frac > 0.5)
+    ok &= (np.abs(frac - 0.5) > 2.0**-30) & (floor >= 10**16) & (d < 10**17)
+    # D = a1 a2 b1 b2 d16: four groups of four digits and one digit
+    d10 = d // 10
+    a = d10 // 10**8
+    b = d10 - a * 10**8
+    a1, b1 = a // 10**4, b // 10**4
+    a2, b2 = a - a1 * 10**4, b - b1 * 10**4
+    d16 = d - d10 * 10
+    sig_digits = np.maximum(np.maximum(sig[a1], sig[a2] + 4), np.maximum(sig[b1] + 8, sig[b2] + 12))
+    sig_digits[d16 != 0] = 17
+    words = (group[a1] | group[a2] << np.uint64(32), group[b1] | group[b2] << np.uint64(32),
+             d16.view(np.uint64) + np.uint64(48))
+    xi = x - _X_MIN
+    has_dot = sig_digits > dot_at[xi]
+    at = np.where(has_dot, dot_at[xi], 24)
+    length = np.maximum(sig_digits, lead[xi]) + has_dot
+    out = np.empty((v.size, 4), "<u8")
+    out[:, 0] = head[2 * xi + (v < 0)]
+    carry = np.uint64(0)
+    for w, word in enumerate(words):
+        low = word & mask[w][at]
+        high = word ^ low
+        out[:, w + 1] = (low | high << np.uint64(8) | carry | dot[w][at]) & mask[w][length]
+        carry = high >> np.uint64(56)
+    out[:, 3] |= tail[xi]
+    out = out.view(np.uint8)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        out[slow] = np.array([format(c, ".17g") for c in v[slow].tolist()], "S32").view(
+            np.uint8).reshape(-1, 32)
+    return out
+
+
+def _text_rows(pieces) -> str:
+    """One text line per row of the pieces put side by side, NULs dropped.
+
+    A piece is a uint8 matrix of the rows' height, or one row of bytes that
+    every row repeats.
+    """
+    n = max(len(p) for p in pieces if p.ndim == 2)
+    rows = np.concatenate([np.broadcast_to(p, (n, p.shape[-1])) for p in pieces], axis=1)
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _csv(header: str, body: str, cells) -> str:
     """The header line, then body, a %-template of whole rows, filled with cells.
 
-    Every CSV the package writes goes through here, one % per table; _CELL is
-    the same C routine as format(float(v), ".17g").
+    The small tables go through here, one % per table; _CELL is the same C
+    routine as format(float(v), ".17g").
     """
     return header + "\n" + body % tuple(cells)
 
 
 def columns_to_csv(header: str, *columns) -> str:
     """CSV of equal-length numeric columns under a comma-separated header."""
-    row = ",".join([_CELL] * len(columns)) + "\n"
-    return _csv(header, row * len(columns[0]), np.column_stack(columns).ravel().tolist())
+    cells, n, k = np.column_stack(columns), len(columns[0]), len(columns)
+    if n * k < _VECTOR_MIN:
+        return _csv(header, (",".join([_CELL] * k) + "\n") * n, cells.ravel().tolist())
+    seps = np.array([","] * (k - 1) + ["\n"], "S1").view(np.uint8)[:, None]  # after each cell
+    step = max(1, _CHUNK // k)
+    parts = [header + "\n"]
+    for i in range(0, n, step):
+        row = _g17(cells[i : i + step]).reshape(-1, k, 32)
+        row = np.concatenate((row, np.broadcast_to(seps, (len(row), k, 1))), axis=2)
+        parts.append(_text_rows([row.reshape(len(row), -1)]))
+    return "".join(parts)
+
+
+def profile_csv_parts(profiles):
+    """The CSV of each profile in turn (t,x,value,method, time-major), as an
+    iterator of text parts whose concatenation is the text.
+
+    Each time and position is formatted once per call, also for several
+    profiles on the same axes.  A profile of at least _VECTOR_MIN cells has
+    its values formatted by _g17, _CHUNK at a time, so that only one
+    chunk's text and temporaries are alive at once.
+    """
+    heads = {}
+
+    def t_x(times, positions):  # the rows' "t,x," as a NUL-padded matrix
+        if (times, positions) not in heads:
+            t, x = (np.array([_CELL % v + "," for v in axis], "S") for axis in (times, positions))
+            heads[times, positions] = np.concatenate(
+                (np.repeat(t, len(x)).view(np.uint8).reshape(t.size * x.size, -1),
+                 np.tile(x, len(t)).view(np.uint8).reshape(t.size * x.size, -1)), axis=1)
+        return heads[times, positions]
+
+    for profile in profiles:
+        values = profile.values.ravel()
+        if values.size < _VECTOR_MIN:
+            tails = [f",{_CELL % x},{_CELL},{profile.method}\n" for x in profile.positions]
+            # each row is its time's cell followed by a tail: t + tail_0 + t + tail_1 + ...
+            body = "".join(t + t.join(tails) for t in (_CELL % t for t in profile.times))
+            yield _csv("t,x,value,method", body, values.tolist())
+            continue
+        head = t_x(profile.times, profile.positions)
+        tail = np.frombuffer(f",{profile.method}\n".encode(), np.uint8)
+        yield "t,x,value,method\n"
+        for i in range(0, values.size, _CHUNK):
+            yield _text_rows([head[i : i + _CHUNK], _g17(values[i : i + _CHUNK]), tail])
 
 
 def profile_to_csv(profile: Profile) -> str:
-    """CSV t,x,value,method, time-major; each time and position is formatted once."""
-    tails = [f",{_CELL % x},{_CELL},{profile.method}\n" for x in profile.positions]
-    # each row is its time's cell followed by a tail: t + tail_0 + t + tail_1 + ...
-    body = "".join(t + t.join(tails) for t in (_CELL % t for t in profile.times))
-    return _csv("t,x,value,method", body, profile.values.ravel().tolist())
+    """CSV t,x,value,method, time-major."""
+    return "".join(profile_csv_parts([profile]))
 
 
 def crosscheck_to_csv(rows) -> str:

@@ -79,13 +79,14 @@ def _times(spec: str) -> list:
     return ts
 
 
-def _emit(text: str, out_path, stream="stdout"):
-    """text into the file out_path, else onto sys.stdout (or sys.stderr)."""
+def _emit(texts, out_path, stream="stdout"):
+    """Each of texts in turn into the file out_path, else onto sys.stdout (or
+    sys.stderr)."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        getattr(sys, stream).write(text)
+        getattr(sys, stream).writelines(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def cmd_ml(args) -> int:
     if args.zeros:
         lo, hi = args.interval
         zl = special_fn.ml_real_zeros(args.alpha, lo)
-        _emit(af.columns_to_csv("zero", [z for z in zl.zeros if z <= hi]), args.out)
+        _emit([af.columns_to_csv("zero", [z for z in zl.zeros if z <= hi])], args.out)
         return EXIT_OK
     xs = args.x_range
     order = special_fn.MLOrder(args.alpha, args.beta)
@@ -110,7 +111,7 @@ def cmd_ml(args) -> int:
         header.append("asymptotic")
         columns.append([special_fn.ml_asymptotic_neg(order, -x) if x < 0 else np.nan
                         for x in xs.tolist()])
-    _emit(af.columns_to_csv(",".join(header), *columns), args.out)
+    _emit([af.columns_to_csv(",".join(header), *columns)], args.out)
     return EXIT_OK
 
 
@@ -132,7 +133,7 @@ def cmd_mild(args) -> int:
         out["probe_m2"] = mildness.probe_to_json(
             mildness.probe_m2(params, kernel, args.t)
         )
-    _emit(json.dumps(out, indent=2) + "\n", args.out)
+    _emit([json.dumps(out, indent=2) + "\n"], args.out)
     return EXIT_OK if verdict.mild else EXIT_NOT_MILD
 
 
@@ -159,7 +160,7 @@ def _emit_crosscheck(profile, check, out_path):
         for j, x in enumerate(profile.positions)
     ])
     root, ext = os.path.splitext(out_path or "")
-    _emit(text, out_path and root + ".crosscheck" + (ext or ".csv"), "stderr")
+    _emit([text], out_path and root + ".crosscheck" + (ext or ".csv"), "stderr")
 
 
 def _routes(args, params):
@@ -204,7 +205,7 @@ def cmd_profile(args) -> int:
         if args.preset == "fig4":
             ms = range(31)  # beta_0 .. beta_30
             betas = [af.beta_coeff(m, args.alpha) for m in ms]
-            _emit(af.columns_to_csv("m,beta_m", ms, betas), args.out)
+            _emit([af.columns_to_csv("m,beta_m", ms, betas)], args.out)
             return EXIT_OK
     params = DiffusionParams(args.alpha, args.lam, args.mu, getattr(args, "sigma", 1.0))
     routes = _routes(args, params)
@@ -214,15 +215,22 @@ def cmd_profile(args) -> int:
     if refusal:
         raise DomainError(refusal)
     profile = af.make_profile(args.t_list, args.x_range, fn, tag, {"alpha": args.alpha})
-    _emit(af.profile_to_csv(profile), args.out)
+    _emit(af.profile_csv_parts([profile]), args.out)
     if crosscheck:
         _, check_tag, check_fn, _ = routes[crosscheck]
         check = af.make_profile(args.t_list, args.x_range, check_fn, check_tag)
         _emit_crosscheck(profile, check, args.out)
         negative = profile.values[profile.values < 0.0]
         if negative.size:  # the Mainardi series, printed verbatim, is negative in places
+            # a Dirac start's mean has mass 1: each time's trapezoid mass over the
+            # printed positions, of the profile and of its cross-check
+            xs = np.array(profile.positions)
+            masses = "; ".join(
+                f"at t={t:.17g}: {tag} {np.trapezoid(v, xs):.17g}, "
+                f"{check_tag} {np.trapezoid(c, xs):.17g}"
+                for t, v, c in zip(profile.times, profile.values, check.values))
             sys.stderr.write(f"warning: {negative.size} negative {tag} values, "
-                             f"minimum {negative.min():.17g}\n")
+                             f"minimum {negative.min():.17g}; trapezoid mass over x {masses}\n")
     return EXIT_OK
 
 
@@ -316,7 +324,7 @@ def cmd_simulate(args) -> int:
         times, fields = zip(*path.snapshots)
         profiles = [af.Profile(times, tuple(grid.positions().tolist()), np.array(fields),
                                "sample_path")]
-    _emit("".join(af.profile_to_csv(p) for p in profiles), args.out)
+    _emit(af.profile_csv_parts(profiles), args.out)
     meta = {
         "version": 1,
         "params": _to_json(params),

@@ -2,14 +2,18 @@
 
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
+from fracfield import analytic_fields
 from fracfield.analytic_fields import (
     Profile,
     beta_coeff,
@@ -21,6 +25,7 @@ from fracfield.analytic_fields import (
     mean_fourier,
     mean_half_closed,
     mean_mainardi,
+    profile_csv_parts,
     profile_to_csv,
     resonance_set,
     var_classical_closed,
@@ -558,6 +563,28 @@ def _check_cell(cell, v):
     assert math.copysign(1.0, float(cell)) == math.copysign(1.0, v)
 
 
+def _kernel_cells(values):
+    """analytic_fields._g17's text of each value, _CHUNK values per call."""
+    values = np.asarray(values, dtype=float)
+    step = analytic_fields._CHUNK
+    return [bytes(row).replace(b"\0", b"").decode()
+            for i in range(0, values.size, step)
+            for row in analytic_fields._g17(values[i : i + step])]
+
+
+def _formatted(values):
+    return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _both_paths(write):
+    """write()'s text as tables of these sizes print it, and as a table of
+    at least _VECTOR_MIN cells, whose values _g17 formats, would."""
+    texts = [write()]
+    with mock.patch.object(analytic_fields, "_VECTOR_MIN", 0):
+        texts.append(write())
+    return texts
+
+
 class TestWriter:
     """Every number any CSV writer emits is format(v, ".17g") and reads back as v."""
 
@@ -565,24 +592,25 @@ class TestWriter:
     @example(_EDGES, [0.0, -0.0])
     def test_profile_cells(self, positions, times):
         values = np.array([np.roll(positions, i + 1) for i in range(len(times))])
-        text = profile_to_csv(Profile(tuple(times), tuple(positions), values, "fourier"))
-        rows = [r.split(",") for r in text.splitlines()[1:]]
-        assert len(rows) == values.size
-        for (t_s, x_s, v_s, tag), (i, j) in zip(rows, np.ndindex(values.shape)):
-            _check_cell(t_s, times[i])
-            _check_cell(x_s, positions[j])
-            _check_cell(v_s, values[i, j])
-            assert tag == "fourier"
+        for text in _both_paths(lambda: profile_to_csv(
+                Profile(tuple(times), tuple(positions), values, "fourier"))):
+            rows = [r.split(",") for r in text.splitlines()[1:]]
+            assert len(rows) == values.size
+            for (t_s, x_s, v_s, tag), (i, j) in zip(rows, np.ndindex(values.shape)):
+                _check_cell(t_s, times[i])
+                _check_cell(x_s, positions[j])
+                _check_cell(v_s, values[i, j])
+                assert tag == "fourier"
 
     @given(_doubles)
     @example(_EDGES)
     def test_column_cells(self, xs):
-        text = columns_to_csv("a,b", xs, xs[::-1])
-        rows = [r.split(",") for r in text.splitlines()[1:]]
-        assert len(rows) == len(xs)
-        for (a, b), x, y in zip(rows, xs, xs[::-1]):
-            _check_cell(a, x)
-            _check_cell(b, y)
+        for text in _both_paths(lambda: columns_to_csv("a,b", xs, xs[::-1])):
+            rows = [r.split(",") for r in text.splitlines()[1:]]
+            assert len(rows) == len(xs)
+            for (a, b), x, y in zip(rows, xs, xs[::-1]):
+                _check_cell(a, x)
+                _check_cell(b, y)
 
     @given(_doubles)
     @example(_EDGES)
@@ -605,3 +633,71 @@ class TestWriter:
 
     def test_empty_column(self):
         assert columns_to_csv("zero", []) == "zero\n"
+
+    def test_kernel_random_bit_patterns(self):
+        # every sign, exponent and mantissa, nan and inf included
+        bits = np.random.default_rng(25).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert np.count_nonzero(values < 0) > 90_000
+        assert _kernel_cells(values) == _formatted(values)
+
+    def test_kernel_powers_of_ten(self):
+        # log10 is off by one next to a power of ten; D = 10^17 rounds up a decade
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+        values = np.concatenate([values, -values])
+        assert _kernel_cells(values) == _formatted(values)
+
+    def test_kernel_integers_near_17_digits(self):
+        steps = np.arange(-2000.0, 2001.0)
+        values = np.concatenate([1e16 + steps, 1e17 + 16.0 * steps, 2.0**53 + steps])
+        assert _kernel_cells(values) == _formatted(values)
+
+    def test_kernel_special_values(self):
+        values = [1125899906842624.25, 1125899906842624.75, 0.0, -0.0, 5e-324,
+                  1.7976931348623157e308, math.inf, -math.inf, math.nan, 1e16, 0.1, 1e-5,
+                  1e-4, 123.0, 100.5]
+        cells = _kernel_cells(values)
+        assert cells == _formatted(values)
+        # exact ties of the 17th digit round to even, down and up
+        assert cells[:9] == ["1125899906842624.2", "1125899906842624.8", "0", "-0",
+                             "4.9406564584124654e-324", "1.7976931348623157e+308", "inf",
+                             "-inf", "nan"]
+
+    @given(arrays(np.float64, st.integers(0, 3 * analytic_fields._CHUNK)))
+    def test_kernel_any_array(self, values):
+        assert _kernel_cells(values) == _formatted(values)
+
+    def test_kernel_tables_paths_agree(self):
+        # tables above _VECTOR_MIN cells, over several _CHUNKs, print the template's bytes
+        rng = np.random.default_rng(3)
+        positions = tuple(np.linspace(-20.0, 20.0, 1025)[:-1].tolist())
+        profiles = [Profile((0.125, 0.5, 1.0), positions, rng.standard_normal((3, 1024)) * scale,
+                            "mc_ensemble_mean") for scale in (1e-3, 10.0)]
+        columns = [rng.standard_normal(3000), rng.uniform(-1e5, 1e5, 3000)]
+
+        def write():
+            return "".join(profile_csv_parts(profiles)), columns_to_csv("a,b", *columns)
+
+        fast = write()
+        with mock.patch.object(analytic_fields, "_VECTOR_MIN", math.inf):
+            assert write() == fast
+
+    def test_two_default_grid_blocks_trace_below_template_text(self):
+        # the mean and variance blocks of a default-grid ensemble, 2 x 8192
+        # rows: one _CHUNK of text and temporaries at a time, where joining
+        # the two blocks' template text traced 1.9 MB
+        rng = np.random.default_rng(5)
+        positions = tuple(np.linspace(-20.0, 20.0, 1025)[:-1].tolist())
+        times = tuple(np.arange(1, 9) / 8.0)
+        profiles = [Profile(times, positions, rng.uniform(0.0, 2.0, (8, 1024)), method)
+                    for method in ("mc_ensemble_mean", "mc_ensemble_var")]
+        assert sum(map(len, profile_csv_parts(profiles))) > 800_000
+        tracemalloc.start()
+        try:
+            size = sum(map(len, profile_csv_parts(profiles)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 800_000
+        assert peak < 1.9e6

@@ -74,12 +74,21 @@ _EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b85
 
 # (argv, stdout digest, stderr digest) of every CSV writer the CLI has: the
 # ensemble CSV (both blocks), a cross-check report, the ml columns, the
-# beta table and the zeros list
+# beta table and the zeros list; and both ensembles of the benchmark at the
+# default 1024 x 256 grid, whose 2 x 8192 cells the vectorized _g17 prints
 GOLDEN_WRITER_SHA256 = {
     "simulate_samples_4": (
         ["simulate", "--n-points", "64", "--n-steps", "16", "--samples", "4",
          "--seed", "3"],
         "a65493cfe3c3615d2eb788303347ca6956bb3ecfe86f67bd1f1f2a78a9dd9b35",
+        _EMPTY_SHA256),
+    "simulate_default_grid_sub": (
+        ["simulate", "--alpha", "0.8", "--mu", "0.5", "--samples", "8", "--seed", "5"],
+        "edfde63732675309562a8a86d4dec11bc457cf29df21d22c41387d95fc5a12a1",
+        _EMPTY_SHA256),
+    "simulate_default_grid_super": (
+        ["simulate", "--alpha", "1.5", "--samples", "64", "--seed", "5"],
+        "354594b7106d725169cc31dacb5d8259b80e267c58fb5756c7f2ffe472c99e22",
         _EMPTY_SHA256),
     "variance_closed_crosscheck": (
         ["variance", "--method", "closed", "--alpha", "1", "--x-range=-3:3:13"],
@@ -400,11 +409,20 @@ class TestMeanVariance:
         report = "".join(report)
         negative = [float(r[2]) for r in rows if float(r[2]) < 0.0]
         assert len(negative) == 8
-        assert warning == (f"warning: 8 negative mainardi values, "
-                           f"minimum {min(negative):.17g}\n")
         header, checks = parse_csv(report)
         assert header == ["t", "x", "method_a", "value_a", "method_b", "value_b", "ratio"]
         assert len(checks) == 10
+        # and each time's trapezoid mass over x of both routes: the Fourier
+        # mean's is below its total of 1 on [-2, 2], the printed form's is negative
+        xs = [float(r[1]) for r in rows[:5]]
+        masses = [(np.trapezoid([float(r[2]) for r in rows[i : i + 5]], xs),
+                   np.trapezoid([float(c[5]) for c in checks[i : i + 5]], xs)) for i in (0, 5)]
+        assert all(m < 0.0 < f < 1.0 for m, f in masses)
+        assert warning == (
+            f"warning: 8 negative mainardi values, minimum {min(negative):.17g}; "
+            f"trapezoid mass over x at t=0.5: mainardi {masses[0][0]:.17g}, "
+            f"fourier {masses[0][1]:.17g}; at t=1: mainardi {masses[1][0]:.17g}, "
+            f"fourier {masses[1][1]:.17g}\n")
         params = DiffusionParams(alpha=0.6)
         for r, c in zip(rows, checks):
             t, x = float(r[0]), float(r[1])
@@ -605,6 +623,19 @@ class TestSimulateCli:
 
         argv, digest = GOLDEN_ENSEMBLE_19_SHA256
         for threads in ("0", "1", "2", "3"):
+            monkeypatch.setenv("FRACFIELD_THREADS", threads)
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, threads
+
+    def test_default_grid_ensemble_on_one_and_two_threads(self, capsys, monkeypatch):
+        import hashlib
+
+        from fracfield import simulate
+
+        argv, digest, _ = GOLDEN_WRITER_SHA256["simulate_default_grid_super"]
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        for threads in ("1", "2"):
             monkeypatch.setenv("FRACFIELD_THREADS", threads)
             code, out, _ = run(capsys, *argv)
             assert code == EXIT_OK
