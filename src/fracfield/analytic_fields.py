@@ -574,7 +574,8 @@ def _text_rows(pieces) -> str:
     every row repeats.
     """
     n = max(len(p) for p in pieces if p.ndim == 2)
-    rows = np.concatenate([np.broadcast_to(p, (n, p.shape[-1])) for p in pieces], axis=1)
+    rows = np.concatenate([p if p.ndim == 2 else np.broadcast_to(p, (n, p.size))
+                           for p in pieces], axis=1)
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -602,25 +603,32 @@ def columns_to_csv(header: str, *columns) -> str:
     return "".join(parts)
 
 
+@functools.lru_cache(maxsize=2)
+def _t_x(t_bits: bytes, x_bits: bytes) -> np.ndarray:
+    """The "t,x," cells of a table's rows, time-major, as a read-only
+    NUL-padded uint8 matrix, for the axes whose float64 bytes are given.
+
+    Keyed by the bits, not by the floats: -0.0 == 0.0 hashes alike, yet
+    prints -0.  The two pairs of axes last used are kept, so a process that
+    prints many tables on one grid formats its cells once.
+    """
+    t, x = (np.array([_CELL % v + "," for v in np.frombuffer(bits).tolist()], "S")
+            for bits in (t_bits, x_bits))
+    head = np.concatenate((np.repeat(t, x.size).view(np.uint8).reshape(t.size * x.size, -1),
+                           np.tile(x, t.size).view(np.uint8).reshape(t.size * x.size, -1)),
+                          axis=1)
+    head.flags.writeable = False
+    return head
+
+
 def profile_csv_parts(profiles):
     """The CSV of each profile in turn (t,x,value,method, time-major), as an
     iterator of text parts whose concatenation is the text.
 
-    Each time and position is formatted once per call, also for several
-    profiles on the same axes.  A profile of at least _VECTOR_MIN cells has
-    its values formatted by _g17, _CHUNK at a time, so that only one
-    chunk's text and temporaries are alive at once.
+    A profile of at least _VECTOR_MIN cells has its values formatted by
+    _g17, _CHUNK at a time, so that only one chunk's text and temporaries
+    are alive at once, and its "t,x," cells taken from _t_x.
     """
-    heads = {}
-
-    def t_x(times, positions):  # the rows' "t,x," as a NUL-padded matrix
-        if (times, positions) not in heads:
-            t, x = (np.array([_CELL % v + "," for v in axis], "S") for axis in (times, positions))
-            heads[times, positions] = np.concatenate(
-                (np.repeat(t, len(x)).view(np.uint8).reshape(t.size * x.size, -1),
-                 np.tile(x, len(t)).view(np.uint8).reshape(t.size * x.size, -1)), axis=1)
-        return heads[times, positions]
-
     for profile in profiles:
         values = profile.values.ravel()
         if values.size < _VECTOR_MIN:
@@ -629,7 +637,8 @@ def profile_csv_parts(profiles):
             body = "".join(t + t.join(tails) for t in (_CELL % t for t in profile.times))
             yield _csv("t,x,value,method", body, values.tolist())
             continue
-        head = t_x(profile.times, profile.positions)
+        head = _t_x(*(np.array(axis, float).tobytes()
+                      for axis in (profile.times, profile.positions)))
         tail = np.frombuffer(f",{profile.method}\n".encode(), np.uint8)
         yield "t,x,value,method\n"
         for i in range(0, values.size, _CHUNK):

@@ -30,6 +30,7 @@ import time
 
 import numpy as np
 
+from . import __version__
 from . import analytic_fields as af
 from . import mildness, simulate, special_fn
 from .errors import (
@@ -246,9 +247,9 @@ def _load_config(path):
     version = cfg.get("version")
     if type(version) is not int or version != 1:  # true and 1.0 are no version 1
         raise DomainError(f"config requires \"version\": 1, got {version!r}")
-    # a --meta-out manifest is a valid config; its wall_time_s is ignored
+    # a --meta-out manifest is a valid config; its wall time and versions are ignored
     allowed = {"version", "params", "kernel", "grid", "seed", "samples", "force",
-               "wall_time_s"}
+               "wall_time_s", "fracfield_version", "numpy_version"}
     extra = set(cfg) - allowed
     if extra:
         raise DomainError(f"unknown config keys: {sorted(extra)}")
@@ -325,17 +326,19 @@ def cmd_simulate(args) -> int:
         profiles = [af.Profile(times, tuple(grid.positions().tolist()), np.array(fields),
                                "sample_path")]
     _emit(af.profile_csv_parts(profiles), args.out)
-    meta = {
-        "version": 1,
-        "params": _to_json(params),
-        "kernel": kernel_to_json(kernel),
-        "grid": _to_json(grid),
-        "seed": seed,
-        "samples": samples,
-        "force": force,
-        "wall_time_s": time.perf_counter() - t0,
-    }
     if args.meta_out:
+        meta = {
+            "version": 1,
+            "params": _to_json(params),
+            "kernel": kernel_to_json(kernel),
+            "grid": _to_json(grid),
+            "seed": seed,
+            "samples": samples,
+            "force": force,
+            "wall_time_s": time.perf_counter() - t0,
+            "fracfield_version": __version__,
+            "numpy_version": np.__version__,
+        }
         with open(args.meta_out, "w") as fh:
             json.dump(meta, fh, indent=2)
     return EXIT_OK

@@ -486,7 +486,7 @@ def ensemble_stats(
 
 def stats_to_profiles(stats: EnsembleStats):
     """Export ensemble mean and variance as Profile objects."""
-    pos = tuple(float(x) for x in stats.positions)
+    pos = tuple(stats.positions.tolist())
     meta = {"n_samples": stats.n_samples, "master_seed": stats.master_seed}
     return (
         Profile(stats.times, pos, stats.mean, "mc_ensemble_mean", meta),

@@ -683,6 +683,32 @@ class TestWriter:
         with mock.patch.object(analytic_fields, "_VECTOR_MIN", math.inf):
             assert write() == fast
 
+    def test_signed_zero_axes_print_their_own_sign(self):
+        # -0.0 == 0.0 and both hash alike, yet print -0 and 0: the cached
+        # "t,x," cells of one sign must not stand in for the other's
+        values = np.arange(512.0).reshape(2, 256)
+
+        def profile(zero):
+            positions = np.linspace(-1.0, 1.0, 257)[:-1]
+            positions[128] = zero
+            return Profile((zero, 1.0), tuple(positions.tolist()), values, "fourier")
+
+        for zero in (-0.0, 0.0, -0.0):
+            with mock.patch.object(analytic_fields, "_VECTOR_MIN", math.inf):
+                template = profile_to_csv(profile(zero))
+            assert profile_to_csv(profile(zero)) == template
+            assert ("-0," in template) == (math.copysign(1.0, zero) < 0)
+
+    def test_cached_t_x_cells_are_read_only(self):
+        times, positions = (0.5, 1.0), tuple(np.linspace(-3.0, 3.0, 300).tolist())
+        profile_to_csv(Profile(times, positions, np.zeros((2, 300)), "fourier"))
+        head = analytic_fields._t_x(np.array(times).tobytes(), np.array(positions).tobytes())
+        assert head.shape[0] == 600
+        assert not head.flags.writeable
+        with pytest.raises(ValueError):
+            head[0, 0] = 0
+        assert analytic_fields._t_x.cache_info().maxsize == 2
+
     def test_two_default_grid_blocks_trace_below_template_text(self):
         # the mean and variance blocks of a default-grid ensemble, 2 x 8192
         # rows: one _CHUNK of text and temporaries at a time, where joining

@@ -109,13 +109,18 @@ GOLDEN_WRITER_SHA256 = {
 }
 
 
-def _fresh_python(probe):
-    """stdout of probe run in a fresh interpreter that imports this package."""
+def _fresh_stdout(*args):
+    """stdout of python args in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(fracfield.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    return done.stdout.strip()
+    return done.stdout
+
+
+def _fresh_python(probe):
+    """stdout of probe run in a fresh interpreter, stripped."""
+    return _fresh_stdout("-c", probe).strip()
 
 
 def test_import_loads_no_scipy():
@@ -668,6 +673,44 @@ class TestSimulateCli:
         assert "wall_time_s" in meta
         # timing lives only in the metadata; the CSV stays byte-stable
         assert "wall_time" not in out
+
+    def test_no_meta_out_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == EXIT_OK and out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_meta_out_records_versions(self, capsys, tmp_path):
+        # a replay on another numpy can tell why its bytes differ; --config
+        # ignores both versions, and still refuses any other key
+        meta_path = tmp_path / "meta.json"
+        code, out, _ = run(capsys, *self.ARGS, "--samples", "3", "--meta-out", str(meta_path))
+        assert code == EXIT_OK
+        meta = json.loads(meta_path.read_text())
+        assert meta["fracfield_version"] == fracfield.__version__
+        assert meta["numpy_version"] == np.__version__
+        code, replay, _ = run(capsys, "simulate", "--config", str(meta_path))
+        assert (code, replay) == (EXIT_OK, out)
+        meta_path.write_text(json.dumps({**meta, "python_version": "3"}))
+        code, _, err = run(capsys, "simulate", "--config", str(meta_path))
+        assert code == EXIT_USAGE
+        assert "unknown config keys: ['python_version']" in err
+
+    def test_grids_in_one_process_print_fresh_process_bytes(self, capsys):
+        # a process keeps the "t,x," cells of its two last used grids: the
+        # 256-point run evicts the 64-point cells, which the last run rebuilds
+        from fracfield import analytic_fields
+
+        fresh = {}
+        for n in ("64", "128", "256", "64"):
+            argv = ["simulate", "--samples", "2", "--n-points", n, "--n-steps", "16",
+                    "--seed", "9"]
+            if n not in fresh:
+                fresh[n] = _fresh_stdout("-m", "fracfield.cli", *argv)
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert out == fresh[n], n
+        assert analytic_fields._t_x.cache_info().currsize == 2
 
     def test_meta_out_wall_time_survives_clock_step(self, capsys, tmp_path, monkeypatch):
         # a wall clock that steps backwards mid-run must not give a negative duration
