@@ -47,15 +47,12 @@ from .mildness import (
     prop_superdiffusive_condition,
 )
 from .simulate import (
-    EnsembleStats,
     GridSpec,
-    SamplePath,
     compare_to_analytic,
     ensemble_stats,
     mix_seed,
     noise_increments,
     simulate_path,
-    stats_to_profiles,
 )
 from .special_fn import (
     MLOrder,

@@ -131,18 +131,25 @@ def _tail_coefficients(alpha: float, lam: float, mu: float, t: float):
             for p in (1, 2, 3)]
 
 
-def _tail_onset(alpha: float, lam: float, t: float) -> float:
+def _tail_onset(params: DiffusionParams, kernel: KernelSpec, t: float) -> float:
     """Wavenumber beyond which _tail_coefficients' expansion is accurate.
 
     There u = lam k^2 t^alpha >= 1e4, where the first omitted term is ~u^-4
     of it; for alpha > 1 the poles' residue pair, which the expansion omits,
     has also decayed by 40 e-folds: exp(r cos(pi/alpha)), r = u^(1/alpha),
-    and a(k) >= lam k^2.
+    and a(k) >= lam k^2.  The expansion takes a(k) = lam k^2 + mu, so where
+    mu > 0 a Gaussian kernel's j_hat must have fallen below 1e-17 there as
+    well: k >= sqrt(2 ln 1e17) / scale.  The uniform kernel's j_hat falls
+    only as 1/k; each consumer handles it on its own.
     """
+    alpha, lam = params.alpha, params.lam
     u = 1e4
     if alpha > 1.0:
         u = max(u, (40.0 / abs(math.cos(math.pi / alpha))) ** alpha)
-    return math.sqrt(u / (lam * t**alpha))
+    onset = math.sqrt(u / (lam * t**alpha))
+    if params.mu > 0 and kernel.kind == "gaussian":
+        onset = max(onset, math.sqrt(2.0 * math.log(1e17)) / kernel.scale)
+    return onset
 
 
 def _matern_terms(alpha: float, lam: float, mu: float, t: float):
@@ -198,15 +205,15 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     transform of S over [0, inf) is added in closed form
     (_matern_transform); the O(k^-8) remainder of E - S beyond K is left out.
     S takes a(k) = lam k^2 + mu, so where mu > 0 the kernel's j_hat is left
-    out beyond K.  A Gaussian kernel's must have fallen below 1e-17 there:
-    K >= sqrt(2 ln 1e17) / scale.  For the uniform kernel, with m = mu/lam,
-    d_1 m j_hat(k) (k^2 + c^2)^-2 is subtracted as well and added back in
-    closed form (_uniform_transform): E's leading j_hat term, re-expanded
-    about c^2 like S, so that it stays bounded as mu -> 0.  What is left of
-    j_hat beyond K is 2 d_2 m j_hat k^-6 + d_1 m^2 j_hat^2 k^-6 to leading
-    order, and |j_hat| <= 1/(scale k) bounds their transforms over [K, inf)
-    at every x by |d_2| m / (3 pi scale K^6) and |d_1| m^2 / (7 pi scale^2
-    K^7); K makes each 1e-14.
+    out beyond K; _tail_onset puts K where a Gaussian one is below 1e-17.
+    For the uniform kernel, with m = mu/lam, d_1 m j_hat(k) (k^2 + c^2)^-2
+    is subtracted as well and added back in closed form (_uniform_transform):
+    E's leading j_hat term, re-expanded about c^2 like S, so that it stays
+    bounded as mu -> 0.  What is left of j_hat beyond K is
+    2 d_2 m j_hat k^-6 + d_1 m^2 j_hat^2 k^-6 to leading order, and
+    |j_hat| <= 1/(scale k) bounds their transforms over [K, inf) at every x
+    by |d_2| m / (3 pi scale K^6) and |d_1| m^2 / (7 pi scale^2 K^7); K
+    makes each 1e-14.
     """
     if not t > 0:
         raise DomainError("mean_fourier requires t > 0")
@@ -217,11 +224,9 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
         )
     alpha, lam, ta = params.alpha, params.lam, t**params.alpha
     c, d = _matern_terms(alpha, lam, params.mu, t)
-    cutoff = max(240.0, _tail_onset(alpha, lam, t))
+    cutoff = max(240.0, _tail_onset(params, kernel, t))
     m, scale = params.mu / lam, kernel.scale
-    if params.mu > 0 and kernel.kind == "gaussian":
-        cutoff = max(cutoff, math.sqrt(2.0 * math.log(1e17)) / scale)
-    elif kernel.kind == "uniform":
+    if kernel.kind == "uniform":
         cutoff = max(cutoff, (abs(d[1]) * m / (3.0 * math.pi * scale * 1e-14)) ** (1 / 6),
                      (abs(d[0]) * m * m / (7.0 * math.pi * scale**2 * 1e-14)) ** (1 / 7))
     ax = np.abs(np.asarray(x, dtype=float))
@@ -598,8 +603,7 @@ def columns_to_csv(header: str, *columns) -> str:
     parts = [header + "\n"]
     for i in range(0, n, step):
         row = _g17(cells[i : i + step]).reshape(-1, k, 32)
-        row = np.concatenate((row, np.broadcast_to(seps, (len(row), k, 1))), axis=2)
-        parts.append(_text_rows([row.reshape(len(row), -1)]))
+        parts.append(_text_rows([p for j in range(k) for p in (row[:, j], seps[j])]))
     return "".join(parts)
 
 

@@ -318,13 +318,9 @@ def cmd_simulate(args) -> int:
 
     t0 = time.perf_counter()
     if samples > 1:
-        stats = simulate.ensemble_stats(params, kernel, grid, samples, seed, force=force)
-        profiles = simulate.stats_to_profiles(stats)
+        profiles = simulate.ensemble_stats(params, kernel, grid, samples, seed, force=force)
     else:
-        path = simulate.simulate_path(params, kernel, grid, seed, force=force)
-        times, fields = zip(*path.snapshots)
-        profiles = [af.Profile(times, tuple(grid.positions().tolist()), np.array(fields),
-                               "sample_path")]
+        profiles = [simulate.simulate_path(params, kernel, grid, seed, force=force)]
     _emit(af.profile_csv_parts(profiles), args.out)
     if args.meta_out:
         meta = {

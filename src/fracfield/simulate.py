@@ -63,11 +63,8 @@ from .symbol import DiffusionParams, KernelSpec, symbol_a
 
 __all__ = [
     "GridSpec",
-    "SamplePath",
-    "EnsembleStats",
     "noise_increments",
     "simulate_path",
-    "stats_to_profiles",
     "ensemble_stats",
     "compare_to_analytic",
     "mix_seed",
@@ -126,24 +123,6 @@ class GridSpec:
         return 2.0 * math.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    grid: GridSpec
-    snapshots: tuple  # of (t_n, ndarray of n_points field values)
-    seed: int
-
-
-@dataclass(frozen=True)
-class EnsembleStats:
-    grid: GridSpec
-    n_samples: int
-    times: tuple
-    positions: np.ndarray
-    mean: np.ndarray  # (n_snapshots, n_points)
-    variance: np.ndarray  # unbiased, same shape
-    master_seed: int
-
-
 def noise_increments(grid: GridSpec, seed: int, step: int) -> np.ndarray:
     """DFT of one time slab of white-noise cell increments.
 
@@ -179,16 +158,16 @@ def _aliased_row(params, kernel, grid, t, row):
     |m| <= M are evaluated; the rest lie beyond _tail_onset, where the
     k^(-2p) terms of _tail_coefficients sum in closed form to Hurwitz zeta
     values: sum_{m>M} (2Km +- xi)^(-2p) = (2K)^(-2p) zeta(2p, M+1 +- xi/2K).
-    Those terms take a(k) = lam k^2 + mu.  A Gaussian kernel's j_hat is
-    below 1e-17 beyond the onset wherever it matters; the uniform kernel's
-    leaves b_1 (mu/lam) j_hat(k) k^-4 out, and |j_hat| <= 1/(scale k) bounds
-    its synthesis from the copies beyond K' = (2M+1)K by
+    Those terms take a(k) = lam k^2 + mu, and the onset lies where a
+    Gaussian kernel's j_hat is below 1e-17; the uniform kernel's leaves
+    b_1 (mu/lam) j_hat(k) k^-4 out, and |j_hat| <= 1/(scale k) bounds its
+    synthesis from the copies beyond K' = (2M+1)K by
     |b_1| (mu/lam) / (4 pi scale K'^4), so K' makes that 1e-14.
     """
     xi = grid.frequencies()[: grid.n_points // 2 + 1]
     band = math.pi / grid.dx
     coefficients = _tail_coefficients(params.alpha, params.lam, params.mu, t)
-    onset = _tail_onset(params.alpha, params.lam, t)
+    onset = _tail_onset(params, kernel, t)
     if kernel.kind == "uniform":
         bound = abs(coefficients[0]) * params.mu / (params.lam * 4.0 * math.pi * kernel.scale)
         onset = max(onset, (bound / 1e-14) ** 0.25)
@@ -262,8 +241,8 @@ def _snapshot_tables(params: DiffusionParams, kernel: KernelSpec, grid: GridSpec
 def _prepare(params, kernel, grid, snapshot_steps, force):
     """Refuse dim != 1 (the engine is one-dimensional) and non-mild parameter
     sets unless forced, check the snapshot steps (default 8 times) and look
-    up the tables of their sorted distinct steps.  Returns the steps, the
-    table row of each, and (dirac, factor)."""
+    up the tables of their sorted distinct steps.  Returns the time of each
+    step, its table row, and (dirac, factor)."""
     if params.dim != 1:
         raise DomainError(f"the simulator is one-dimensional, got dim={params.dim}")
     verdict = classify(params)
@@ -281,7 +260,8 @@ def _prepare(params, kernel, grid, snapshot_steps, force):
     steps = tuple(sorted(set(snapshot_steps)))
     # nothing in the tables depends on sigma, so every sigma shares them
     tables = _snapshot_tables(replace(params, sigma=1.0), kernel, grid, steps)
-    return snapshot_steps, [steps.index(s) for s in snapshot_steps], tables
+    return (tuple(s * grid.dt for s in snapshot_steps),
+            [steps.index(s) for s in snapshot_steps], tables)
 
 
 class _Workspace:
@@ -343,8 +323,9 @@ def simulate_path(
     seed: int,
     snapshot_steps=None,
     force: bool = False,
-) -> SamplePath:
-    """One sample path; snapshots at the requested step indices (default 8 times).
+) -> Profile:
+    """One sample path as a "sample_path" Profile with meta {"seed": seed}:
+    row i is the field at the i-th requested step (default 8 times).
 
     Steps may come in any order and repeat; a repeated step repeats its
     field bit for bit.  The noise is drawn as follows, and this layout is
@@ -357,18 +338,17 @@ def simulate_path(
     imaginary part at k = 0 and n/2, so g[1, 0] and g[1, n/2] are unused.
 
     Refuses dim != 1 with DomainError, and non-mild parameter sets unless
-    force=True.
+    force=True; a field that is not finite raises DomainError.
     """
-    snapshot_steps, rows, (dirac, factor) = _prepare(
-        params, kernel, grid, snapshot_steps, force)
+    times, rows, (dirac, factor) = _prepare(params, kernel, grid, snapshot_steps, force)
     z_half = dirac.astype(complex)
     if params.sigma != 0.0:
         noise = _mode_noise(factor, [seed], _Workspace(factor, grid, 1))[0]
         z_half.real += params.sigma * noise.real
         z_half.imag += params.sigma * noise.imag
     fields = _synthesize(z_half, grid)
-    snapshots = tuple((s * grid.dt, fields[i]) for s, i in zip(snapshot_steps, rows))
-    return SamplePath(grid=grid, snapshots=snapshots, seed=seed)
+    return Profile(times, tuple(grid.positions().tolist()), fields[rows], "sample_path",
+                   {"seed": seed})
 
 
 def _threads() -> int:
@@ -438,8 +418,10 @@ def ensemble_stats(
     master_seed: int,
     snapshot_steps=None,
     force: bool = False,
-) -> EnsembleStats:
-    """Monte Carlo mean and unbiased variance over n_samples independent paths.
+) -> tuple:
+    """Monte Carlo mean and unbiased variance over n_samples independent paths,
+    as the Profiles "mc_ensemble_mean" and "mc_ensemble_var" on simulate_path's
+    axes, both with meta {"n_samples": n_samples, "master_seed": master_seed}.
 
     Path i is simulate_path's for seed mix_seed(master_seed, i): the exact
     grid mean, the synthesized Dirac rows, plus sigma times a noise field
@@ -453,7 +435,8 @@ def ensemble_stats(
     number of usable CPUs when it is 0, capped at the usable CPUs and at
     the ceil(N/8) blocks of 8 consecutive seeds, so N <= 8 runs on the
     calling thread alone.  The result is bit for bit the same for every w.
-    Raises DomainError when FRACFIELD_THREADS is not a non-negative integer.
+    Raises DomainError when FRACFIELD_THREADS is not a non-negative integer,
+    or when a mean or variance is not finite.
     """
     if n_samples < 2:
         raise DomainError("ensemble_stats requires n_samples >= 2")
@@ -465,61 +448,49 @@ def ensemble_stats(
         # its objects land above them on the heap, and the process keeps
         # more peak RSS (0.26 MB more in perfbench's mc_super median)
         import concurrent.futures  # noqa: F401
-    snapshot_steps, rows, (dirac, factor) = _prepare(
-        params, kernel, grid, snapshot_steps, force)
+    times, rows, (dirac, factor) = _prepare(params, kernel, grid, snapshot_steps, force)
     s1, s2 = np.zeros((2, len(dirac), grid.n_points))
     if params.sigma != 0.0:
         seeds = [mix_seed(master_seed, i) for i in range(n_samples)]
         _add_noise_moments(factor, grid, seeds, w, s1, s2)
     mean = _synthesize(dirac, grid) + params.sigma * s1 / n_samples
     variance = params.sigma**2 * np.maximum(s2 - s1 * s1 / n_samples, 0.0) / (n_samples - 1)
-    return EnsembleStats(
-        grid=grid,
-        n_samples=n_samples,
-        times=tuple(s * grid.dt for s in snapshot_steps),
-        positions=grid.positions(),
-        mean=mean[rows],
-        variance=variance[rows],
-        master_seed=master_seed,
-    )
+    positions = tuple(grid.positions().tolist())
+    meta = {"n_samples": n_samples, "master_seed": master_seed}
+    return (Profile(times, positions, mean[rows], "mc_ensemble_mean", meta),
+            Profile(times, positions, variance[rows], "mc_ensemble_var", meta))
 
 
-def stats_to_profiles(stats: EnsembleStats):
-    """Export ensemble mean and variance as Profile objects."""
-    pos = tuple(stats.positions.tolist())
-    meta = {"n_samples": stats.n_samples, "master_seed": stats.master_seed}
-    return (
-        Profile(stats.times, pos, stats.mean, "mc_ensemble_mean", meta),
-        Profile(stats.times, pos, stats.variance, "mc_ensemble_var", meta),
-    )
-
-
-def compare_to_analytic(stats: EnsembleStats, reference: Profile) -> dict:
-    """Pointwise z-scores of the ensemble estimate against a reference profile.
+def compare_to_analytic(ensemble, reference: Profile) -> dict:
+    """Pointwise z-scores of ensemble_stats' (mean, variance) pair against a
+    reference profile.
 
     For mean-type references the standard error is sqrt(var/n); for
     variance-type references it is the Gaussian-theory var*sqrt(2/(n-1)).
     Reference positions must be a subset of the grid positions and times
     must match snapshot times.
     """
+    mean, variance = ensemble
+    n_samples = mean.meta["n_samples"]
     is_var = reference.method in ("var_quadrature", "var_series", "var_closed",
                                   "mc_ensemble_var")
     try:
-        t_idx = [stats.times.index(t) for t in reference.times]
+        t_idx = [mean.times.index(t) for t in reference.times]
     except ValueError as exc:
         raise GridMismatchError(f"reference time not among snapshots: {exc}")
+    positions = np.array(mean.positions)
     x_idx = []
     for x in reference.positions:
-        j = np.argmin(np.abs(stats.positions - x))
-        if abs(stats.positions[j] - x) > 1e-9 * max(1.0, abs(x)):
+        j = np.argmin(np.abs(positions - x))
+        if abs(positions[j] - x) > 1e-9 * max(1.0, abs(x)):
             raise GridMismatchError(f"reference position {x} not on the grid")
         x_idx.append(int(j))
-    est = (stats.variance if is_var else stats.mean)[np.ix_(t_idx, x_idx)]
+    est = (variance if is_var else mean).values[np.ix_(t_idx, x_idx)]
     ref = np.asarray(reference.values, dtype=float)
     if is_var:
-        se = est * math.sqrt(2.0 / (stats.n_samples - 1))
+        se = est * math.sqrt(2.0 / (n_samples - 1))
     else:
-        se = np.sqrt(stats.variance[np.ix_(t_idx, x_idx)] / stats.n_samples)
+        se = np.sqrt(variance.values[np.ix_(t_idx, x_idx)] / n_samples)
     se = np.where(se == 0.0, 1e-300, se)
     z = (est - ref) / se
     # exact agreement (self-comparison) yields exact zeros

@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -125,8 +124,9 @@ def kappa_alpha(alpha: float) -> float:
 # Hurwitz zeta
 
 _ZETA_DIRECT = 9
-# B_2j / (2j)! for j = 1..12, the Euler-Maclaurin correction coefficients
-_ZETA_EM = [float(Fraction(n, d) / math.factorial(2 * j)) for j, (n, d) in enumerate(
+# B_2j / (2j)! for j = 1..12, the Euler-Maclaurin correction coefficients; int / int
+# true division rounds the exact quotient once
+_ZETA_EM = [n / (d * math.factorial(2 * j)) for j, (n, d) in enumerate(
     ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
      (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730)), 1)]
 

@@ -44,7 +44,7 @@ from fracfield import (
     var_series,
 )
 from fracfield.errors import ResonanceError
-from fracfield.simulate import compare_to_analytic, stats_to_profiles
+from fracfield.simulate import compare_to_analytic
 
 GAUSS = KernelSpec("gaussian", 1.0)
 
@@ -291,11 +291,11 @@ def test_criterion_10_beta_series():
 def test_criterion_11_mc_classical():
     p = DiffusionParams(1.0, 1.0, 0.0, 1.0, 1)
     grid = GridSpec(half_length=20.0, n_points=1024, n_steps=256, t_end=1.0, ic="zero")
-    stats = ensemble_stats(p, GAUSS, grid, 2000, master_seed=12345, snapshot_steps=[256])
-    pos = stats.positions
+    _, variance = ensemble_stats(p, GAUSS, grid, 2000, master_seed=12345, snapshot_steps=[256])
+    pos = np.array(variance.positions)
     sel = np.abs(pos) <= 10.0
     ref = math.sqrt(1.0 / (2.0 * math.pi))  # variance is flat in x at alpha=1
-    dev = np.max(np.abs(stats.variance[0, sel] / ref - 1.0))
+    dev = np.max(np.abs(variance.values[0, sel] / ref - 1.0))
     ok_var = dev <= 0.10
     # ensemble mean from a Dirac initial state against the Fourier route
     grid_d = GridSpec(half_length=20.0, n_points=1024, n_steps=256, t_end=1.0,
@@ -328,9 +328,10 @@ def test_criterion_12_mc_fractional():
                             "fourier")
     z = compare_to_analytic(stats, ref_prof)["max_abs_z"]
     ok_mean = z <= 4.0
-    center = np.argmin(np.abs(stats.positions))
-    v = stats.variance[:, center]
-    ok_var = bool(np.all(np.isfinite(stats.variance)) and np.all(np.diff(v) >= 0))
+    variance = stats[1]
+    center = np.argmin(np.abs(np.array(variance.positions)))
+    v = variance.values[:, center]
+    ok_var = bool(np.all(np.isfinite(variance.values)) and np.all(np.diff(v) >= 0))
     report(
         12,
         ok_mean and ok_var,

@@ -232,6 +232,34 @@ class TestMeanFourier:
                         - sum(dp * q ** -(p + 1) for p, dp in enumerate(dm)))
                 assert float(diff * q**4 / lead) == pytest.approx(1.0, abs=4 * abs(delta) / q)
 
+    def test_nonnegative_without_jumps(self):
+        # mu = 0: the mean is a Mainardi scaling form, a probability density;
+        # what shows below zero (7.7e-14 of the peak) is rounding of the
+        # frequency sum
+        xs = np.linspace(0.0, 12.0, 121)
+        for alpha in (0.3, 0.9, 1.5, 1.95):
+            for t in (0.1, 1.0):
+                v = mean_fourier(local_params(alpha), GAUSS, t, xs)
+                assert v.min() >= -1e-12 * v.max(), (alpha, t)
+
+    def test_negative_near_alpha_two_with_jumps(self):
+        # mu > 0 keeps no sign near alpha = 2: at mu = 2, t = 2, x = 1.6 the
+        # mean is +0.036 at alpha = 1.8, -0.066 at 1.9 and -0.167 at 1.95.
+        # QUADPACK on the same integrand over [0, 400] leaves out a tail of
+        # about 1e-8
+        from fracfield.symbol import symbol_a
+
+        p = DiffusionParams(alpha=1.95, lam=1.0, mu=2.0, sigma=1.0, dim=1)
+        t, x = 2.0, 1.6
+
+        def mean_hat(k):
+            return ml_eval(MLOrder(p.alpha, 1.0), -symbol_a(p, GAUSS, k) * t**p.alpha)
+
+        ref = integrate.quad(mean_hat, 0.0, 400.0, weight="cos", wvar=x, limit=400)[0] / math.pi
+        got = mean_fourier(p, GAUSS, t, x)
+        assert got < -0.16
+        assert abs(got - ref) <= 1e-6
+
     def test_array_matches_pointwise(self):
         # per-point calls pick their own panel width from |x|
         p = DiffusionParams(alpha=0.8, lam=1.0, mu=0.5, sigma=1.0, dim=1)

@@ -133,7 +133,7 @@ def test_import_loads_no_scipy():
 def test_commands_load_no_numpy_ma():
     # np.unique imports numpy.ma on first use, 11-14 ms and 1.3 MB per process;
     # concurrent.futures imports logging, which only an ensemble run on more
-    # than one thread needs
+    # than one thread needs; fractions (which imports decimal) no module needs
     argvs = [
         ["ml", "--alpha", "0.6", "--x-range=-40:2:85", "--bounds", "--asymptotic"],
         ["mean", "--method", "fourier", "--alpha", "0.6", "--x-range=0:2:9"],
@@ -150,8 +150,9 @@ def test_commands_load_no_numpy_ma():
              f"for argv in {argvs!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        assert main(argv) == 0, argv\n"
-             "print('numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)")
-    assert _fresh_python(probe) == "False False"
+             "print('numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules,\n"
+             "      'fractions' in sys.modules, 'decimal' in sys.modules)")
+    assert _fresh_python(probe) == "False False False False"
 
 
 def test_commands_run_without_scipy():

@@ -15,7 +15,6 @@ from fracfield.simulate import (
     mix_seed,
     noise_increments,
     simulate_path,
-    stats_to_profiles,
 )
 from fracfield.symbol import DiffusionParams, KernelSpec
 
@@ -130,23 +129,23 @@ class TestSimulatePath:
             simulate_path(params(0.5), GAUSS, SMALL, seed=1)
         # force=True overrides
         p = simulate_path(params(0.5), GAUSS, SMALL, seed=1, force=True)
-        assert len(p.snapshots) == 8
+        assert len(p.times) == 8
 
     def test_zero_ic_zero_noise_is_zero(self):
         p = simulate_path(params(1.0, sigma=0.0), GAUSS, SMALL_ZERO, seed=1)
-        for _, f in p.snapshots:
+        for _, f in zip(p.times, p.values):
             assert np.all(f == 0.0)
 
     def test_fields_are_real_float(self):
         p = simulate_path(params(1.0), GAUSS, SMALL, seed=3)
-        for t, f in p.snapshots:
+        for t, f in zip(p.times, p.values):
             assert f.dtype == np.float64
             assert np.all(np.isfinite(f))
 
     def test_seed_determinism_bitwise(self):
         p1 = simulate_path(params(1.5), GAUSS, SMALL, seed=42)
         p2 = simulate_path(params(1.5), GAUSS, SMALL, seed=42)
-        for (t1, f1), (t2, f2) in zip(p1.snapshots, p2.snapshots):
+        for (t1, f1), (t2, f2) in zip(zip(p1.times, p1.values), zip(p2.times, p2.values)):
             assert t1 == t2
             assert np.array_equal(f1, f2)
 
@@ -155,7 +154,7 @@ class TestSimulatePath:
         # scaling, which commutes exactly with every rounding step
         one = simulate_path(params(1.0, sigma=1.0), GAUSS, SMALL_ZERO, seed=5)
         two = simulate_path(params(1.0, sigma=2.0), GAUSS, SMALL_ZERO, seed=5)
-        for (_, f1), (_, f2) in zip(one.snapshots, two.snapshots):
+        for f1, f2 in zip(one.values, two.values):
             assert np.array_equal(f2, 2.0 * f1)
 
     def test_dirac_alpha_one_matches_heat_kernel(self):
@@ -163,7 +162,7 @@ class TestSimulatePath:
         grid = GridSpec(half_length=20.0, n_points=1024, n_steps=16, t_end=1.0)
         p = simulate_path(params(1.0, sigma=0.0), GAUSS, grid, seed=1,
                           snapshot_steps=[16])
-        t, f = p.snapshots[0]
+        t, f = p.times[0], p.values[0]
         ref = heat_kernel(t, grid.positions(), 1.0)
         sel = ref > 1e-8
         assert np.max(np.abs(f[sel] - ref[sel]) / ref[sel]) < 1e-6
@@ -219,17 +218,17 @@ class TestSimulatePath:
         prm = params(1.5, mu=0.5)
         mixed = simulate_path(prm, GAUSS, SMALL, seed=9, snapshot_steps=[16, 3, 3])
         plain = simulate_path(prm, GAUSS, SMALL, seed=9, snapshot_steps=[3, 16])
-        assert [t for t, _ in mixed.snapshots] == [1.0, 3 * SMALL.dt, 3 * SMALL.dt]
-        (_, f16), (_, f3a), (_, f3b) = mixed.snapshots
+        assert list(mixed.times) == [1.0, 3 * SMALL.dt, 3 * SMALL.dt]
+        f16, f3a, f3b = mixed.values
         assert np.array_equal(f3a, f3b)
-        assert np.array_equal(f3a, plain.snapshots[0][1])
-        assert np.array_equal(f16, plain.snapshots[1][1])
+        assert np.array_equal(f3a, plain.values[0])
+        assert np.array_equal(f16, plain.values[1])
 
     def test_every_step(self):
         steps = range(1, SMALL.n_steps + 1)
         p = simulate_path(params(0.8), GAUSS, SMALL, seed=4, snapshot_steps=steps)
-        assert [t for t, _ in p.snapshots] == [s * SMALL.dt for s in steps]
-        assert all(np.all(np.isfinite(f)) for _, f in p.snapshots)
+        assert list(p.times) == [s * SMALL.dt for s in steps]
+        assert all(np.all(np.isfinite(f)) for f in p.values)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5])
     def test_dirac_part_is_table_row(self, alpha):
@@ -241,7 +240,7 @@ class TestSimulatePath:
         path = simulate_path(prm, GAUSS, grid, seed=1, snapshot_steps=[4, 16])
         x = grid.positions()
         near = np.abs(x) <= 5.0
-        for t, f in path.snapshots:
+        for t, f in zip(path.times, path.values):
             ref = mean_fourier(prm, GAUSS, t, x[near])
             assert np.max(np.abs(f[near] - ref)) <= 1e-11 * np.max(ref)
 
@@ -256,9 +255,26 @@ class TestSimulatePath:
         path = simulate_path(prm, kernel, grid, seed=1, snapshot_steps=[4, 16])
         x = grid.positions()
         near = np.abs(x) <= 5.0
-        for t, f in path.snapshots:
+        for t, f in zip(path.times, path.values):
             ref = mean_fourier(prm, kernel, t, x[near])
             assert np.max(np.abs(f[near] - ref)) <= 1e-13 * np.max(ref)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    @pytest.mark.parametrize("mu", [1.0, 100.0])
+    def test_narrow_gaussian_kernel_row_against_mean_fourier(self, mu, alpha):
+        # at scale 0.01 j_hat is still 0.6 at k = 100, where the zeta tail
+        # (which takes a(k) = lam k^2 + mu) would begin at t = 1; the copies
+        # must reach k = sqrt(2 ln 1e17) / scale = 885 (1.8e-8 of the peak
+        # at mu = 100 without them)
+        prm = params(alpha, mu=mu, sigma=0.0)
+        kernel = KernelSpec("gaussian", 0.01)
+        grid = GridSpec(half_length=20.0, n_points=1024, n_steps=16)
+        path = simulate_path(prm, kernel, grid, seed=1, snapshot_steps=[2, 8, 16])
+        x = grid.positions()
+        near = np.abs(x) <= 3.0
+        for t, f in zip(path.times, path.values):
+            ref = mean_fourier(prm, kernel, t, x[near])
+            assert np.max(np.abs(f[near] - ref)) <= 1e-13 * np.max(ref), t
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5, 1.9])
     def test_dirac_peak_closed_form_at_first_step(self, alpha):
@@ -266,7 +282,8 @@ class TestSimulatePath:
         # band-limited row alone is 30-60% off); the aliased row recovers the
         # peak 1 / (2 Gamma(1 - alpha/2) sqrt(lam t^alpha)) at mu = 0
         prm = params(alpha, sigma=0.0)
-        t, f = simulate_path(prm, GAUSS, SMALL, seed=1, snapshot_steps=[1]).snapshots[0]
+        path = simulate_path(prm, GAUSS, SMALL, seed=1, snapshot_steps=[1])
+        t, f = path.times[0], path.values[0]
         peak = 1.0 / (2.0 * math.gamma(1.0 - alpha / 2.0) * math.sqrt(t**alpha))
         assert f[SMALL.n_points // 2] == pytest.approx(peak, rel=1e-13)
 
@@ -287,7 +304,14 @@ class TestSimulatePath:
         with pytest.raises(NotMildError):
             simulate_path(prm, GAUSS, SMALL, seed=1)
         p = simulate_path(prm, GAUSS, SMALL, seed=1, force=True)
-        assert all(np.all(np.isfinite(f)) for _, f in p.snapshots)
+        assert all(np.all(np.isfinite(f)) for f in p.values)
+
+    def test_returns_sample_path_profile(self):
+        p = simulate_path(params(1.5, mu=0.5), GAUSS, SMALL, seed=9, snapshot_steps=[16, 3, 3])
+        assert p.method == "sample_path" and p.meta == {"seed": 9}
+        assert p.times == (1.0, 3 * SMALL.dt, 3 * SMALL.dt)
+        assert p.positions == tuple(SMALL.positions().tolist())
+        assert p.values.shape == (3, SMALL.n_points)
 
     def test_snapshot_step_validation(self):
         with pytest.raises(DomainError):
@@ -378,10 +402,10 @@ class TestWorkspace:
 
 class TestEnsemble:
     def test_determinism(self):
-        s1 = ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 8, master_seed=1)
-        s2 = ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 8, master_seed=1)
-        assert np.array_equal(s1.mean, s2.mean)
-        assert np.array_equal(s1.variance, s2.variance)
+        mean1, var1 = ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 8, master_seed=1)
+        mean2, var2 = ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 8, master_seed=1)
+        assert np.array_equal(mean1.values, mean2.values)
+        assert np.array_equal(var1.values, var2.values)
 
     def test_requires_two_samples(self):
         with pytest.raises(DomainError):
@@ -391,11 +415,11 @@ class TestEnsemble:
         # Dirac initial condition: mean^2 >> variance at small sigma, where a
         # sum-of-squares accumulation loses the variance to cancellation
         sigma = 2.0**-20
-        one = ensemble_stats(params(0.8), GAUSS, SMALL, 16, master_seed=4, force=True)
-        small = ensemble_stats(params(0.8, sigma=sigma), GAUSS, SMALL, 16,
-                               master_seed=4, force=True)
-        ref = sigma**2 * one.variance
-        assert np.max(np.abs(small.variance - ref)) <= 1e-8 * np.max(ref)
+        _, one = ensemble_stats(params(0.8), GAUSS, SMALL, 16, master_seed=4, force=True)
+        _, small = ensemble_stats(params(0.8, sigma=sigma), GAUSS, SMALL, 16,
+                                  master_seed=4, force=True)
+        ref = sigma**2 * one.values
+        assert np.max(np.abs(small.values - ref)) <= 1e-8 * np.max(ref)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5])
     def test_variance_matches_scheme_oracle(self, alpha):
@@ -409,22 +433,22 @@ class TestEnsemble:
         grid, n_paths = GridSpec(ic="zero"), 2000
         n = grid.n_points
         prm = params(alpha)
-        stats = ensemble_stats(prm, GAUSS, grid, n_paths, master_seed=12345)
-        steps = np.round(np.array(stats.times) / grid.dt).astype(int)
+        _, variance = ensemble_stats(prm, GAUSS, grid, n_paths, master_seed=12345)
+        steps = np.round(np.array(variance.times) / grid.dt).astype(int)
         p_k = np.cumsum(scheme_weights(prm, grid) ** 2, axis=0)[steps - 1]
         oracle = grid.dt * grid.dx * (n / (2 * grid.half_length)) ** 2 / n * p_k.sum(axis=1)
         rel_se = np.sqrt(2.0 / (n_paths - 1) * (p_k**2).sum(axis=1) / p_k.sum(axis=1) ** 2)
-        rel_err = stats.variance.mean(axis=1) / oracle - 1.0
+        rel_err = variance.values.mean(axis=1) / oracle - 1.0
         assert np.all(np.abs(rel_err) <= 5.0 * rel_se), (rel_err / rel_se, oracle)
 
     def test_variance_growth(self):
         # accumulated noise: variance at the box center grows with time
         for alpha in (0.8, 1.0, 1.5):
-            stats = ensemble_stats(
+            _, variance = ensemble_stats(
                 params(alpha), GAUSS, SMALL_ZERO, 64, master_seed=9, force=True
             )
             center = SMALL_ZERO.n_points // 2
-            v = stats.variance[:, center]
+            v = variance.values[:, center]
             assert v[0] < v[-1]
             assert np.all(v > 0)
 
@@ -435,24 +459,24 @@ class TestEnsemble:
         # the textbook two-pass mean and variance in long double
         grid = GridSpec(half_length=5.0, n_points=64, n_steps=16, ic=ic)
         prm, steps = params(0.8, mu=0.5), [16, 3, 3, 9]
-        stats = ensemble_stats(prm, GAUSS, grid, n_samples, master_seed=21,
-                               snapshot_steps=steps)
-        fields = np.array([[f for _, f in simulate_path(
-            prm, GAUSS, grid, mix_seed(21, i), snapshot_steps=steps).snapshots]
+        got_mean, got_var = ensemble_stats(prm, GAUSS, grid, n_samples, master_seed=21,
+                                           snapshot_steps=steps)
+        fields = np.array([simulate_path(
+            prm, GAUSS, grid, mix_seed(21, i), snapshot_steps=steps).values
             for i in range(n_samples)], dtype=np.longdouble)
         mean = fields.mean(axis=0)
         variance = ((fields - mean) ** 2).sum(axis=0) / (n_samples - 1)
-        assert stats.times == tuple(s * grid.dt for s in steps)
-        for got, ref in ((stats.mean, mean), (stats.variance, variance)):
+        assert got_mean.times == tuple(s * grid.dt for s in steps)
+        for got, ref in ((got_mean.values, mean), (got_var.values, variance)):
             scale = np.max(np.abs(ref), axis=1, keepdims=True)
             assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
     def test_variance_scales_with_sigma_squared_exactly(self):
         # the variance is sigma^2 times a moment of the sigma = 1 noise, so a
         # power-of-two sigma scales it bit for bit, Dirac mean or not
-        one = ensemble_stats(params(0.8), GAUSS, SMALL, 16, master_seed=4)
-        small = ensemble_stats(params(0.8, sigma=2.0**-20), GAUSS, SMALL, 16, master_seed=4)
-        assert np.array_equal(small.variance, 2.0**-40 * one.variance)
+        _, one = ensemble_stats(params(0.8), GAUSS, SMALL, 16, master_seed=4)
+        _, small = ensemble_stats(params(0.8, sigma=2.0**-20), GAUSS, SMALL, 16, master_seed=4)
+        assert np.array_equal(small.values, 2.0**-40 * one.values)
 
     def test_tables_shared_across_sigma(self):
         from fracfield.simulate import _snapshot_tables
@@ -468,26 +492,28 @@ class TestEnsemble:
     def test_variance_nonnegative(self, n_samples):
         for master_seed in range(20):
             for grid in (SMALL, SMALL_ZERO):
-                stats = ensemble_stats(params(0.8, mu=0.5), GAUSS, grid, n_samples,
-                                       master_seed, snapshot_steps=range(1, 17))
-                assert np.all(stats.variance >= 0.0)
+                _, variance = ensemble_stats(params(0.8, mu=0.5), GAUSS, grid, n_samples,
+                                             master_seed, snapshot_steps=range(1, 17))
+                assert np.all(variance.values >= 0.0)
 
     def test_sigma_zero_is_exact_mean(self):
         # no noise: the mean is the synthesized Dirac rows, simulate_path's
         # field bit for bit, and the variance is exactly zero
         prm = params(1.5, mu=0.5, sigma=0.0)
-        stats = ensemble_stats(prm, GAUSS, SMALL, 5, master_seed=8)
+        mean, variance = ensemble_stats(prm, GAUSS, SMALL, 5, master_seed=8)
         path = simulate_path(prm, GAUSS, SMALL, seed=0)
-        assert np.array_equal(stats.mean, np.array([f for _, f in path.snapshots]))
-        assert np.all(stats.variance == 0.0)
+        assert np.array_equal(mean.values, path.values)
+        assert np.all(variance.values == 0.0)
 
     def test_profiles_export(self):
-        stats = ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 4, master_seed=2)
-        mean_p, var_p = stats_to_profiles(stats)
+        mean_p, var_p = ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 4, master_seed=2)
         assert mean_p.method == "mc_ensemble_mean"
         assert var_p.method == "mc_ensemble_var"
         assert mean_p.values.shape == (8, SMALL_ZERO.n_points)
         assert mean_p.meta["n_samples"] == 4
+        assert var_p.meta == {"n_samples": 4, "master_seed": 2}
+        assert var_p.times == mean_p.times == tuple(s * SMALL_ZERO.dt for s in range(2, 17, 2))
+        assert var_p.positions == mean_p.positions == tuple(SMALL_ZERO.positions().tolist())
 
 
 class TestEnsembleThreads:
@@ -507,15 +533,15 @@ class TestEnsembleThreads:
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
         monkeypatch.setenv("FRACFIELD_THREADS", threads)
         prm = params(1.5)
-        stats = ensemble_stats(prm, GAUSS, SMALL_ZERO, n_samples, master_seed=5)
+        mean, variance = ensemble_stats(prm, GAUSS, SMALL_ZERO, n_samples, master_seed=5)
         s1 = s2 = 0.0
         for i in range(n_samples):
             path = simulate_path(prm, GAUSS, SMALL_ZERO, mix_seed(5, i))
-            f = np.array([field for _, field in path.snapshots])
+            f = path.values
             s1 = s1 + f
             s2 = s2 + f * f
-        assert np.array_equal(stats.mean, s1 / n_samples)
-        assert np.array_equal(stats.variance,
+        assert np.array_equal(mean.values, s1 / n_samples)
+        assert np.array_equal(variance.values,
                               np.maximum(s2 - s1 * s1 / n_samples, 0.0) / (n_samples - 1))
 
     @pytest.mark.parametrize("raw", ["many", "-1"])
@@ -562,8 +588,8 @@ class TestEnsembleThreads:
                 stats, exc = _in_thread(lambda: ensemble_stats(
                     params(1.5), GAUSS, SMALL_ZERO, 37, master_seed=11))
                 assert exc is None
-                assert np.array_equal(stats.mean, serial.mean)
-                assert np.array_equal(stats.variance, serial.variance)
+                assert np.array_equal(stats[0].values, serial[0].values)
+                assert np.array_equal(stats[1].values, serial[1].values)
         finally:
             sys.setswitchinterval(interval)
 
@@ -663,7 +689,7 @@ def _in_thread(call):
 class TestCompare:
     def test_self_comparison_zero(self):
         stats = ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 8, master_seed=3)
-        mean_p, var_p = stats_to_profiles(stats)
+        mean_p, var_p = stats
         for ref in (mean_p, var_p):
             out = compare_to_analytic(stats, ref)
             assert out["max_abs_z"] == 0.0
@@ -673,7 +699,7 @@ class TestCompare:
         bad_time = make_profile([0.123], [0.0], lambda t, x: 0.0, "fourier")
         with pytest.raises(GridMismatchError):
             compare_to_analytic(stats, bad_time)
-        t0 = stats.times[0]
+        t0 = stats[0].times[0]
         bad_pos = make_profile([t0], [0.03], lambda t, x: 0.0, "fourier")
         with pytest.raises(GridMismatchError):
             compare_to_analytic(stats, bad_pos)
