@@ -39,11 +39,13 @@ given (params, kernel, grid, snapshots, seed): a counter-based generator
 (Philox) keyed by the seed, and an ensemble that is the exact grid mean
 plus sigma times the noise's own moments, summed path by path in seed
 order.  A path's noise field depends on its seed alone, so the ensemble
-computes the fields on w threads: w = FRACFIELD_THREADS, or every usable
-CPU when it is 0 (the default), capped at the usable CPUs and at the
-ceil(N/8) blocks of 8 consecutive seeds, so N <= 8 paths run serially.
-Each block is written into one of w buffers that the calling thread
-allocates.  The result is bit-identical for any thread count.
+computes the fields on w lanes: w = FRACFIELD_THREADS, or every usable CPU
+when it is 0 (the default), capped at the usable CPUs and at the ceil(N/8)
+blocks of 8 consecutive seeds that one thread takes, so N <= 8 paths run
+serially.  With w > 1 the blocks hold 4 seeds, and lane j is a thread that
+computes blocks j, j + w, .. into its own workspace, which the calling
+thread allocates, and adds each block to the sums when every earlier block
+has been added.  The result is bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,7 +74,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 8  # consecutive seeds per block: the unit of work an ensemble thread takes
+_BLOCK = 8  # consecutive seeds per block on one thread; w is capped at the blocks
+_LANE_BLOCK = 4  # consecutive seeds per block on each of w > 1 ensemble lanes
 _MODE_BLOCK = 64  # modes per lag gather and QR in _snapshot_tables
 
 
@@ -369,45 +373,78 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _add_moments(blocks_fields, s1, s2):
-    """Add each field f of each block's fields, in turn, to s1 and f^2 to s2."""
-    for fields in blocks_fields:
-        for f in fields:
-            s1 += f
-            s2 += f * f
+def _add_moments(fields, s1, s2):
+    """Add each field f of a block, in turn, to s1 and f^2 to s2.  f is
+    squared in place, so no array is allocated."""
+    for f in fields:
+        s1 += f
+        f *= f
+        s2 += f
 
 
 def _add_noise_moments(factor, grid, seeds, w, s1, s2):
     """Add the sigma = 1 noise field f of each seed to s1 and f^2 to s2, path
     by path in seed order.
 
-    The fields are computed in blocks of _BLOCK consecutive seeds
-    (_noise_fields) by w threads, the calling thread and a pool of w - 1,
-    w being at most the number of blocks.  The calling thread first makes w
-    workspaces, one per thread slot, and no thread allocates another array.
-    The blocks go in waves: for the wave that starts at block lo, block
-    lo + i is computed in slot i, blocks lo + 1 .. lo + w - 1 are submitted
-    to the pool, the calling thread computes block lo, and it adds the
-    wave's fields in seed order, awaiting each pool block's result in turn.
-    So a slot is rewritten only after its fields were added, and the sums
-    do not depend on w.  The first block of a wave to fail, in seed order,
-    is re-raised once the pool has been shut down and its threads joined.
-    With w = 1 no pool is made.
+    The fields are computed in blocks of consecutive seeds (_noise_fields)
+    on w lanes: lane 0 is the calling thread and lanes 1 .. w - 1 are a pool
+    of w - 1 threads.  With w = 1 the blocks hold _BLOCK seeds and no pool
+    is made; with w > 1 they hold _LANE_BLOCK seeds.  The calling thread
+    first makes one workspace per lane, and no lane allocates another
+    array.  Lane j computes blocks j, j + w, j + 2w, .. into its own
+    workspace; after computing block i it waits until blocks 0 .. i - 1
+    have been added, adds block i and passes the turn on.  So a workspace
+    is rewritten only after its fields were added, and the sums do not
+    depend on w.  Once a block fails, every lane stops at its next turn; by
+    then each block before the failed one has been computed, so the first
+    failing block in seed order is among the failures, and it is re-raised
+    once the pool has been shut down and its threads joined.
     """
-    blocks = [seeds[i:i + _BLOCK] for i in range(0, len(seeds), _BLOCK)]
-    slots = [_Workspace(factor, grid, len(blocks[0])) for _ in range(w)]
-    fields_of = functools.partial(_noise_fields, factor, grid)
+    # one thread keeps 8-seed blocks: with 4, perfbench's mc_sub round_s
+    # read 8% slower (10 of 10 pairs), though a bare loop of calls read equal
+    size = _BLOCK if w == 1 else _LANE_BLOCK
+    blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+    spaces = [_Workspace(factor, grid, len(blocks[0])) for _ in range(w)]
     if w == 1:
         for block in blocks:
-            _add_moments([fields_of(block, slots[0])], s1, s2)
+            _add_moments(_noise_fields(factor, grid, block, spaces[0]), s1, s2)
         return
     from concurrent.futures import ThreadPoolExecutor
 
+    turn = threading.Condition()
+    added = 0  # blocks added so far
+    failed = {}  # block index -> its exception
+
+    def add_in_turn(i, fields):
+        """Add block i's fields once it is next in seed order; False when a
+        block has failed."""
+        nonlocal added
+        with turn:
+            turn.wait_for(lambda: added == i or failed)
+            if failed:
+                return False
+            _add_moments(fields, s1, s2)
+            added += 1
+            turn.notify_all()
+        return True
+
+    def lane(j):
+        try:
+            for i in range(j, len(blocks), w):
+                if not add_in_turn(i, _noise_fields(factor, grid, blocks[i], spaces[j])):
+                    return
+        except BaseException as exc:  # re-raised by the calling thread below
+            with turn:
+                failed[i] = exc
+                turn.notify_all()
+
     with ThreadPoolExecutor(w - 1) as pool:
-        for lo in range(0, len(blocks), w):
-            wave = pool.map(fields_of, blocks[lo + 1:lo + w], slots[1:])  # all submitted here
-            _add_moments([fields_of(blocks[lo], slots[0])], s1, s2)
-            _add_moments(wave, s1, s2)
+        lanes = [pool.submit(lane, j) for j in range(1, w)]
+        lane(0)
+    for future in lanes:
+        future.result()
+    if failed:
+        raise failed[min(failed)]
 
 
 def ensemble_stats(
@@ -431,10 +468,12 @@ def ensemble_stats(
     mean^2 >> variance cancellation occurs, and a power-of-two sigma scales
     the variance exactly.
 
-    The f_i are computed on w threads: w is FRACFIELD_THREADS, or the
-    number of usable CPUs when it is 0, capped at the usable CPUs and at
-    the ceil(N/8) blocks of 8 consecutive seeds, so N <= 8 runs on the
-    calling thread alone.  The result is bit for bit the same for every w.
+    The f_i are computed on w lanes, each a thread that adds its blocks of
+    consecutive seeds to S1 and S2 in seed order: w is FRACFIELD_THREADS,
+    or the number of usable CPUs when it is 0, capped at the usable CPUs
+    and at the ceil(N/8) blocks of 8 seeds that one thread takes, so N <= 8
+    runs on the calling thread alone; w > 1 lanes take blocks of 4.  The
+    result is bit for bit the same for every w.
     Raises DomainError when FRACFIELD_THREADS is not a non-negative integer,
     or when a mean or variance is not finite.
     """

@@ -343,8 +343,8 @@ def test_criterion_12_mc_fractional():
 def test_criterion_13_determinism(tmp_path, monkeypatch, capsys):
     from fracfield.cli import main
 
-    # one sample path, and a 19-path ensemble whose blocks of 8 seeds the
-    # engine spreads over its threads
+    # one sample path, and a 19-path ensemble whose blocks of 4 seeds the
+    # engine spreads over its lanes
     argvs = (
         ["simulate", "--alpha", "1", "--half-length", "5",
          "--n-points", "64", "--n-steps", "16", "--seed", "42"],

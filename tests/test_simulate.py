@@ -517,8 +517,9 @@ class TestEnsemble:
 
 
 class TestEnsembleThreads:
-    """ensemble_stats computes blocks of 8 seeds on FRACFIELD_THREADS threads
-    and sums them in seed order, so nothing it returns depends on the count."""
+    """ensemble_stats computes blocks of 4 seeds on FRACFIELD_THREADS lanes
+    (8 on one thread) and sums them in seed order, so nothing it returns
+    depends on the count."""
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     @pytest.mark.parametrize("n_samples", [2, 8, 9, 19, 37])
@@ -527,7 +528,7 @@ class TestEnsembleThreads:
         # the variance (S2 - S1^2 / N) / (N - 1), S1 and S2 summed over
         # simulate_path's fields one seed after another.  37 paths end in a
         # partial block, written into a workspace a full block used before:
-        # the caller's on 2 threads, a pool slot's on 3
+        # a pool lane's on 2 threads, the caller's on 3
         from fracfield import simulate
 
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
@@ -594,15 +595,15 @@ class TestEnsembleThreads:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("block,n_samples", [
-        pytest.param(1, 32, id="extra-thread-first-wave"),
-        pytest.param(2, 32, id="caller-second-wave"),
-        pytest.param(4, 40, id="partial-last-wave")])
+        pytest.param(1, 32, id="pool-lane"),
+        pytest.param(2, 32, id="calling-lane"),
+        pytest.param(8, 36, id="calling-lane-last-block")])
     def test_block_failure_surfaces(self, monkeypatch, block, n_samples):
-        # two threads; in the last case block 4 is the calling thread's and
-        # the pool has none in that wave
+        # two lanes; in the last case block 8 is the calling thread's and
+        # the pool lane has no block left
         from fracfield import simulate
 
-        failing = mix_seed(3, 8 * block)
+        failing = mix_seed(3, 4 * block)
         real = simulate._noise_fields
 
         def fail_one(factor, grid, seeds, ws):
@@ -664,7 +665,121 @@ class TestEnsembleThreads:
         monkeypatch.setenv("FRACFIELD_THREADS", str(threads))
         _, exc = _in_thread(lambda: ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, 75, 3))
         assert exc is None
-        assert len(alive) == 10 and max(alive) < threads, alive
+        assert len(alive) == (10 if threads == 1 else 19) and max(alive) < threads, alive
+
+    @pytest.mark.parametrize("threads,fail_after", [
+        pytest.param(3, {0: {1, 2}}, id="caller-fails-while-pool-lanes-wait"),
+        pytest.param(2, {1: set(), 0: {1}}, id="caller-fails-after-pool-lane"),
+        pytest.param(3, {5: set(), 4: {5}}, id="pool-lanes-fail-out-of-order")])
+    def test_first_failure_in_seed_order(self, monkeypatch, threads, fail_after):
+        # block b of fail_after fails once the blocks it names have been
+        # computed or have failed; blocks 1 and 2 then wait on their turn,
+        # or the later failure in seed order happens first.  The call
+        # returns, re-raises the first failing block in seed order and
+        # leaves no thread alive
+        from fracfield import simulate
+
+        real = simulate._noise_fields
+        block_of = {mix_seed(3, 4 * b): b for b in range(9)}
+        done, changed = set(), threading.Condition()
+
+        def fail_late(factor, grid, seeds, ws):
+            b = block_of[seeds[0]]
+            try:
+                if b not in fail_after:
+                    return real(factor, grid, seeds, ws)
+                with changed:
+                    assert changed.wait_for(lambda: fail_after[b] <= done, timeout=30)
+                raise RuntimeError(f"block {b}")
+            finally:
+                with changed:
+                    done.add(b)
+                    changed.notify_all()
+
+        monkeypatch.setattr(simulate, "_noise_fields", fail_late)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: threads)
+        monkeypatch.setenv("FRACFIELD_THREADS", str(threads))
+        before = threading.active_count()
+        _, exc = _in_thread(lambda: ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, 36, 3))
+        assert isinstance(exc, RuntimeError) and str(exc) == f"block {min(fail_after)}"
+        assert set(fail_after) <= done
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_pool_lanes_ahead_of_caller(self, monkeypatch, threads):
+        # the calling thread starts block i only once the pool lanes have
+        # computed their blocks up to i + w - 1, which then wait for it; the
+        # sums must still be those of one thread, added in seed order
+        from fracfield import simulate
+
+        n_samples, n_blocks = 37, 10
+        monkeypatch.setenv("FRACFIELD_THREADS", "1")
+        serial = ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, n_samples, 3)
+        real = simulate._noise_fields
+        block_of = {mix_seed(3, 4 * b): b for b in range(n_blocks)}
+        computed, changed = [], threading.Condition()
+
+        def caller_last(factor, grid, seeds, ws):
+            b = block_of[seeds[0]]
+            if threading.current_thread().name == "caller":
+                ahead = set(range(b + 1, min(b + threads, n_blocks)))
+                with changed:
+                    assert changed.wait_for(lambda: ahead <= set(computed), timeout=30)
+            fields = real(factor, grid, seeds, ws)
+            with changed:
+                computed.append(b)
+                changed.notify_all()
+            return fields
+
+        monkeypatch.setattr(simulate, "_noise_fields", caller_last)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: threads)
+        monkeypatch.setenv("FRACFIELD_THREADS", str(threads))
+        stats, exc = _in_thread(lambda: ensemble_stats(
+            params(1.5), GAUSS, SMALL_ZERO, n_samples, 3))
+        assert exc is None
+        assert sorted(computed[:threads - 1]) == list(range(1, threads))
+        assert computed[threads - 1] == 0
+        assert np.array_equal(stats[0].values, serial[0].values)
+        assert np.array_equal(stats[1].values, serial[1].values)
+
+    def test_pool_lane_adds_without_allocating(self, monkeypatch):
+        # a pool lane squares its fields in place: adding a block of 4 paths
+        # of 8 x 1024 fields (a 64 KB square each) traces only a few objects.
+        # The caller holds its next block until the pool lane has added, so
+        # nothing else runs meanwhile
+        import tracemalloc
+
+        from fracfield import simulate
+
+        real_fields, real_add = simulate._noise_fields, simulate._add_moments
+        pool_added, grown = threading.Event(), []
+
+        def caller_waits(factor, grid, seeds, ws):
+            if threading.current_thread().name == "caller" and seeds[0] == mix_seed(3, 8):
+                assert pool_added.wait(timeout=30)
+            return real_fields(factor, grid, seeds, ws)
+
+        def traced_add(fields, s1, s2):
+            if threading.current_thread().name == "caller":
+                return real_add(fields, s1, s2)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            real_add(fields, s1, s2)
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+            pool_added.set()
+
+        monkeypatch.setattr(simulate, "_noise_fields", caller_waits)
+        monkeypatch.setattr(simulate, "_add_moments", traced_add)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("FRACFIELD_THREADS", "2")
+        grid = GridSpec(half_length=5.0, n_points=1024, n_steps=16, ic="zero")
+        tracemalloc.start()
+        try:
+            _, exc = _in_thread(lambda: ensemble_stats(params(1.5), GAUSS, grid, 16, 3))
+        finally:
+            tracemalloc.stop()
+        assert exc is None
+        assert len(grown) == 2 and max(grown) <= 16384, grown
 
 
 def _in_thread(call):
