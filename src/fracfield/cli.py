@@ -239,9 +239,14 @@ def cmd_profile(args) -> int:
 # simulate
 
 
+def _non_finite(name):
+    """json's hook for NaN, Infinity and -Infinity, which no config field takes."""
+    raise DomainError(f"config numbers must be finite, got {name}")
+
+
 def _load_config(path):
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, parse_constant=_non_finite)
     if not isinstance(cfg, dict):
         raise DomainError("config must be a JSON object")
     version = cfg.get("version")

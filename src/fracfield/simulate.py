@@ -101,8 +101,8 @@ class GridSpec:
     ic: str = "dirac_spectral"
 
     def __post_init__(self):
-        if not self.half_length > 0 or not self.t_end > 0:
-            raise DomainError("half_length and t_end must be positive")
+        if not (0 < self.half_length < math.inf and 0 < self.t_end < math.inf):
+            raise DomainError("half_length and t_end must be positive and finite")
         n = self.n_points
         if n < 64 or n & (n - 1):
             raise DomainError("n_points must be a power of two >= 64")
@@ -387,10 +387,10 @@ def _add_noise_moments(factor, grid, seeds, w, s1, s2):
     by path in seed order.
 
     The fields are computed in blocks of consecutive seeds (_noise_fields)
-    on w lanes: lane 0 is the calling thread and lanes 1 .. w - 1 are a pool
-    of w - 1 threads.  With w = 1 the blocks hold _BLOCK seeds and no pool
-    is made; with w > 1 they hold _LANE_BLOCK seeds.  The calling thread
-    first makes one workspace per lane, and no lane allocates another
+    on w lanes: lane 0 is the calling thread and lanes 1 .. w - 1 are
+    threads started here.  With w = 1 the blocks hold _BLOCK seeds and lane
+    0 runs them all; with w > 1 they hold _LANE_BLOCK seeds.  The calling
+    thread first makes one workspace per lane, and no lane allocates another
     array.  Lane j computes blocks j, j + w, j + 2w, .. into its own
     workspace; after computing block i it waits until blocks 0 .. i - 1
     have been added, adds block i and passes the turn on.  So a workspace
@@ -398,19 +398,14 @@ def _add_noise_moments(factor, grid, seeds, w, s1, s2):
     depend on w.  Once a block fails, every lane stops at its next turn; by
     then each block before the failed one has been computed, so the first
     failing block in seed order is among the failures, and it is re-raised
-    once the pool has been shut down and its threads joined.
+    once every thread has been joined.
     """
     # one thread keeps 8-seed blocks: with 4, perfbench's mc_sub round_s
-    # read 8% slower (10 of 10 pairs), though a bare loop of calls read equal
+    # read 8% slower (10 of 10 pairs), though a bare loop of calls read equal;
+    # 8-seed blocks on two lanes read mc_super 8% slower in process
     size = _BLOCK if w == 1 else _LANE_BLOCK
     blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
     spaces = [_Workspace(factor, grid, len(blocks[0])) for _ in range(w)]
-    if w == 1:
-        for block in blocks:
-            _add_moments(_noise_fields(factor, grid, block, spaces[0]), s1, s2)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
     turn = threading.Condition()
     added = 0  # blocks added so far
     failed = {}  # block index -> its exception
@@ -438,11 +433,12 @@ def _add_noise_moments(factor, grid, seeds, w, s1, s2):
                 failed[i] = exc
                 turn.notify_all()
 
-    with ThreadPoolExecutor(w - 1) as pool:
-        lanes = [pool.submit(lane, j) for j in range(1, w)]
-        lane(0)
-    for future in lanes:
-        future.result()
+    lanes = [threading.Thread(target=lane, args=(j,)) for j in range(1, w)]
+    for thread in lanes:
+        thread.start()
+    lane(0)
+    for thread in lanes:
+        thread.join()
     if failed:
         raise failed[min(failed)]
 
@@ -481,12 +477,6 @@ def ensemble_stats(
         raise DomainError("ensemble_stats requires n_samples >= 2")
     cpus = _usable_cpus()
     w = min(_threads() or cpus, cpus, -(-n_samples // _BLOCK))
-    if w > 1 and params.sigma != 0.0:
-        # concurrent.futures (which imports logging) is loaded only for a
-        # pool, and before the tables and sums exist: imported after them,
-        # its objects land above them on the heap, and the process keeps
-        # more peak RSS (0.26 MB more in perfbench's mc_super median)
-        import concurrent.futures  # noqa: F401
     times, rows, (dirac, factor) = _prepare(params, kernel, grid, snapshot_steps, force)
     s1, s2 = np.zeros((2, len(dirac), grid.n_points))
     if params.sigma != 0.0:

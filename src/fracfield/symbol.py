@@ -56,8 +56,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform"):
             raise DomainError(f"unknown kernel kind {self.kind!r}")
-        if not self.scale > 0:
-            raise DomainError("kernel scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise DomainError("kernel scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,11 @@ class DiffusionParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise DomainError("alpha must lie in (0, 2)")
+        if not all(math.isfinite(v) for v in (self.lam, self.mu, self.sigma)):
+            raise DomainError("lambda, mu and sigma must be finite")
         if self.lam < 0 or self.mu < 0:
             raise DomainError("lambda and mu must be nonnegative")
-        if self.dim < 1 or self.dim != int(self.dim):
+        if not (self.dim >= 1 and float(self.dim).is_integer()):
             raise DomainError("dim must be a positive integer")
 
 

@@ -24,9 +24,8 @@ def _series(alpha, beta, z, need):
             t = mp.power(zc, k) / mp.gamma(a * k + b)
             s += t
             k += 1
-            if k > peak + 10 and abs(t) < mp.mpf(10) ** (-(mp.mp.dps - 8)) * max(
-                abs(s), mp.mpf(1)
-            ):
+            # relative to the sum: at large beta every term, and E, lies far below 1
+            if k > peak + 10 and abs(t) < mp.mpf(10) ** (-(mp.mp.dps - 8)) * abs(s):
                 return float(s)
             if k > 500000:
                 raise RuntimeError("oracle series did not converge")

@@ -132,8 +132,9 @@ def test_import_loads_no_scipy():
 
 def test_commands_load_no_numpy_ma():
     # np.unique imports numpy.ma on first use, 11-14 ms and 1.3 MB per process;
-    # concurrent.futures imports logging, which only an ensemble run on more
-    # than one thread needs; fractions (which imports decimal) no module needs
+    # the ensemble's lanes are plain threads, so even a run on two of them
+    # loads no concurrent.futures (which imports logging); fractions (which
+    # imports decimal) no module needs
     argvs = [
         ["ml", "--alpha", "0.6", "--x-range=-40:2:85", "--bounds", "--asymptotic"],
         ["mean", "--method", "fourier", "--alpha", "0.6", "--x-range=0:2:9"],
@@ -150,9 +151,15 @@ def test_commands_load_no_numpy_ma():
              f"for argv in {argvs!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        assert main(argv) == 0, argv\n"
+             "from fracfield import simulate\n"
+             "os.environ['FRACFIELD_THREADS'] = '2'\n"
+             "simulate._usable_cpus = lambda: 2\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    assert main({argvs[-1]!r}) == 0\n"
              "print('numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules,\n"
-             "      'fractions' in sys.modules, 'decimal' in sys.modules)")
-    assert _fresh_python(probe) == "False False False False"
+             "      'logging' in sys.modules, 'fractions' in sys.modules,\n"
+             "      'decimal' in sys.modules)")
+    assert _fresh_python(probe) == "False False False False False"
 
 
 def test_commands_run_without_scipy():
@@ -355,6 +362,24 @@ class TestMild:
         )
         assert code == EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["mild", "--alpha", "0.8", "--lambda", "nan"],
+        ["mild", "--alpha", "0.8", "--mu", "nan"],
+        ["mild", "--alpha", "0.8", "--lambda", "inf"],
+        ["mean", "--alpha", "0.6", "--lambda", "inf", "--x", "1"],
+        ["simulate", "--alpha", "1.5", "--half-length", "inf", "--n-points", "64",
+         "--n-steps", "16"],
+        ["ml", "--alpha", "0.5", "--beta", "inf", "--x-range=-2:2:3"],
+    ], ids=["mild-lambda-nan", "mild-mu-nan", "mild-lambda-inf", "mean-lambda-inf",
+            "simulate-half-length-inf", "ml-beta-inf"])
+    def test_non_finite_parameters_exit_two(self, capsys, argv):
+        # mild printed "mild": true for a nan lambda; mean and simulate died
+        # of an OverflowError and a ZeroDivisionError
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err and "Traceback" not in err
 
     def test_probe_payload(self, capsys):
         code, out, _ = run(
@@ -928,6 +953,23 @@ class TestSimulateCli:
         assert code == EXIT_USAGE
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_config_non_finite_numbers(self, capsys, tmp_path, monkeypatch, text):
+        # json reads NaN and Infinity, and 1e999 as inf; each is refused
+        # before any table is built
+        from fracfield import simulate
+
+        def no_tables(*args):
+            raise AssertionError("tables built for a refused config")
+
+        monkeypatch.setattr(simulate, "_prepare", no_tables)
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": 1, "params": {"alpha": 1.5, "lambda": %s}}' % text)
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
 
     def test_config_bad_version(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -69,6 +69,13 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(ic="plateau")
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["half_length", "t_end"])
+    def test_lengths_finite(self, field, value):
+        # an infinite box ran until a ZeroDivisionError
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec(**{field: value})
+
     def test_geometry(self):
         g = GridSpec(half_length=10.0, n_points=128, n_steps=64, t_end=2.0)
         assert g.dx == pytest.approx(20.0 / 128)
@@ -528,7 +535,7 @@ class TestEnsembleThreads:
         # the variance (S2 - S1^2 / N) / (N - 1), S1 and S2 summed over
         # simulate_path's fields one seed after another.  37 paths end in a
         # partial block, written into a workspace a full block used before:
-        # a pool lane's on 2 threads, the caller's on 3
+        # an extra lane's on 2 threads, the caller's on 3
         from fracfield import simulate
 
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
@@ -594,16 +601,18 @@ class TestEnsembleThreads:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("block,n_samples", [
-        pytest.param(1, 32, id="pool-lane"),
-        pytest.param(2, 32, id="calling-lane"),
-        pytest.param(8, 36, id="calling-lane-last-block")])
-    def test_block_failure_surfaces(self, monkeypatch, block, n_samples):
-        # two lanes; in the last case block 8 is the calling thread's and
-        # the pool lane has no block left
+    @pytest.mark.parametrize("threads,block,n_samples", [
+        pytest.param(2, 1, 32, id="pool-lane"),
+        pytest.param(2, 2, 32, id="calling-lane"),
+        pytest.param(2, 8, 36, id="calling-lane-last-block"),
+        pytest.param(1, 2, 32, id="one-thread")])
+    def test_block_failure_surfaces(self, monkeypatch, threads, block, n_samples):
+        # two lanes of 4-seed blocks; in the third case block 8 is the
+        # calling thread's and the extra lane has no block left.  On one
+        # thread the calling lane runs every 8-seed block and none starts
         from fracfield import simulate
 
-        failing = mix_seed(3, 4 * block)
+        failing = mix_seed(3, (4 if threads > 1 else 8) * block)
         real = simulate._noise_fields
 
         def fail_one(factor, grid, seeds, ws):
@@ -611,14 +620,37 @@ class TestEnsembleThreads:
                 raise RuntimeError(f"block {block}")
             return real(factor, grid, seeds, ws)
 
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread.name) or start(thread))
         monkeypatch.setattr(simulate, "_noise_fields", fail_one)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-        monkeypatch.setenv("FRACFIELD_THREADS", "2")
+        monkeypatch.setenv("FRACFIELD_THREADS", str(threads))
         before = threading.active_count()
         _, exc = _in_thread(lambda: ensemble_stats(
             params(1.5), GAUSS, SMALL_ZERO, n_samples, 3))
         assert isinstance(exc, RuntimeError) and str(exc) == f"block {block}"
+        assert len(started) == threads  # the "caller" of _in_thread and w - 1 lanes
         assert threading.active_count() == before
+
+    def test_caller_makes_every_workspace(self, monkeypatch):
+        # the calling thread allocates the w workspaces, one per lane, and no
+        # lane thread makes one
+        from fracfield import simulate
+
+        real, makers = simulate._Workspace, []
+
+        def recorded(*args):
+            makers.append(threading.current_thread().name)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_Workspace", recorded)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        monkeypatch.setenv("FRACFIELD_THREADS", "3")
+        _, exc = _in_thread(lambda: ensemble_stats(params(1.5), GAUSS, SMALL_ZERO, 37, 3))
+        assert exc is None
+        assert makers == ["caller"] * 3
 
     def test_extra_thread_failure_surfaces(self, monkeypatch):
         # the calling thread holds its first block until the extra thread has
@@ -706,8 +738,8 @@ class TestEnsembleThreads:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_pool_lanes_ahead_of_caller(self, monkeypatch, threads):
-        # the calling thread starts block i only once the pool lanes have
+    def test_extra_lanes_ahead_of_caller(self, monkeypatch, threads):
+        # the calling thread starts block i only once the extra lanes have
         # computed their blocks up to i + w - 1, which then wait for it; the
         # sums must still be those of one thread, added in seed order
         from fracfield import simulate
@@ -742,21 +774,21 @@ class TestEnsembleThreads:
         assert np.array_equal(stats[0].values, serial[0].values)
         assert np.array_equal(stats[1].values, serial[1].values)
 
-    def test_pool_lane_adds_without_allocating(self, monkeypatch):
-        # a pool lane squares its fields in place: adding a block of 4 paths
+    def test_extra_lane_adds_without_allocating(self, monkeypatch):
+        # an extra lane squares its fields in place: adding a block of 4 paths
         # of 8 x 1024 fields (a 64 KB square each) traces only a few objects.
-        # The caller holds its next block until the pool lane has added, so
+        # The caller holds its next block until the extra lane has added, so
         # nothing else runs meanwhile
         import tracemalloc
 
         from fracfield import simulate
 
         real_fields, real_add = simulate._noise_fields, simulate._add_moments
-        pool_added, grown = threading.Event(), []
+        extra_added, grown = threading.Event(), []
 
         def caller_waits(factor, grid, seeds, ws):
             if threading.current_thread().name == "caller" and seeds[0] == mix_seed(3, 8):
-                assert pool_added.wait(timeout=30)
+                assert extra_added.wait(timeout=30)
             return real_fields(factor, grid, seeds, ws)
 
         def traced_add(fields, s1, s2):
@@ -766,7 +798,7 @@ class TestEnsembleThreads:
             before = tracemalloc.get_traced_memory()[0]
             real_add(fields, s1, s2)
             grown.append(tracemalloc.get_traced_memory()[1] - before)
-            pool_added.set()
+            extra_added.set()
 
         monkeypatch.setattr(simulate, "_noise_fields", caller_waits)
         monkeypatch.setattr(simulate, "_add_moments", traced_add)

@@ -228,6 +228,56 @@ class TestEval:
                         worst = max(worst, err / (abs(ref) if abs(ref) > 1e-3 else 1.0))
         assert worst <= 1e-11
 
+    @pytest.mark.parametrize("beta", [20.0, 30.0, 100.0])
+    def test_large_beta_relative(self, beta):
+        # graded relative: these values lie far below 1e-3, where an absolute
+        # grade passes anything.  The step down in beta amplified rounding
+        # up to 1e137 at beta = 100 when the series stopped at |z| = 1
+        worst = 0.0
+        for alpha in (0.1, 0.5, 1.5):
+            for x in (0.3, 1.01, 1.63, 3.2, 24.3, 259.0, 1000.0):
+                for z in (-x, x):
+                    if x ** (1.0 / alpha) > 600:
+                        continue  # beyond the oracle series' reach
+                    ref = ml_oracle(alpha, beta, z)
+                    err = abs(ml_eval(MLOrder(alpha, beta), z) - ref) / abs(ref)
+                    worst = max(worst, err)
+        assert worst <= 5e-11
+
+    def test_few_steps_beat_the_series(self):
+        # just outside |z| = 1 a few steps down in beta lose little, while
+        # the series at alpha = 0.1 stops on a slowly decaying tail
+        # (2e-12 here), so the steps keep that ring
+        worst = 0.0
+        for beta in (2.5, 5.0):
+            for x in (1.01, 1.05, 1.1):
+                for z in (-x, x):
+                    ref = ml_oracle(0.1, beta, z)
+                    worst = max(worst, abs(ml_eval(MLOrder(0.1, beta), z) - ref) / abs(ref))
+        assert worst <= 1e-13
+
+    def test_many_steps_in_beta(self):
+        # beta = 101 at alpha = 0.1 takes 993 steps down from z = -5 (a
+        # RecursionError when each step was a call); the oracle sums the
+        # algebraic expansion there
+        for x in (5.0, 10.0, 40.0):
+            ref = ml_oracle(0.1, 101.0, -x)
+            assert ml_eval(MLOrder(0.1, 101.0), -x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_step_cap(self):
+        # beta = 1e300 would never step down to the contour: off the series
+        # disc it is refused; on it, 1/Gamma(beta) underflows to 0
+        order = MLOrder(0.1, 1e300)
+        assert ml_eval(order, np.array([-0.5, 0.0, 0.5])).tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(DomainError, match="steps"):
+            ml_eval(order, -5.0)
+
+    @pytest.mark.parametrize("alpha,beta", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan),
+                                            (0.5, math.inf), (0.0, 1.0), (0.5, -1.0)])
+    def test_order_domain(self, alpha, beta):
+        with pytest.raises(DomainError):
+            MLOrder(alpha, beta)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
     def test_subdiffusive_large_argument(self, alpha):
         for beta in (1.0, alpha):

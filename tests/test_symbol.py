@@ -39,6 +39,26 @@ class TestKernelSpec:
             DiffusionParams(alpha=0.5, dim=0)
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "lam", "mu", "sigma"])
+    def test_params_refuse_non_finite(self, field, value):
+        # nan passed every comparison, and an infinite lambda or mu reached
+        # an OverflowError deep in the mean's quadrature
+        with pytest.raises(DomainError):
+            DiffusionParams(**{"alpha": 0.8, field: value})
+
+    @pytest.mark.parametrize("dim", [math.inf, math.nan, 1.5, 0, -2])
+    def test_dim_positive_integer(self, dim):
+        # int(inf) raised OverflowError and int(nan) ValueError before
+        with pytest.raises(DomainError, match="dim"):
+            DiffusionParams(alpha=0.8, dim=dim)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, -math.inf])
+    def test_kernel_scale_finite(self, scale):
+        with pytest.raises(DomainError, match="scale"):
+            KernelSpec("gaussian", scale)
+
+
 class TestJHat:
     def test_density_normalization(self):
         assert j_hat(GAUSS, 0.0) == 1.0
