@@ -115,24 +115,33 @@ def heat_kernel(t: float, x, lam: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _tail_coefficients(alpha: float, lam: float, mu: float, t: float):
-    """b_1, b_2, b_3 of E_alpha(-a(k) t^alpha) ~ sum_p b_p k^(-2p) for large k.
+def _tail_coefficients(alpha: float, lam: float, mu: float, t: float, k0: float = math.inf):
+    """b_1, b_2, .. of E_alpha(-a(k) t^alpha) ~ sum_p b_p k^(-2p) for k >= k0.
 
     Keeps three terms of E_alpha(-u) ~ sum_j (-1)^(j+1) u^(-j) / Gamma(1 - j alpha)
-    with a(k) ~ lam k^2 + mu, each (lam k^2 + mu)^(-j) expanded in k^(-2) up to
-    k^(-6); a term vanishes where 1 - j alpha is a pole of Gamma, so alpha = 1
-    has none.
+    with a(k) ~ lam k^2 + mu, each (lam k^2 + mu)^(-j) expanded in k^(-2); a
+    term vanishes where 1 - j alpha is a pole of Gamma, so alpha = 1 has none.
+    That expansion converges by mu / (lam k^2) per term, so k0 must be at
+    least sqrt(5 mu / lam).  Three terms are kept, and more while the next
+    one's part beyond k0 of the mean's Fourier integral, below
+    |b_p| k0^(1-2p), may exceed 1e-14.
     """
     ta, ratio = lam * t**alpha, mu / lam
-    # coefficient of k^(-2p): binom(-j, r) = (-1)^r binom(j+r-1, r), r = p - j
-    return [sum((-1) ** (j + 1) * _rgamma(1.0 - j * alpha) / ta**j
-                * (-ratio) ** (p - j) * math.comb(p - 1, j - 1)
-                for j in range(1, p + 1))
-            for p in (1, 2, 3)]
+
+    def b(p):  # binom(-j, r) = (-1)^r binom(j+r-1, r), r = p - j
+        return sum((-1) ** (j + 1) * _rgamma(1.0 - j * alpha) / ta**j
+                   * (-ratio) ** (p - j) * math.comb(p - 1, j - 1)
+                   for j in range(1, min(p, 3) + 1))
+
+    out = [b(1), b(2), b(3)]
+    while abs(b(len(out) + 1)) * k0 ** (-1 - 2 * len(out)) > 1e-14:
+        out.append(b(len(out) + 1))
+    return out
 
 
 def _tail_onset(params: DiffusionParams, kernel: KernelSpec, t: float) -> float:
-    """Wavenumber beyond which _tail_coefficients' expansion is accurate.
+    """Wavenumber K beyond which _tail_coefficients' expansion is accurate;
+    both mean_fourier and the simulator's aliased rows read it.
 
     There u = lam k^2 t^alpha >= 1e4, where the first omitted term is ~u^-4
     of it; for alpha > 1 the poles' residue pair, which the expansion omits,
@@ -140,7 +149,13 @@ def _tail_onset(params: DiffusionParams, kernel: KernelSpec, t: float) -> float:
     and a(k) >= lam k^2.  The expansion takes a(k) = lam k^2 + mu, so where
     mu > 0 a Gaussian kernel's j_hat must have fallen below 1e-17 there as
     well: k >= sqrt(2 ln 1e17) / scale.  The uniform kernel's j_hat falls
-    only as 1/k; each consumer handles it on its own.
+    only as 1/k, so both consumers subtract E's leading j_hat term
+    d_1 m j_hat(k) (k^2 + c^2)^-2 (m = mu/lam, c and d_p of _matern_terms)
+    and add it back in closed form (_uniform_transform).  What is left of
+    j_hat beyond K is 2 d_2 m j_hat k^-6 + d_1 m^2 j_hat^2 k^-6 to leading
+    order, and |j_hat| <= 1/(scale k) bounds their transforms over [K, inf)
+    at every x by |d_2| m / (3 pi scale K^6) and |d_1| m^2 / (7 pi scale^2 K^7);
+    K makes each 1e-14.
     """
     alpha, lam = params.alpha, params.lam
     u = 1e4
@@ -149,6 +164,11 @@ def _tail_onset(params: DiffusionParams, kernel: KernelSpec, t: float) -> float:
     onset = math.sqrt(u / (lam * t**alpha))
     if params.mu > 0 and kernel.kind == "gaussian":
         onset = max(onset, math.sqrt(2.0 * math.log(1e17)) / kernel.scale)
+    if params.mu > 0 and kernel.kind == "uniform":
+        m, scale = params.mu / lam, kernel.scale
+        _, d = _matern_terms(alpha, lam, params.mu, t)
+        onset = max(onset, (abs(d[1]) * m / (3.0 * math.pi * scale * 1e-14)) ** (1 / 6),
+                    (abs(d[0]) * m * m / (7.0 * math.pi * scale**2 * 1e-14)) ** (1 / 7))
     return onset
 
 
@@ -205,15 +225,11 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     transform of S over [0, inf) is added in closed form
     (_matern_transform); the O(k^-8) remainder of E - S beyond K is left out.
     S takes a(k) = lam k^2 + mu, so where mu > 0 the kernel's j_hat is left
-    out beyond K; _tail_onset puts K where a Gaussian one is below 1e-17.
-    For the uniform kernel, with m = mu/lam, d_1 m j_hat(k) (k^2 + c^2)^-2
-    is subtracted as well and added back in closed form (_uniform_transform):
+    out beyond K, which _tail_onset places for either kernel.  For the
+    uniform kernel, with m = mu/lam, d_1 m j_hat(k) (k^2 + c^2)^-2 is
+    subtracted as well and added back in closed form (_uniform_transform):
     E's leading j_hat term, re-expanded about c^2 like S, so that it stays
-    bounded as mu -> 0.  What is left of j_hat beyond K is
-    2 d_2 m j_hat k^-6 + d_1 m^2 j_hat^2 k^-6 to leading order, and
-    |j_hat| <= 1/(scale k) bounds their transforms over [K, inf) at every x
-    by |d_2| m / (3 pi scale K^6) and |d_1| m^2 / (7 pi scale^2 K^7); K
-    makes each 1e-14.
+    bounded as mu -> 0.
     """
     if not t > 0:
         raise DomainError("mean_fourier requires t > 0")
@@ -225,10 +241,7 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     alpha, lam, ta = params.alpha, params.lam, t**params.alpha
     c, d = _matern_terms(alpha, lam, params.mu, t)
     cutoff = max(240.0, _tail_onset(params, kernel, t))
-    m, scale = params.mu / lam, kernel.scale
-    if kernel.kind == "uniform":
-        cutoff = max(cutoff, (abs(d[1]) * m / (3.0 * math.pi * scale * 1e-14)) ** (1 / 6),
-                     (abs(d[0]) * m * m / (7.0 * math.pi * scale**2 * 1e-14)) ** (1 / 7))
+    m = params.mu / lam
     ax = np.abs(np.asarray(x, dtype=float))
     # a 32-node panel spans at most 4 widths of E near k = 0, 32 radians of
     # cos(kx) and 4 widths of the kernel's transform
@@ -249,7 +262,7 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     out = val.reshape(ax.shape) / math.pi + sum(
         dp * _matern_transform(n, c, ax) for n, dp in enumerate(d))
     if kernel.kind == "uniform":
-        out += d[0] * m * _uniform_transform(c, scale, ax)
+        out += d[0] * m * _uniform_transform(c, kernel.scale, ax)
     if not np.all(np.isfinite(out)):
         raise QuadratureError("frequency quadrature failed")
     return float(out) if out.ndim == 0 else out

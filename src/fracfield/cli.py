@@ -269,11 +269,16 @@ _JSON_TYPES = {"float": ((int, float), "number"), "int": (int, "integer"),
 
 
 def _checked(value, kind, name):
-    """value as a field of type kind; a JSON bool is no number."""
+    """value as a field of type kind; a JSON bool is no number, and an
+    integer beyond the float range no float."""
     types, noun = _JSON_TYPES[kind]
     if not isinstance(value, types) or isinstance(value, bool):
         raise DomainError(f"config \"{name}\" must be a JSON {noun}, got {value!r}")
-    return float(value) if kind == "float" else value
+    try:
+        return float(value) if kind == "float" else value
+    except OverflowError:
+        raise DomainError(f"config \"{name}\" must be a finite number, "
+                          "got an integer beyond the float range")
 
 
 def _to_json(obj) -> dict:
@@ -452,6 +457,10 @@ def main(argv=None) -> int:
         return EXIT_NOT_MILD
     except (FracfieldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:  # finite inputs whose arithmetic leaves the float range
+        print(f"error: the inputs leave the floating-point range ({type(exc).__name__})",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

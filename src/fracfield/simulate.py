@@ -58,11 +58,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic_fields import Profile, _tail_coefficients, _tail_onset
+from .analytic_fields import (
+    Profile,
+    _matern_terms,
+    _tail_coefficients,
+    _tail_onset,
+    _uniform_transform,
+)
 from .errors import DomainError, GridMismatchError, NotMildError
 from .mildness import classify
 from .special_fn import MLOrder, _hurwitz_zeta, gamma_fn, ml_eval
-from .symbol import DiffusionParams, KernelSpec, symbol_a
+from .symbol import DiffusionParams, KernelSpec, j_hat, symbol_a
 
 __all__ = [
     "GridSpec",
@@ -77,6 +83,7 @@ _MASK64 = (1 << 64) - 1
 _BLOCK = 8  # consecutive seeds per block on one thread; w is capped at the blocks
 _LANE_BLOCK = 4  # consecutive seeds per block on each of w > 1 ensemble lanes
 _MODE_BLOCK = 64  # modes per lag gather and QR in _snapshot_tables
+_FOLD_CELLS = 1 << 16  # samples of the uniform kernel's leading term per side, at most
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -159,30 +166,43 @@ def _aliased_row(params, kernel, grid, t, row):
     exp(2iKm x_j) = 1 at every grid point, so by Poisson summation the
     synthesis of this row is exactly the mean field periodized with period
     2L at the grid points, not only its band-limited part.  Copies with
-    |m| <= M are evaluated; the rest lie beyond _tail_onset, where the
-    k^(-2p) terms of _tail_coefficients sum in closed form to Hurwitz zeta
-    values: sum_{m>M} (2Km +- xi)^(-2p) = (2K)^(-2p) zeta(2p, M+1 +- xi/2K).
-    Those terms take a(k) = lam k^2 + mu, and the onset lies where a
-    Gaussian kernel's j_hat is below 1e-17; the uniform kernel's leaves
-    b_1 (mu/lam) j_hat(k) k^-4 out, and |j_hat| <= 1/(scale k) bounds its
-    synthesis from the copies beyond K' = (2M+1)K by
-    |b_1| (mu/lam) / (4 pi scale K'^4), so K' makes that 1e-14.
+    |m| <= M are evaluated; the rest lie beyond _tail_onset and
+    sqrt(5 mu/lam), where the k^(-2p) terms of _tail_coefficients sum in
+    closed form to Hurwitz zeta values:
+    sum_{m>M} (2Km +- xi)^(-2p) = (2K)^(-2p) zeta(2p, M+1 +- xi/2K).
+    Those terms take a(k) = lam k^2 + mu.  For the uniform kernel the row
+    and the copies less mean_fourier's leading j_hat term
+    g(k) = d_1 m j_hat(k) (k^2 + c^2)^-2 are summed, and g's sum over every
+    copy is added: by Poisson summation it is dx sum_j G(j dx) exp(-i xi j dx),
+    where G = d_1 m _uniform_transform decays as exp(-c(|x| - scale)); G is
+    sampled out to 40/c beyond scale, folded mod n and rfft'd.  A c below
+    c' = 40 / (_FOLD_CELLS dx) is raised to c', which moves g beyond K by
+    less than c'^6 j_hat k^-6, as |d_1| m <= c^4 there; c'/K < 2e-4.
     """
-    xi = grid.frequencies()[: grid.n_points // 2 + 1]
+    n = grid.n_points
+    xi = grid.frequencies()[: n // 2 + 1]
     band = math.pi / grid.dx
-    coefficients = _tail_coefficients(params.alpha, params.lam, params.mu, t)
-    onset = _tail_onset(params, kernel, t)
-    if kernel.kind == "uniform":
-        bound = abs(coefficients[0]) * params.mu / (params.lam * 4.0 * math.pi * kernel.scale)
-        onset = max(onset, (bound / 1e-14) ** 0.25)
+    onset = max(_tail_onset(params, kernel, t), math.sqrt(5.0 * params.mu / params.lam))
     m_max = max(0, math.ceil((onset / band - 1.0) / 2.0))
     shift = 2.0 * band * np.arange(1, m_max + 1)[:, None]
-    a = symbol_a(params, kernel, np.concatenate([xi + shift, xi - shift]))
+    k = np.concatenate([xi + shift, xi - shift])
+    a = symbol_a(params, kernel, k)
     copies = ml_eval(MLOrder(params.alpha, 1.0), -a * t**params.alpha)
     q = xi / (2.0 * band)
     rest = sum(b * (2.0 * band) ** (-2 * p)
                * (_hurwitz_zeta(2 * p, m_max + 1 + q) + _hurwitz_zeta(2 * p, m_max + 1 - q))
-               for p, b in enumerate(coefficients, 1))
+               for p, b in enumerate(_tail_coefficients(
+                   params.alpha, params.lam, params.mu, t, (2 * m_max + 1) * band), 1))
+    if kernel.kind == "uniform" and params.mu > 0:
+        c, d = _matern_terms(params.alpha, params.lam, params.mu, t)
+        lead = d[0] * params.mu / params.lam
+        c = max(c, 40.0 / (_FOLD_CELLS * grid.dx))
+        span = math.ceil((kernel.scale + 40.0 / c) / grid.dx)
+        j = np.arange(-span, span + 1)
+        g_x = lead * _uniform_transform(c, kernel.scale, np.abs(j * grid.dx))
+        row = (row + grid.dx * np.fft.rfft(np.bincount(j % n, g_x, n)).real
+               - lead * j_hat(kernel, xi) / (xi * xi + c * c) ** 2)
+        copies = copies - lead * j_hat(kernel, k) / (k * k + c * c) ** 2
     return row + (copies.sum(axis=0) + rest)
 
 

@@ -21,6 +21,7 @@ only the magnitude matters).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,8 @@ def kernel_to_json(kernel: KernelSpec) -> dict:
 
 def kernel_from_json(obj: dict) -> KernelSpec:
     """Parse the run-config kernel object; unknown keys are rejected, and the
-    scale must be a positive JSON number (a bool or a string is none)."""
+    scale must be a positive JSON number (a bool or a string is none) that
+    a float holds."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise DomainError("kernel config must be an object with a 'type' field")
     kind = obj["type"]
@@ -152,7 +154,8 @@ def kernel_from_json(obj: dict) -> KernelSpec:
     if extra:
         raise DomainError(f"unknown kernel config keys: {sorted(extra)}")
     scale = obj.get(key, 1.0)
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not scale > 0:
+    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+            or not 0 < scale <= sys.float_info.max):  # an int may exceed the float range
         raise DomainError(f"config \"kernel.{key}\" must be a positive JSON number, "
                           f"got {scale!r}")
     return KernelSpec(kind=kind, scale=float(scale))

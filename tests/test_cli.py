@@ -381,6 +381,27 @@ class TestMild:
         assert out == ""
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["mean", "--alpha", "0.6", "--lambda", "1e200", "--x", "1"],
+        ["mean", "--alpha", "0.6", "--t", "1e300", "--x", "1"],
+        ["mean", "--alpha", "1.5", "--lambda", "1e-300", "--x", "1"],
+        ["variance", "--method", "series", "--alpha", "0.6", "--t", "1e-300", "--x", "1"],
+        '{"version": 1, "params": {"alpha": 1.5, "lambda": %s}}',
+        '{"version": 1, "params": {"alpha": 1.5}, "kernel": {"type": "uniform", "half_width": %s}}',
+    ], ids=["mean-lambda-1e200", "mean-t-1e300", "mean-lambda-1e-300", "variance-t-1e-300",
+            "config-lambda-1e400", "config-half-width-1e400"])
+    def test_extreme_finite_inputs_exit_two(self, capsys, tmp_path, argv):
+        # each died of an OverflowError or a ZeroDivisionError, exit 1; a
+        # config's integer 1e400 is exact in JSON and beyond every float
+        if isinstance(argv, str):
+            path = tmp_path / "big.json"
+            path.write_text(argv % ("1" + "0" * 400))
+            argv = ["simulate", "--config", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_probe_payload(self, capsys):
         code, out, _ = run(
             capsys, "mild", "--alpha", "1.5", "--lambda", "1", "--probe"

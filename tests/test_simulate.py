@@ -251,20 +251,39 @@ class TestSimulatePath:
             ref = mean_fourier(prm, GAUSS, t, x[near])
             assert np.max(np.abs(f[near] - ref)) <= 1e-11 * np.max(ref)
 
-    @pytest.mark.parametrize("mu", [0.5, 10.0])
+    @pytest.mark.parametrize("mu", [0.5, 10.0, 1000.0])
     def test_uniform_kernel_row_against_mean_fourier(self, mu):
-        # the uniform kernel's j_hat falls only as 1/k: the copies must reach
-        # past the term of it that the zeta tail leaves out (2.5e-12 to
-        # 1.2e-10 of the peak with the Gaussian kernel's copies)
+        # the uniform kernel's j_hat falls only as 1/k: the row sums its
+        # copies less mean_fourier's leading j_hat term and adds that term's
+        # sum over every copy in closed form (2.5e-12 to 1.2e-10 of the peak
+        # with the Gaussian kernel's copies and no such term); at mu = 1000
+        # the mean is wide, so the box is L = 80 and the reference holds the
+        # images at +-2L (6e-10 of the peak at t = 1)
         prm = params(0.8, mu=mu, sigma=0.0)
         kernel = KernelSpec("uniform", 1.0)
-        grid = GridSpec(half_length=20.0, n_points=1024, n_steps=16)
+        half_length, bound = (80.0, 1e-12) if mu > 100.0 else (20.0, 1e-13)
+        grid = GridSpec(half_length=half_length, n_points=1024, n_steps=16)
         path = simulate_path(prm, kernel, grid, seed=1, snapshot_steps=[4, 16])
         x = grid.positions()
         near = np.abs(x) <= 5.0
         for t, f in zip(path.times, path.values):
-            ref = mean_fourier(prm, kernel, t, x[near])
-            assert np.max(np.abs(f[near] - ref)) <= 1e-13 * np.max(ref)
+            ref = sum(mean_fourier(prm, kernel, t, x[near] + 2.0 * half_length * image)
+                      for image in (-1, 0, 1))
+            assert np.max(np.abs(f[near] - ref)) <= bound * np.max(ref), t
+
+    def test_large_mu_row_against_mean_fourier(self):
+        # the zeta tail re-expands (lam k^2 + mu)^-j in k^-2, which converges
+        # by mu/(lam k^2) per term: it starts at sqrt(5 mu/lam) or later and
+        # keeps terms while they matter (three terms from k = 100 left
+        # 1.6e-5 of the peak)
+        prm = params(1.5, mu=1000.0, sigma=0.0)
+        grid = GridSpec(half_length=80.0, n_points=1024, n_steps=16)
+        path = simulate_path(prm, GAUSS, grid, seed=1, snapshot_steps=[2, 4, 8, 16])
+        x = grid.positions()
+        near = np.abs(x) <= 3.0
+        for t, f in zip(path.times, path.values):
+            ref = mean_fourier(prm, GAUSS, t, x[near])
+            assert np.max(np.abs(f[near] - ref)) <= 1e-11 * np.max(ref), t
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5])
     @pytest.mark.parametrize("mu", [1.0, 100.0])
@@ -364,6 +383,47 @@ class TestSnapshotTables:
             tracemalloc.stop()
             simulate._snapshot_tables.cache_clear()
         assert peak <= 6e6
+
+    @pytest.mark.parametrize("mu,most", [(10.0, 2), (1000.0, 5)])
+    def test_uniform_kernel_copies(self, monkeypatch, mu, most):
+        # the uniform kernel's copies end at _tail_onset, as the Gaussian
+        # kernel's do; bounding its leading j_hat term instead took up to 19
+        # and 61 copies per side
+        from fracfield import simulate
+        from fracfield.special_fn import ml_eval
+
+        sizes = []
+
+        def counting(order, x):
+            sizes.append(np.size(x))
+            return ml_eval(order, x)
+
+        monkeypatch.setattr(simulate, "ml_eval", counting)
+        grid, steps = GridSpec(), tuple(range(32, 257, 32))
+        simulate._snapshot_tables.cache_clear()
+        try:
+            simulate._snapshot_tables(params(0.8, mu=mu), KernelSpec("uniform", 1.0), grid, steps)
+        finally:
+            simulate._snapshot_tables.cache_clear()
+        half = grid.n_points // 2 + 1
+        table, *copies = sizes
+        assert table == (steps[-1] + 1) * half and len(copies) == len(steps)
+        assert max(copies) <= 2 * most * half
+
+    def test_uniform_fold_raises_a_small_c(self, monkeypatch):
+        # at lam t^alpha = 2e6 and mu/lam = 5e-7, c = 1.2e-3 would take
+        # 40 / (c dx) = 2e5 samples of G per side; c raised to
+        # 40 / (_FOLD_CELLS dx) = 3.9e-3 moves the rows by rounding only
+        from fracfield import simulate
+
+        prm, kernel = params(1.5, lam=2e6, mu=1.0), KernelSpec("uniform", 1.0)
+        rows = []
+        for cells in (simulate._FOLD_CELLS, 1 << 21):
+            monkeypatch.setattr(simulate, "_FOLD_CELLS", cells)
+            simulate._snapshot_tables.cache_clear()
+            rows.append(simulate._snapshot_tables(prm, kernel, SMALL, (1, 16))[0])
+        simulate._snapshot_tables.cache_clear()
+        assert np.max(np.abs(rows[0] - rows[1])) <= 1e-15 * np.max(np.abs(rows[1]))
 
 
 class TestWorkspace:
