@@ -10,12 +10,9 @@ from .analytic_fields import (
     Profile,
     beta_coeff,
     crosscheck_to_csv,
-    fluct_kernel_frac,
     heat_kernel,
     make_profile,
     mean_fourier,
-    profile_to_csv,
-    mean_half_closed,
     mean_mainardi,
     resonance_set,
     var_classical_closed,
@@ -60,22 +57,17 @@ from .special_fn import (
     erfc,
     gamma_fn,
     kappa_alpha,
-    mainardi_half_closed,
     mainardi_series,
     ml_asymptotic_neg,
     ml_bounds,
     ml_bounds_two,
-    ml_dominant_identity_residual,
     ml_eval,
     ml_real_zeros,
-    ml_series,
 )
 from .symbol import (
     DiffusionParams,
     KernelSpec,
     j_hat,
-    lambda_kernel,
-    mean_hat,
     symbol_a,
 )
 

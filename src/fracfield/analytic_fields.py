@@ -49,16 +49,13 @@ __all__ = [
     "heat_kernel",
     "mean_fourier",
     "mean_mainardi",
-    "mean_half_closed",
     "var_classical_quadrature",
     "var_classical_closed",
-    "fluct_kernel_frac",
     "var_frac_quadrature",
     "beta_coeff",
     "var_series",
     "resonance_set",
     "make_profile",
-    "profile_to_csv",
     "profile_csv_parts",
     "crosscheck_to_csv",
     "columns_to_csv",
@@ -279,19 +276,6 @@ def mean_mainardi(t: float, x, alpha: float, lam: float):
     return mainardi_series(alpha, u) / math.sqrt(4.0 * math.pi * lam * t**alpha)
 
 
-def mean_half_closed(t: float, x, lam: float):
-    """Closed-form mean at alpha = 1/2, scalar or array x:
-
-    (4 pi lam sqrt(t))^(-1/2) (1 + |x|/sqrt(4 lam sqrt(t))) exp(-x^2/(4 lam sqrt(t))).
-    """
-    if not t > 0 or not lam > 0:
-        raise DomainError("mean_half_closed requires t > 0 and lambda > 0")
-    w = 4.0 * lam * math.sqrt(t)
-    x = np.asarray(x, dtype=float)
-    out = (1.0 + np.abs(x) / math.sqrt(w)) * np.exp(-(x * x) / w) / math.sqrt(math.pi * w)
-    return float(out) if out.ndim == 0 else out
-
-
 def var_classical_quadrature(t: float, x, lam: float, sigma: float):
     """Variance at alpha = 1, the exact value of
 
@@ -326,19 +310,6 @@ def var_classical_closed(t: float, x, lam: float, sigma: float):
         / (4.0 * lam * math.sqrt(math.pi * t))
         * erfc(np.abs(x) / (4.0 * math.sqrt(lam * t)))
     )
-
-
-def fluct_kernel_frac(t: float, t1: float, x, x1, alpha: float, lam: float, sigma: float):
-    """First fluctuation kernel, scalar or array x and x1:
-
-    sigma (4 pi lam (t-t1)^alpha)^(-1/2) E_{alpha,alpha}(-(x-x1)^2/(4 lam (t-t1)^alpha)).
-    """
-    if not t > t1 >= 0:
-        raise DomainError("fluct_kernel_frac requires t > t1 >= 0")
-    s = (t - t1) ** alpha
-    d = np.subtract(x, x1, dtype=float)
-    arg = -(d * d) / (4.0 * lam * s)
-    return sigma * ml_eval(MLOrder(alpha, alpha), arg) / math.sqrt(4.0 * math.pi * lam * s)
 
 
 _TINY_U = 2.0**-30  # below it e(u) = e(0) (1 + O(u^2)) is constant to rounding
@@ -660,11 +631,6 @@ def profile_csv_parts(profiles):
         yield "t,x,value,method\n"
         for i in range(0, values.size, _CHUNK):
             yield _text_rows([head[i : i + _CHUNK], _g17(values[i : i + _CHUNK]), tail])
-
-
-def profile_to_csv(profile: Profile) -> str:
-    """CSV t,x,value,method, time-major."""
-    return "".join(profile_csv_parts([profile]))
 
 
 def crosscheck_to_csv(rows) -> str:

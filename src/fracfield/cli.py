@@ -49,24 +49,33 @@ EXIT_RESONANCE = 4
 
 # A colon spec with the wrong number of parts, or a part that is no number,
 # fails to unpack or convert: argparse reports the ValueError as "argument
-# --flag: invalid <type function> value: 'spec'" and exits 2.
+# --flag: invalid <type function> value: 'spec'" and exits 2.  So does an
+# ArgumentTypeError, with its own message.
+def _finite(spec: str, values):
+    """values, the numbers that spec stands for, if each one is finite."""
+    if not np.isfinite(values).all():
+        raise argparse.ArgumentTypeError(f"must be finite, got {spec!r}")
+    return values
+
+
 def _positions(spec: str) -> np.ndarray:
     """--x-range 'a:b:n' as n equispaced values from a to b."""
     a, b, n = spec.split(":")
     if int(n) < 1:
         raise argparse.ArgumentTypeError("range point count must be >= 1")
-    return np.linspace(float(a), float(b), int(n))
+    with np.errstate(over="ignore", invalid="ignore"):  # b - a may overflow
+        return _finite(spec, np.linspace(float(a), float(b), int(n)))
 
 
 def _point(spec: str) -> np.ndarray:
     """--x X as the one-point range X:X:1."""
-    x = float(spec)
+    x = _finite(spec, float(spec))
     return np.linspace(x, x, 1)
 
 
 def _interval(spec: str) -> tuple:
     """--interval 'lo:hi' as the pair (lo, hi), lo < hi."""
-    lo, hi = map(float, spec.split(":"))
+    lo, hi = _finite(spec, [float(v) for v in spec.split(":")])
     if not lo < hi:
         raise argparse.ArgumentTypeError(f"lo:hi needs lo < hi, got {spec!r}")
     return lo, hi
@@ -74,10 +83,15 @@ def _interval(spec: str) -> tuple:
 
 def _times(spec: str) -> list:
     """--t-list 't1,t2,...' (or --t T) as a list of floats."""
-    ts = [float(v) for v in spec.split(",") if v]
+    ts = _finite(spec, [float(v) for v in spec.split(",") if v])
     if not ts:
         raise argparse.ArgumentTypeError("empty time list")
     return ts
+
+
+def _time(spec: str) -> float:
+    """mild --t T as a float."""
+    return _finite(spec, float(spec))
 
 
 def _emit(texts, out_path, stream="stdout"):
@@ -376,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     mild.add_argument("--lambda", dest="lam", type=float, default=1.0)
     mild.add_argument("--mu", type=float, default=0.0)
     mild.add_argument("--probe", action="store_true")
-    mild.add_argument("--t", type=float, default=1.0)
+    mild.add_argument("--t", type=_time, default=1.0)
     mild.add_argument("--out")
     mild.set_defaults(fn=cmd_mild)
 

@@ -47,15 +47,12 @@ __all__ = [
     "gamma_fn",
     "erfc",
     "kappa_alpha",
-    "ml_series",
     "ml_asymptotic_neg",
     "ml_eval",
     "ml_bounds",
     "ml_bounds_two",
-    "ml_dominant_identity_residual",
     "ml_real_zeros",
     "mainardi_series",
-    "mainardi_half_closed",
     "gl_panels",
 ]
 
@@ -232,16 +229,6 @@ def _frozen(values):
 def _ml_coef(alpha, beta):
     """1 / Gamma(alpha k + beta), k < _SERIES_MAX_TERMS."""
     return _frozen([_rgamma(alpha * k + beta) for k in range(_SERIES_MAX_TERMS)])
-
-
-def ml_series(order: MLOrder, z: float) -> float:
-    """Partial sum of sum_k z^k / Gamma(alpha k + beta).
-
-    Stops once three consecutive terms fall below 1e-12 times the running
-    sum; raises NoConvergenceError if 500 terms are exhausted first or the
-    partial sum overflows.
-    """
-    return float(_series(_ml_coef(order.alpha, order.beta), np.array([float(z)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +536,6 @@ def ml_bounds_two(alpha: float, x, beta: float | None = None):
     return lower, upper
 
 
-def ml_dominant_identity_residual(alpha: float, z: float) -> float:
-    """alpha*z*E_alpha(z) - (z*exp(z^(1/alpha)) - kappa_alpha).
-
-    z^(1/alpha) is taken on the principal branch; the real part of the
-    residual is returned. The identity is O(1/z) on the positive axis and,
-    for negative z, only where cos(pi/alpha) < 0 (alpha in (2/3, 2)).
-    """
-    e_ml = ml_eval(MLOrder(alpha, 1.0), z)
-    zc = complex(z)
-    e_alpha = zc * np.exp(zc ** (1.0 / alpha)) - kappa_alpha(alpha)
-    return float((alpha * z * e_ml - e_alpha).real)
-
-
 _ZERO_SCAN_STEP = 0.05
 _ZERO_TOL = 1e-10
 
@@ -628,15 +602,6 @@ def mainardi_series(alpha: float, u):
         raise DomainError("mainardi_series requires u >= 0")
 
     out = _series(_mainardi_coef(alpha), -(u * u).ravel()).reshape(u.shape)
-    return float(out) if out.ndim == 0 else out
-
-
-def mainardi_half_closed(u) -> float:
-    """Closed form (1+u) exp(-u^2/4) / sqrt(pi) for the order-1/2 kernel."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise DomainError("mainardi_half_closed requires u >= 0")
-    out = (1.0 + u) * np.exp(-u * u / 4.0) / math.sqrt(math.pi)
     return float(out) if out.ndim == 0 else out
 
 

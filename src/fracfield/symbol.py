@@ -27,15 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special_fn import MLOrder, ml_eval
 
 __all__ = [
     "KernelSpec",
     "DiffusionParams",
     "j_hat",
     "symbol_a",
-    "lambda_kernel",
-    "mean_hat",
     "kernel_to_json",
     "kernel_from_json",
 ]
@@ -109,26 +106,6 @@ def symbol_a(params: DiffusionParams, kernel: KernelSpec, xi):
     if np.ndim(xi) == 0:
         return float(out)
     return out
-
-
-def lambda_kernel(params: DiffusionParams, kernel: KernelSpec, t: float, xi):
-    """Time kernel Lambda(t, xi) = t^(alpha-1) E_{alpha,alpha}(-t^alpha a(xi))."""
-    if not t > 0:
-        raise DomainError("lambda_kernel requires t > 0")
-    a = symbol_a(params, kernel, xi)
-    order = MLOrder(params.alpha, params.alpha)
-    return t ** (params.alpha - 1.0) * ml_eval(order, -(t**params.alpha) * a)
-
-
-def mean_hat(params: DiffusionParams, kernel: KernelSpec, t: float, xi):
-    """Fourier transform of the mean field from a Dirac datum: E_alpha(-a(xi) t^alpha)."""
-    if t < 0:
-        raise DomainError("mean_hat requires t >= 0")
-    if t == 0:
-        out = np.ones_like(np.asarray(xi, dtype=float))
-        return float(out) if np.ndim(xi) == 0 else out
-    a = symbol_a(params, kernel, xi)
-    return ml_eval(MLOrder(params.alpha, 1.0), -(t**params.alpha) * a)
 
 
 # the run-config name of each kernel kind's scale

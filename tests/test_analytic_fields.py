@@ -19,14 +19,11 @@ from fracfield.analytic_fields import (
     beta_coeff,
     columns_to_csv,
     crosscheck_to_csv,
-    fluct_kernel_frac,
     heat_kernel,
     make_profile,
     mean_fourier,
-    mean_half_closed,
     mean_mainardi,
     profile_csv_parts,
-    profile_to_csv,
     resonance_set,
     var_classical_closed,
     var_classical_quadrature,
@@ -278,16 +275,6 @@ class TestMainardiRoutes:
             mean_mainardi(2.0, -1.3, 0.6, 1.0), rel=1e-12
         )
 
-    def test_half_closed_peak(self):
-        assert mean_half_closed(1.0, 0.0, 1.0) == pytest.approx(
-            1.0 / math.sqrt(4.0 * math.pi), rel=1e-12
-        )
-
-    def test_half_closed_even(self):
-        assert mean_half_closed(2.0, 1.3, 1.0) == pytest.approx(
-            mean_half_closed(2.0, -1.3, 1.0), rel=1e-12
-        )
-
     def test_routes_cross_reported_not_reconciled(self):
         # the two printed routes for the mean disagree away from x=0; the
         # package reports the ratio instead of asserting agreement
@@ -364,28 +351,27 @@ class TestClassicalVariance:
         assert abs(vq / vc - 1.0) > 0.5
 
 
+def fluct_kernel(s, d, alpha, lam):
+    """The paper's first fluctuation kernel at sigma = 1, time lag s > 0 and
+    separation d (scalar or array):
+
+    (4 pi lam s^alpha)^(-1/2) E_{alpha,alpha}(-d^2 / (4 lam s^alpha)).
+    """
+    w = 4.0 * lam * s**alpha
+    d = np.asarray(d, dtype=float)
+    return ml_eval(MLOrder(alpha, alpha), -(d * d) / w) / math.sqrt(math.pi * w)
+
+
 class TestFluctKernel:
     def test_at_coincidence(self):
         ref = 1.0 / (math.sqrt(4.0 * math.pi) * gamma_fn(0.5))
-        assert fluct_kernel_frac(1.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0) == pytest.approx(
-            ref, rel=1e-10
-        )
-
-    def test_even_in_separation(self):
-        a = fluct_kernel_frac(2.0, 0.5, 1.0, 0.0, 0.6, 1.0, 1.0)
-        b = fluct_kernel_frac(2.0, 0.5, -1.0, 0.0, 0.6, 1.0, 1.0)
-        assert a == pytest.approx(b, rel=1e-12)
+        assert fluct_kernel(1.0, 0.0, 0.5, 1.0) == pytest.approx(ref, rel=1e-10)
 
     def test_alpha_one_heat_kernel_reduction(self):
         s = 1.5
         for dx in (0.0, 0.7, 2.0):
-            got = fluct_kernel_frac(s, 0.0, dx, 0.0, 1.0, 1.0, 1.0)
             ref = math.exp(-dx * dx / (4.0 * s)) / math.sqrt(4.0 * math.pi * s)
-            assert got == pytest.approx(ref, rel=1e-10)
-
-    def test_ordering(self):
-        with pytest.raises(DomainError):
-            fluct_kernel_frac(1.0, 1.0, 0.0, 0.0, 0.5, 1.0, 1.0)
+            assert fluct_kernel(s, dx, 1.0, 1.0) == pytest.approx(ref, rel=1e-10)
 
 
 class TestFracVariance:
@@ -520,15 +506,17 @@ def test_routes_accept_arrays(route):
 
 @pytest.mark.parametrize(
     "route",
-    [
-        lambda x: mean_half_closed(1.7, x, 0.8),
-        lambda x: fluct_kernel_frac(1.7, 0.4, x, 0.3, 0.6, 0.8, 1.3),
-    ],
-    ids=["mean_half_closed", "fluct_kernel_frac"],
+    [lambda x: fluct_kernel(1.3, x - 0.3, 0.6, 0.8)],
+    ids=["fluct_kernel_frac"],
 )
 def test_closed_kernels_array_matches_scalar_bitwise(route):
     xs = np.linspace(-6.0, 6.0, 121)
     assert np.array_equal(route(xs), [route(float(x)) for x in xs])
+
+
+def _profile_csv(profile):
+    """The CSV the CLI prints for the one profile."""
+    return "".join(profile_csv_parts([profile]))
 
 
 class TestProfiles:
@@ -560,7 +548,7 @@ class TestProfiles:
             lambda t, x: heat_kernel(t, x, 1.0),
             "heat_kernel",
         )
-        text = profile_to_csv(prof)
+        text = _profile_csv(prof)
         lines = text.strip().splitlines()
         assert lines[0] == "t,x,value,method"
         assert len(lines) == 1 + 2 * 3
@@ -620,7 +608,7 @@ class TestWriter:
     @example(_EDGES, [0.0, -0.0])
     def test_profile_cells(self, positions, times):
         values = np.array([np.roll(positions, i + 1) for i in range(len(times))])
-        for text in _both_paths(lambda: profile_to_csv(
+        for text in _both_paths(lambda: _profile_csv(
                 Profile(tuple(times), tuple(positions), values, "fourier"))):
             rows = [r.split(",") for r in text.splitlines()[1:]]
             assert len(rows) == values.size
@@ -723,13 +711,13 @@ class TestWriter:
 
         for zero in (-0.0, 0.0, -0.0):
             with mock.patch.object(analytic_fields, "_VECTOR_MIN", math.inf):
-                template = profile_to_csv(profile(zero))
-            assert profile_to_csv(profile(zero)) == template
+                template = _profile_csv(profile(zero))
+            assert _profile_csv(profile(zero)) == template
             assert ("-0," in template) == (math.copysign(1.0, zero) < 0)
 
     def test_cached_t_x_cells_are_read_only(self):
         times, positions = (0.5, 1.0), tuple(np.linspace(-3.0, 3.0, 300).tolist())
-        profile_to_csv(Profile(times, positions, np.zeros((2, 300)), "fourier"))
+        _profile_csv(Profile(times, positions, np.zeros((2, 300)), "fourier"))
         head = analytic_fields._t_x(np.array(times).tobytes(), np.array(positions).tobytes())
         assert head.shape[0] == 600
         assert not head.flags.writeable

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -609,6 +611,25 @@ class TestMeanVariance:
         assert "mu=0" in err
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["ml", "--alpha", "0.5", "--x-range=-inf:0:3"], "--x-range: must be finite, got '-inf:0:3'"),
+    (["variance", "--alpha", "0.6", "--x", "nan"], "--x: must be finite, got 'nan'"),
+    (["mean", "--alpha", "0.6", "--t-list", "0.5,inf", "--x", "1"],
+     "--t-list/--t: must be finite, got '0.5,inf'"),
+    (["mean", "--alpha", "0.6", "--t", "nan", "--x", "1"], "--t-list/--t: must be finite, got 'nan'"),
+    (["ml", "--alpha", "1.5", "--zeros", "--interval=-inf:0"],
+     "--interval: must be finite, got '-inf:0'"),
+    (["mild", "--alpha", "0.8", "--probe", "--t", "nan"], "--t: must be finite, got 'nan'"),
+], ids=["x-range", "x", "t-list", "t", "interval", "mild-t"])
+def test_non_finite_positions_and_times_exit_two(capsys, argv, line):
+    # the x-range printed nan rows with exit 0; the others failed later, on
+    # a message that named no flag
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines()[-1] == f"fracfield {argv[0]}: error: argument {line}"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["mean", "--x-range=0:1:0"], "range point count must be >= 1"),
     (["variance", "--x-range", "0:1:0"], "range point count must be >= 1"),
@@ -1038,3 +1059,18 @@ class TestSimulateCli:
         assert out == ""
         assert "seed must be in [0, 2^64)" in err
         assert not meta_path.exists()
+
+
+def test_traced_names_resolve():
+    # perfbench/tracer.py wraps each (module, name) of its TARGETS in a
+    # --trace 1 run, which an untraced benchmark never makes; read them
+    # without importing perfbench
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    targets, = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    assert targets
+    for module, name, _ in targets:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)

@@ -16,15 +16,12 @@ from fracfield.special_fn import (
     erfc,
     gamma_fn,
     kappa_alpha,
-    mainardi_half_closed,
     mainardi_series,
     ml_asymptotic_neg,
     ml_bounds,
     ml_bounds_two,
-    ml_dominant_identity_residual,
     ml_eval,
     ml_real_zeros,
-    ml_series,
     _hurwitz_zeta,
     _ml_coef,
     _rgamma,
@@ -104,20 +101,26 @@ class TestElementaryOracles:
         assert coef.tolist() == [_rgamma(0.6 * k + 1.0) for k in range(coef.size)]
 
 
+def _ml_series(alpha, beta, z):
+    """The power series of E_{alpha,beta} at the one point z, as ml_eval's
+    disc sums it."""
+    return float(_series(_ml_coef(alpha, beta), np.array([z]))[0])
+
+
 class TestSeries:
     def test_trivials(self):
-        assert ml_series(MLOrder(0.7, 1.0), 0.0) == 1.0
-        assert ml_series(MLOrder(1.0, 1.0), 1.0) == pytest.approx(math.e, rel=1e-12)
-        assert ml_series(MLOrder(0.5, 0.5), 0.0) == pytest.approx(
+        assert _ml_series(0.7, 1.0, 0.0) == 1.0
+        assert _ml_series(1.0, 1.0, 1.0) == pytest.approx(math.e, rel=1e-12)
+        assert _ml_series(0.5, 0.5, 0.0) == pytest.approx(
             1.0 / math.sqrt(math.pi), rel=1e-12
         )
 
     def test_no_convergence(self):
-        # z^k overflows before the terms shrink (E_{1/2}(10) = 5.4e43); the
-        # overflowed partial sum must not pass for converged
-        for z in (10.0, 40.0):
-            with pytest.raises(NoConvergenceError):
-                ml_series(MLOrder(0.5, 1.0), z)
+        # at u = 1e4 the Mainardi series runs at z = -u^2 = -1e8, whose terms
+        # overflow before they shrink; the overflowed partial sum must not
+        # pass for converged
+        with pytest.raises(NoConvergenceError):
+            mainardi_series(0.5, 1e4)
 
     # (alpha, beta, reach): a typical order, slow orders near the disc edge, and
     # beta > alpha + 1.75, which the series serves up to |z| = 1
@@ -420,22 +423,29 @@ class TestBoundsAsymptotics:
                 assert abs(ml_asymptotic_neg(MLOrder(alpha, 1.0), x)) <= env * (1 + 1e-12)
 
 
+def _dominant_residual(alpha, z):
+    """alpha z E_alpha(z) - (z exp(z^(1/alpha)) - kappa_alpha), real part.
+
+    z^(1/alpha) is taken on the principal branch.  The identity is O(1/z) on
+    the positive axis and, for negative z, only where cos(pi/alpha) < 0
+    (alpha in (2/3, 2)).
+    """
+    zc = complex(z)
+    dominant = zc * np.exp(zc ** (1.0 / alpha)) - kappa_alpha(alpha)
+    return float((alpha * z * ml_eval(MLOrder(alpha, 1.0), z) - dominant).real)
+
+
 class TestResidualIdentity:
     def test_alpha_one_exact(self):
-        assert ml_dominant_identity_residual(1.0, 5.0) == pytest.approx(0.0, abs=1e-8)
+        assert _dominant_residual(1.0, 5.0) == pytest.approx(0.0, abs=1e-8)
 
     def test_at_zero(self):
-        assert ml_dominant_identity_residual(0.5, 0.0) == pytest.approx(
-            kappa_alpha(0.5), rel=1e-12
-        )
+        assert _dominant_residual(0.5, 0.0) == pytest.approx(kappa_alpha(0.5), rel=1e-12)
 
     def test_decay_sweep(self):
         # residual is O(1/|z|) on the negative axis once the exponential term
         # decays (cos(pi/alpha) < 0, i.e. alpha > 2/3)
-        scaled = [
-            abs(ml_dominant_identity_residual(0.8, -x)) * x
-            for x in (1e2, 1e3, 1e4)
-        ]
+        scaled = [abs(_dominant_residual(0.8, -x)) * x for x in (1e2, 1e3, 1e4)]
         assert max(scaled) < 10.0
 
 
@@ -478,22 +488,14 @@ class TestMainardi:
             1.0 / gamma_fn(0.4), rel=1e-12
         )
 
-    def test_half_closed(self):
-        assert mainardi_half_closed(0.0) == pytest.approx(
-            1.0 / math.sqrt(math.pi), rel=1e-12
-        )
-        assert mainardi_half_closed(1.0) == pytest.approx(
-            2.0 * math.exp(-0.25) / math.sqrt(math.pi), rel=1e-12
-        )
-        assert mainardi_half_closed(20.0) < 1e-40
-
     def test_series_vs_closed_documented_mismatch(self):
-        # the two printed formulas agree at u=0 and disagree away from it;
-        # both are exposed as printed and cross-reported downstream
-        s = mainardi_series(0.5, 1.0)
-        c = mainardi_half_closed(1.0)
-        assert abs(mainardi_series(0.5, 0.0) - mainardi_half_closed(0.0)) < 1e-12
-        assert abs(s - c) > 0.1
+        # the printed order-1/2 closed form (1 + u) exp(-u^2/4) / sqrt(pi)
+        # agrees with the printed series at u = 0 and not away from it
+        def closed(u):
+            return (1.0 + u) * math.exp(-u * u / 4.0) / math.sqrt(math.pi)
+
+        assert abs(mainardi_series(0.5, 0.0) - closed(0.0)) < 1e-12
+        assert abs(mainardi_series(0.5, 1.0) - closed(1.0)) > 0.1
 
     def test_domain(self):
         with pytest.raises(DomainError):
