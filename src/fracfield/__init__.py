@@ -24,7 +24,6 @@ from .errors import (
     DegenerateParametersError,
     DomainError,
     FracfieldError,
-    GridMismatchError,
     NoConvergenceError,
     NonIntegrableSymbolError,
     NotMildError,
@@ -45,11 +44,12 @@ from .mildness import (
 )
 from .simulate import (
     GridSpec,
-    compare_to_analytic,
+    SnapshotLaw,
     ensemble_stats,
     mix_seed,
     noise_increments,
     simulate_path,
+    snapshot_law,
 )
 from .special_fn import (
     MLOrder,

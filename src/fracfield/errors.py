@@ -42,7 +42,3 @@ class ResonanceError(FracfieldError, ValueError):
 
 class NotMildError(FracfieldError, ValueError):
     """Simulation of a non-mild parameter set was requested without force."""
-
-
-class GridMismatchError(FracfieldError, ValueError):
-    """Reference profile and ensemble grids are not aligned."""

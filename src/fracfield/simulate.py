@@ -33,11 +33,11 @@ history, and the engine samples that vector exactly (the spectral exact
 sampler of Lord, Powell & Shardlow, An Introduction to Computational
 Stochastic PDEs, CUP 2014, ch. 10): one cached J x J factor per mode and J
 normal draws per real part, instead of a noise increment per time step.
-The noise law of every snapshot is the scheme's own; only the realization
-for a given seed differs from a time stepper's.  Everything is deterministic
-given (params, kernel, grid, snapshots, seed): a counter-based generator
-(Philox) keyed by the seed, and an ensemble that is the exact grid mean
-plus sigma times the noise's own moments, summed path by path in seed
+The law of every snapshot is the scheme's own (snapshot_law); only the
+realization for a given seed differs from a time stepper's.  Everything is
+deterministic given (params, kernel, grid, snapshots, seed): a counter-based
+generator (Philox) keyed by the seed, and an ensemble that is the exact grid
+mean plus sigma times the noise's own moments, summed path by path in seed
 order.  A path's noise field depends on its seed alone, so the ensemble
 computes the fields on w lanes: w = FRACFIELD_THREADS, or every usable CPU
 when it is 0 (the default), capped at the usable CPUs and at the ceil(N/8)
@@ -65,17 +65,18 @@ from .analytic_fields import (
     _tail_onset,
     _uniform_transform,
 )
-from .errors import DomainError, GridMismatchError, NotMildError
+from .errors import DomainError, NotMildError
 from .mildness import classify
 from .special_fn import MLOrder, _hurwitz_zeta, gamma_fn, ml_eval
 from .symbol import DiffusionParams, KernelSpec, j_hat, symbol_a
 
 __all__ = [
     "GridSpec",
+    "SnapshotLaw",
     "noise_increments",
+    "snapshot_law",
     "simulate_path",
     "ensemble_stats",
-    "compare_to_analytic",
     "mix_seed",
 ]
 
@@ -262,11 +263,39 @@ def _snapshot_tables(params: DiffusionParams, kernel: KernelSpec, grid: GridSpec
     return dirac, factor
 
 
-def _prepare(params, kernel, grid, snapshot_steps, force):
-    """Refuse dim != 1 (the engine is one-dimensional) and non-mild parameter
-    sets unless forced, check the snapshot steps (default 8 times) and look
-    up the tables of their sorted distinct steps.  Returns the time of each
-    step, its table row, and (dirac, factor)."""
+@dataclass(frozen=True, eq=False)
+class SnapshotLaw:
+    """The scheme's Gaussian law of the field at the requested snapshots:
+    snapshot r, at times[r], is row rows[r] of _snapshot_tables' read-only
+    (dirac, factor) at sigma = 1 for the sorted distinct steps."""
+
+    grid: GridSpec
+    sigma: float
+    times: tuple
+    rows: list
+    dirac: np.ndarray
+    factor: np.ndarray
+
+    def mean(self) -> np.ndarray:
+        """The synthesized Dirac rows, the exact grid mean, shape (len(times), n)."""
+        return _synthesize(self.dirac, self.grid)[self.rows]
+
+    def variance(self) -> np.ndarray:
+        """The exact pointwise variance at each snapshot (the noise is
+        stationary in x): with v_k = ||column i of factor[k]||^2 the variance
+        of one part of mode k at step s_i, the synthesis (n/2L) irfft gives
+        sigma^2 (2L)^-2 [v_0 + v_(n/2) + 4 sum_(0<k<n/2) v_k]."""
+        v = np.square(self.factor).sum(axis=1)
+        total = v[0] + v[-1] + 4.0 * v[1:-1].sum(axis=0)
+        return self.sigma**2 * total[self.rows] / (2.0 * self.grid.half_length) ** 2
+
+
+def snapshot_law(params: DiffusionParams, kernel: KernelSpec, grid: GridSpec,
+                 snapshot_steps=None, force: bool = False) -> SnapshotLaw:
+    """The SnapshotLaw of the requested steps (default 8 times), in the
+    order given, repeats kept.  Refuses dim != 1 (the engine is
+    one-dimensional) and steps outside 1..n_steps with DomainError, and
+    non-mild parameter sets with NotMildError unless force=True."""
     if params.dim != 1:
         raise DomainError(f"the simulator is one-dimensional, got dim={params.dim}")
     verdict = classify(params)
@@ -283,9 +312,9 @@ def _prepare(params, kernel, grid, snapshot_steps, force):
         raise DomainError("snapshot steps must lie in 1..n_steps")
     steps = tuple(sorted(set(snapshot_steps)))
     # nothing in the tables depends on sigma, so every sigma shares them
-    tables = _snapshot_tables(replace(params, sigma=1.0), kernel, grid, steps)
-    return (tuple(s * grid.dt for s in snapshot_steps),
-            [steps.index(s) for s in snapshot_steps], tables)
+    dirac, factor = _snapshot_tables(replace(params, sigma=1.0), kernel, grid, steps)
+    return SnapshotLaw(grid, params.sigma, tuple(s * grid.dt for s in snapshot_steps),
+                       [steps.index(s) for s in snapshot_steps], dirac, factor)
 
 
 class _Workspace:
@@ -294,13 +323,13 @@ class _Workspace:
     and one Philox generator.  The thread that makes it allocates them, so a
     thread that only fills it allocates no array."""
 
-    def __init__(self, factor, grid, size):
-        half, j = factor.shape[:2]
+    def __init__(self, law, size):
+        half, j = law.factor.shape[:2]
         self.bits = np.random.Philox(0)  # re-keyed before every draw
         self.normals = np.random.Generator(self.bits).standard_normal
         self.draws = np.empty((size, 2, half, j))
         self.spectra = np.empty((size, j, half), complex)
-        self.fields = np.empty((size, j, grid.n_points))
+        self.fields = np.empty((size, j, law.grid.n_points))
 
     def draw(self, seed, out):
         """Fill out with the first normals of Generator(Philox(key=seed)).
@@ -314,7 +343,7 @@ class _Workspace:
         self.normals(out=out)
 
 
-def _mode_noise(factor, seeds, ws):
+def _mode_noise(law, seeds, ws):
     """sigma = 1 noise spectra of a run of seeds in ws, shape
     (len(seeds), J, n/2+1): the real parts R_k^T g[b, 0, k] and the imaginary
     parts R_k^T g[b, 1, k] of seed b, each product written straight into the
@@ -323,7 +352,7 @@ def _mode_noise(factor, seeds, ws):
     for b, seed in enumerate(seeds):
         ws.draw(seed, g[b])
     for part, out in enumerate((z.real, z.imag)):
-        np.matmul(g[:, part, :, None, :], factor, out=out.swapaxes(1, 2)[:, :, None, :])
+        np.matmul(g[:, part, :, None, :], law.factor, out=out.swapaxes(1, 2)[:, :, None, :])
     return z
 
 
@@ -334,10 +363,10 @@ def _synthesize(z_half, grid, out=None):
     return fields
 
 
-def _noise_fields(factor, grid, seeds, ws):
+def _noise_fields(law, seeds, ws):
     """sigma = 1 noise fields of a block of seeds, written into ws: a view of
     shape (len(seeds), J, n) that the next call on ws overwrites."""
-    return _synthesize(_mode_noise(factor, seeds, ws), grid, ws.fields[:len(seeds)])
+    return _synthesize(_mode_noise(law, seeds, ws), law.grid, ws.fields[:len(seeds)])
 
 
 def simulate_path(
@@ -361,18 +390,18 @@ def simulate_path(
     of one real part of mode k at the J steps.  irfft discards the
     imaginary part at k = 0 and n/2, so g[1, 0] and g[1, n/2] are unused.
 
-    Refuses dim != 1 with DomainError, and non-mild parameter sets unless
-    force=True; a field that is not finite raises DomainError.
+    Refuses what snapshot_law refuses; a field that is not finite raises
+    DomainError.
     """
-    times, rows, (dirac, factor) = _prepare(params, kernel, grid, snapshot_steps, force)
-    z_half = dirac.astype(complex)
+    law = snapshot_law(params, kernel, grid, snapshot_steps, force)
+    z_half = law.dirac.astype(complex)
     if params.sigma != 0.0:
-        noise = _mode_noise(factor, [seed], _Workspace(factor, grid, 1))[0]
+        noise = _mode_noise(law, [seed], _Workspace(law, 1))[0]
         z_half.real += params.sigma * noise.real
         z_half.imag += params.sigma * noise.imag
     fields = _synthesize(z_half, grid)
-    return Profile(times, tuple(grid.positions().tolist()), fields[rows], "sample_path",
-                   {"seed": seed})
+    return Profile(law.times, tuple(grid.positions().tolist()), fields[law.rows],
+                   "sample_path", {"seed": seed})
 
 
 def _threads() -> int:
@@ -402,7 +431,7 @@ def _add_moments(fields, s1, s2):
         s2 += f
 
 
-def _add_noise_moments(factor, grid, seeds, w, s1, s2):
+def _add_noise_moments(law, seeds, w, s1, s2):
     """Add the sigma = 1 noise field f of each seed to s1 and f^2 to s2, path
     by path in seed order.
 
@@ -425,7 +454,7 @@ def _add_noise_moments(factor, grid, seeds, w, s1, s2):
     # 8-seed blocks on two lanes read mc_super 8% slower in process
     size = _BLOCK if w == 1 else _LANE_BLOCK
     blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
-    spaces = [_Workspace(factor, grid, len(blocks[0])) for _ in range(w)]
+    spaces = [_Workspace(law, len(blocks[0])) for _ in range(w)]
     turn = threading.Condition()
     added = 0  # blocks added so far
     failed = {}  # block index -> its exception
@@ -446,7 +475,7 @@ def _add_noise_moments(factor, grid, seeds, w, s1, s2):
     def lane(j):
         try:
             for i in range(j, len(blocks), w):
-                if not add_in_turn(i, _noise_fields(factor, grid, blocks[i], spaces[j])):
+                if not add_in_turn(i, _noise_fields(law, blocks[i], spaces[j])):
                     return
         except BaseException as exc:  # re-raised by the calling thread below
             with turn:
@@ -490,62 +519,22 @@ def ensemble_stats(
     and at the ceil(N/8) blocks of 8 seeds that one thread takes, so N <= 8
     runs on the calling thread alone; w > 1 lanes take blocks of 4.  The
     result is bit for bit the same for every w.
-    Raises DomainError when FRACFIELD_THREADS is not a non-negative integer,
-    or when a mean or variance is not finite.
+    Refuses what snapshot_law refuses, and raises DomainError when
+    FRACFIELD_THREADS is not a non-negative integer, or when a mean or
+    variance is not finite.
     """
     if n_samples < 2:
         raise DomainError("ensemble_stats requires n_samples >= 2")
     cpus = _usable_cpus()
     w = min(_threads() or cpus, cpus, -(-n_samples // _BLOCK))
-    times, rows, (dirac, factor) = _prepare(params, kernel, grid, snapshot_steps, force)
-    s1, s2 = np.zeros((2, len(dirac), grid.n_points))
+    law = snapshot_law(params, kernel, grid, snapshot_steps, force)
+    s1, s2 = np.zeros((2, len(law.dirac), grid.n_points))
     if params.sigma != 0.0:
         seeds = [mix_seed(master_seed, i) for i in range(n_samples)]
-        _add_noise_moments(factor, grid, seeds, w, s1, s2)
-    mean = _synthesize(dirac, grid) + params.sigma * s1 / n_samples
+        _add_noise_moments(law, seeds, w, s1, s2)
+    mean = law.mean() + params.sigma * s1[law.rows] / n_samples
     variance = params.sigma**2 * np.maximum(s2 - s1 * s1 / n_samples, 0.0) / (n_samples - 1)
     positions = tuple(grid.positions().tolist())
     meta = {"n_samples": n_samples, "master_seed": master_seed}
-    return (Profile(times, positions, mean[rows], "mc_ensemble_mean", meta),
-            Profile(times, positions, variance[rows], "mc_ensemble_var", meta))
-
-
-def compare_to_analytic(ensemble, reference: Profile) -> dict:
-    """Pointwise z-scores of ensemble_stats' (mean, variance) pair against a
-    reference profile.
-
-    For mean-type references the standard error is sqrt(var/n); for
-    variance-type references it is the Gaussian-theory var*sqrt(2/(n-1)).
-    Reference positions must be a subset of the grid positions and times
-    must match snapshot times.
-    """
-    mean, variance = ensemble
-    n_samples = mean.meta["n_samples"]
-    is_var = reference.method in ("var_quadrature", "var_series", "var_closed",
-                                  "mc_ensemble_var")
-    try:
-        t_idx = [mean.times.index(t) for t in reference.times]
-    except ValueError as exc:
-        raise GridMismatchError(f"reference time not among snapshots: {exc}")
-    positions = np.array(mean.positions)
-    x_idx = []
-    for x in reference.positions:
-        j = np.argmin(np.abs(positions - x))
-        if abs(positions[j] - x) > 1e-9 * max(1.0, abs(x)):
-            raise GridMismatchError(f"reference position {x} not on the grid")
-        x_idx.append(int(j))
-    est = (variance if is_var else mean).values[np.ix_(t_idx, x_idx)]
-    ref = np.asarray(reference.values, dtype=float)
-    if is_var:
-        se = est * math.sqrt(2.0 / (n_samples - 1))
-    else:
-        se = np.sqrt(variance.values[np.ix_(t_idx, x_idx)] / n_samples)
-    se = np.where(se == 0.0, 1e-300, se)
-    z = (est - ref) / se
-    # exact agreement (self-comparison) yields exact zeros
-    z = np.where(est == ref, 0.0, z)
-    return {
-        "z": z,
-        "max_abs_z": float(np.max(np.abs(z))),
-        "mean_abs_z": float(np.mean(np.abs(z))),
-    }
+    return (Profile(law.times, positions, mean, "mc_ensemble_mean", meta),
+            Profile(law.times, positions, variance[law.rows], "mc_ensemble_var", meta))

@@ -593,7 +593,10 @@ def mainardi_series(alpha: float, u):
     """sum_n (-1)^n u^(2n) / ((2n)! Gamma(alpha n - alpha + 1)), scalar or array u.
 
     For alpha in (0,1) the Gamma argument alpha(n-1)+1 is never a
-    non-positive integer, so each term is well defined.
+    non-positive integer, so each term is well defined.  The alternating
+    terms cancel: where 2^-52 times the largest exceeds 1e-12 of |sum| (of
+    the peak 1/Gamma(1 - alpha) where |sum| is smaller), the digits are lost
+    and NoConvergenceError is raised, from about u = 11 at alpha = 0.5.
     """
     if not (0 < alpha < 1):
         raise DomainError(f"mainardi_series requires alpha in (0,1), got {alpha}")
@@ -601,7 +604,17 @@ def mainardi_series(alpha: float, u):
     if np.any(u < 0):
         raise DomainError("mainardi_series requires u >= 0")
 
-    out = _series(_mainardi_coef(alpha), -(u * u).ravel()).reshape(u.shape)
+    coef, u2 = _mainardi_coef(alpha), (u * u).ravel()
+    out = _series(coef, -u2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # c_k / c_(k+1) rises with k and the terms grow while it is below u^2,
+        # so the largest is term k, k the number of ratios below u^2
+        k = np.searchsorted(coef[:-1] / coef[1:], u2)
+        lost = coef[k] * u2**k > np.maximum(np.abs(out), coef[0]) * (_SERIES_TOL * 2.0**52)
+    if np.any(lost):
+        raise NoConvergenceError(
+            f"mainardi_series loses its digits to cancellation at u={math.sqrt(u2[lost][0])}")
+    out = out.reshape(u.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -660,11 +660,13 @@ def test_profile_input_checks(capsys, argv, message):
     (["mean", "--t", "0"], "mean_fourier requires t > 0"),
     (["mean", "--method", "mainardi", "--alpha", "0.6", "--t", "0"],
      "mean_mainardi requires t > 0 and lambda > 0"),
+    (["mean", "--method", "mainardi", "--alpha", "0.5", "--x-range=80:100:2"],
+     "mainardi_series loses its digits to cancellation at u=80.0"),
     (["variance", "--t", "0"], "var_classical_quadrature requires t > 0 and lambda > 0"),
     (["variance", "--method", "series", "--alpha", "0.6", "--t", "0"],
      "var_series requires t > 0 and lambda > 0"),
 ], ids=["ml_alpha_above_2", "zeros_positive_interval", "asymptotic_beta", "mean_panels",
-        "mean_t0", "mainardi_t0", "variance_t0", "series_t0"])
+        "mean_t0", "mainardi_t0", "mainardi_cancellation", "variance_t0", "series_t0"])
 def test_error_exits(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
@@ -1005,7 +1007,7 @@ class TestSimulateCli:
         def no_tables(*args):
             raise AssertionError("tables built for a refused config")
 
-        monkeypatch.setattr(simulate, "_prepare", no_tables)
+        monkeypatch.setattr(simulate, "snapshot_law", no_tables)
         path = tmp_path / "bad.json"
         path.write_text('{"version": 1, "params": {"alpha": 1.5, "lambda": %s}}' % text)
         code, out, err = run(capsys, "simulate", "--config", str(path))

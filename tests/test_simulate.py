@@ -6,15 +6,15 @@ import threading
 import numpy as np
 import pytest
 
-from fracfield.analytic_fields import heat_kernel, make_profile, mean_fourier
-from fracfield.errors import DomainError, GridMismatchError, NotMildError
+from fracfield.analytic_fields import heat_kernel, mean_fourier
+from fracfield.errors import DomainError, NotMildError
 from fracfield.simulate import (
     GridSpec,
-    compare_to_analytic,
     ensemble_stats,
     mix_seed,
     noise_increments,
     simulate_path,
+    snapshot_law,
 )
 from fracfield.symbol import DiffusionParams, KernelSpec
 
@@ -426,6 +426,58 @@ class TestSnapshotTables:
         assert np.max(np.abs(rows[0] - rows[1])) <= 1e-15 * np.max(np.abs(rows[1]))
 
 
+class TestSnapshotLaw:
+    @pytest.mark.parametrize("alpha,v1", [
+        (0.7, 0.737916), (0.8, 0.548721), (0.9, 0.449169),
+        (1.0, 0.393310), (1.2, 0.336318), (1.5, 0.292248)])
+    def test_variance_matches_scheme_oracle(self, alpha, v1):
+        # the exact variance of the noise at snapshot s against the weights
+        # written out: V(s) = sigma^2 dt dx (n/2L)^2 (1/n) sum_k P_k with
+        # P_k = sum_{l<s} Abar[l, k]^2 over all n frequencies
+        grid, prm = GridSpec(), params(alpha)
+        n = grid.n_points
+        law = snapshot_law(prm, GAUSS, grid)
+        steps = np.arange(32, 257, 32)
+        p_k = np.cumsum(scheme_weights(prm, grid) ** 2, axis=0)[steps - 1]
+        oracle = grid.dt * grid.dx * (n / (2 * grid.half_length)) ** 2 / n * p_k.sum(axis=1)
+        variance = law.variance()
+        assert np.all(np.abs(variance / oracle - 1.0) <= 1e-13)
+        assert round(float(variance[-1]), 6) == v1
+        # sigma^2 scales it; repeated and unsorted steps keep the request order
+        small = snapshot_law(params(alpha, sigma=2.0**-3), GAUSS, grid).variance()
+        assert np.array_equal(small, 2.0**-6 * variance)
+        mixed = snapshot_law(prm, GAUSS, grid, snapshot_steps=[256, 32, 32, 128])
+        assert mixed.times == (1.0, 0.125, 0.125, 0.5)
+        assert np.allclose(mixed.variance(), variance[[7, 0, 0, 3]], rtol=1e-13, atol=0.0)
+
+    def test_mean_is_the_noiseless_path(self):
+        # the synthesized Dirac rows, in the request order, are a sigma = 0
+        # path bit for bit
+        prm, steps = params(1.5, mu=0.5), [16, 3, 3, 9]
+        law = snapshot_law(prm, GAUSS, SMALL, snapshot_steps=steps)
+        path = simulate_path(params(1.5, mu=0.5, sigma=0.0), GAUSS, SMALL, seed=1,
+                             snapshot_steps=steps)
+        assert np.array_equal(law.mean(), path.values)
+        assert law.times == path.times
+
+    def test_refinement_table(self):
+        # the scheme's V(1) as it is: at a fixed step, refining n converges
+        # even where the continuum diverges (alpha <= 2/3); the divergence
+        # shows in dt, and at lam = 0 in n
+        cases = {
+            (0.8, 1.0, 0.0): [0.5125, 0.5133, 0.5133, 0.4911, 0.5307, 0.5573],
+            (0.6, 1.0, 0.0): [0.8740, 0.8748, 0.8748, 0.7662, 0.9891, 1.2419],
+            (0.45, 1.0, 0.0): [1.5838, 1.5846, 1.5846, 1.2394, 2.0148, 3.2286],
+            (0.8, 0.0, 1.0): [3.6164, 13.8049, 54.5591, 3.5907, 3.6322, 3.6485],
+        }
+        grids = [(256, 64), (1024, 64), (4096, 64), (256, 32), (256, 128), (256, 512)]
+        for (alpha, lam, mu), table in cases.items():
+            got = [round(float(snapshot_law(
+                params(alpha, lam=lam, mu=mu), GAUSS, GridSpec(n_points=n, n_steps=s),
+                snapshot_steps=[s], force=True).variance()[0]), 4) for n, s in grids]
+            assert got == table, (alpha, lam, mu)
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1, 2**100 + 1])
     def test_reset_generator_draws_as_fresh(self, seed):
@@ -436,7 +488,7 @@ class TestWorkspace:
         from fracfield import simulate
 
         fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal((2, 513, 8))
-        ws = simulate._Workspace(np.empty((513, 8, 8)), GridSpec(), 1)
+        ws = simulate._Workspace(snapshot_law(params(1.5), GAUSS, GridSpec()), 1)
         for before in (lambda: None, lambda: ws.normals(5),
                        lambda: np.random.Generator(ws.bits).integers(9, size=3, dtype=np.uint32)):
             before()
@@ -452,14 +504,12 @@ class TestWorkspace:
 
         from fracfield import simulate
 
-        grid = GridSpec()
-        _, factor = simulate._snapshot_tables(params(1.5), GAUSS, grid,
-                                              tuple(range(32, 257, 32)))
-        ws = simulate._Workspace(factor, grid, 8)
+        law = snapshot_law(params(1.5), GAUSS, GridSpec())
+        ws = simulate._Workspace(law, 8)
         seeds = [mix_seed(5, i) for i in range(8)]
         tracemalloc.start()
         try:
-            fields = simulate._noise_fields(factor, grid, seeds, ws)
+            fields = simulate._noise_fields(law, seeds, ws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -675,10 +725,10 @@ class TestEnsembleThreads:
         failing = mix_seed(3, (4 if threads > 1 else 8) * block)
         real = simulate._noise_fields
 
-        def fail_one(factor, grid, seeds, ws):
+        def fail_one(law, seeds, ws):
             if seeds[0] == failing:
                 raise RuntimeError(f"block {block}")
-            return real(factor, grid, seeds, ws)
+            return real(law, seeds, ws)
 
         started = []
         start = threading.Thread.start
@@ -720,10 +770,10 @@ class TestEnsembleThreads:
         real = simulate._noise_fields
         failed = threading.Event()
 
-        def fail_off_caller(factor, grid, seeds, ws):
+        def fail_off_caller(law, seeds, ws):
             if threading.current_thread().name == "caller":
                 assert failed.wait(timeout=30)
-                return real(factor, grid, seeds, ws)
+                return real(law, seeds, ws)
             failed.set()
             raise RuntimeError("extra thread")
 
@@ -746,9 +796,9 @@ class TestEnsembleThreads:
         real = simulate._noise_fields
         results, alive = [], []
 
-        def tracked(factor, grid, seeds, ws):
+        def tracked(law, seeds, ws):
             alive.append(sum(ref() is not None for ref in results))
-            fields = real(factor, grid, seeds, ws)
+            fields = real(law, seeds, ws)
             results.append(weakref.ref(fields))
             return fields
 
@@ -775,11 +825,11 @@ class TestEnsembleThreads:
         block_of = {mix_seed(3, 4 * b): b for b in range(9)}
         done, changed = set(), threading.Condition()
 
-        def fail_late(factor, grid, seeds, ws):
+        def fail_late(law, seeds, ws):
             b = block_of[seeds[0]]
             try:
                 if b not in fail_after:
-                    return real(factor, grid, seeds, ws)
+                    return real(law, seeds, ws)
                 with changed:
                     assert changed.wait_for(lambda: fail_after[b] <= done, timeout=30)
                 raise RuntimeError(f"block {b}")
@@ -811,13 +861,13 @@ class TestEnsembleThreads:
         block_of = {mix_seed(3, 4 * b): b for b in range(n_blocks)}
         computed, changed = [], threading.Condition()
 
-        def caller_last(factor, grid, seeds, ws):
+        def caller_last(law, seeds, ws):
             b = block_of[seeds[0]]
             if threading.current_thread().name == "caller":
                 ahead = set(range(b + 1, min(b + threads, n_blocks)))
                 with changed:
                     assert changed.wait_for(lambda: ahead <= set(computed), timeout=30)
-            fields = real(factor, grid, seeds, ws)
+            fields = real(law, seeds, ws)
             with changed:
                 computed.append(b)
                 changed.notify_all()
@@ -846,10 +896,10 @@ class TestEnsembleThreads:
         real_fields, real_add = simulate._noise_fields, simulate._add_moments
         extra_added, grown = threading.Event(), []
 
-        def caller_waits(factor, grid, seeds, ws):
+        def caller_waits(law, seeds, ws):
             if threading.current_thread().name == "caller" and seeds[0] == mix_seed(3, 8):
                 assert extra_added.wait(timeout=30)
-            return real_fields(factor, grid, seeds, ws)
+            return real_fields(law, seeds, ws)
 
         def traced_add(fields, s1, s2):
             if threading.current_thread().name == "caller":
@@ -891,22 +941,3 @@ def _in_thread(call):
     caller.join(timeout=60)
     assert not caller.is_alive(), "ensemble_stats did not return within 60 s"
     return outcome[0]
-
-
-class TestCompare:
-    def test_self_comparison_zero(self):
-        stats = ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 8, master_seed=3)
-        mean_p, var_p = stats
-        for ref in (mean_p, var_p):
-            out = compare_to_analytic(stats, ref)
-            assert out["max_abs_z"] == 0.0
-
-    def test_grid_mismatch(self):
-        stats = ensemble_stats(params(1.0), GAUSS, SMALL_ZERO, 4, master_seed=3)
-        bad_time = make_profile([0.123], [0.0], lambda t, x: 0.0, "fourier")
-        with pytest.raises(GridMismatchError):
-            compare_to_analytic(stats, bad_time)
-        t0 = stats[0].times[0]
-        bad_pos = make_profile([t0], [0.03], lambda t, x: 0.0, "fourier")
-        with pytest.raises(GridMismatchError):
-            compare_to_analytic(stats, bad_pos)

@@ -497,6 +497,16 @@ class TestMainardi:
         assert abs(mainardi_series(0.5, 0.0) - closed(0.0)) < 1e-12
         assert abs(mainardi_series(0.5, 1.0) - closed(1.0)) > 0.1
 
+    @pytest.mark.parametrize("u", [60.0, 80.0, 100.0])
+    def test_cancellation_raises(self, u):
+        # the alternating terms cancel: against a 500-digit sum the result was
+        # 2.5e-4 off at u = 60 and of the wrong sign at u = 80, with no error;
+        # the sum also refuses inside an array
+        with pytest.raises(NoConvergenceError, match="cancellation"):
+            mainardi_series(0.5, u)
+        with pytest.raises(NoConvergenceError, match="cancellation"):
+            mainardi_series(0.5, np.array([[0.0, 1.0], [2.0, u]]))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             mainardi_series(1.5, 1.0)
