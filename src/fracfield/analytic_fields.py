@@ -108,7 +108,8 @@ def heat_kernel(t: float, x, lam: float):
     if not lam > 0:
         raise DomainError("heat_kernel requires lambda > 0")
     x = np.asarray(x, dtype=float)
-    out = np.exp(-(x * x) / (4.0 * lam * t)) / math.sqrt(4.0 * math.pi * lam * t)
+    with np.errstate(over="ignore"):  # -inf for a tiny t, and exp(-inf) is the exact 0
+        out = np.exp(-(x * x) / (4.0 * lam * t)) / math.sqrt(4.0 * math.pi * lam * t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -636,9 +637,11 @@ def profile_csv_parts(profiles):
 def crosscheck_to_csv(rows) -> str:
     """Serialize cross-check rows (t, x, method_a, value_a, method_b, value_b)."""
     rows = list(rows)
-    # two routes that agree exactly, zeros included, have ratio 1
-    cells = [c for t, x, ma, va, mb, vb in rows
-             for c in (t, x, ma, va, mb, vb,
-                       1.0 if va == vb else (va / vb if vb != 0 else math.inf))]
+    # two routes that agree exactly, zeros included, have ratio 1; a ratio
+    # beyond the float range is inf, as it is for value_b = 0
+    with np.errstate(over="ignore"):
+        cells = [c for t, x, ma, va, mb, vb in rows
+                 for c in (t, x, ma, va, mb, vb,
+                           1.0 if va == vb else (va / vb if vb != 0 else math.inf))]
     row = f"{_CELL},{_CELL},%s,{_CELL},%s,{_CELL},{_CELL}\n"
     return _csv("t,x,method_a,value_a,method_b,value_b,ratio", row * len(rows), cells)

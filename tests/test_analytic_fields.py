@@ -39,6 +39,10 @@ from fracfield.special_fn import MLOrder, gamma_fn, ml_eval
 from fracfield.symbol import DiffusionParams, KernelSpec
 from ml_oracle import mainardi_oracle
 
+# QUADPACK's accuracy warnings fail the test: a reference that warns is no
+# reference
+pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+
 GAUSS = KernelSpec("gaussian", 1.0)
 
 

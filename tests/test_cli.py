@@ -167,10 +167,18 @@ def test_commands_load_no_numpy_ma():
 def test_commands_run_without_scipy():
     # None in sys.modules makes any scipy import raise ImportError
     argvs = [
+        ["ml", "--alpha", "0.6", "--x-range=-40:2:85", "--bounds"],
         ["ml", "--alpha", "0.6", "--x-range=-40:2:85", "--bounds", "--asymptotic"],
         ["mean", "--method", "fourier", "--alpha", "1.5", "--x-range=0:8:5"],
+        ["mean", "--method", "fourier", "--alpha", "0.6", "--mu", "1000", "--t", "0.1",
+         "--x-range=0:3:7"],
+        ["mean", "--preset", "fig3"],
+        ["mean", "--method", "mainardi", "--alpha", "0.6"],
+        ["mean", "--method", "heat_kernel"],
+        ["variance", "--method", "quadrature", "--alpha", "1"],
         ["variance", "--preset", "fig5"],
         ["mild", "--alpha", "0.8", "--probe"],
+        ["simulate", "--n-points", "64", "--n-steps", "16", "--samples", "4"],
         ["simulate", "--n-points", "64", "--n-steps", "16", "--samples", "4", "--alpha", "0.8",
          "--mu", "0.5"],
     ]
@@ -183,6 +191,18 @@ def test_commands_run_without_scipy():
              "        codes.append(main(argv))\n"
              "print(codes)")
     assert _fresh_python(probe) == str([EXIT_OK] * len(argvs))
+
+
+def test_numpy_only_modules_import_without_the_oracles():
+    # these three modules run with numpy and pytest alone, the other four
+    # take scipy, mpmath and hypothesis as oracles
+    probe = ("import sys\n"
+             "for name in ('scipy', 'mpmath', 'hypothesis'):\n"
+             "    sys.modules[name] = None\n"
+             f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+             "import test_cli, test_mildness, test_simulate\n"
+             "print('imported')")
+    assert _fresh_python(probe) == "imported"
 
 
 def run(capsys, *argv):
@@ -336,6 +356,16 @@ class TestMl:
         assert code == EXIT_USAGE
         assert out == ""
         assert "argument --interval: " in err and message in err
+
+    def test_far_beta_value(self, capsys):
+        # beta = 101 is far above alpha + 1.75 at alpha = 0.1; stepping beta
+        # down to reach it once died of a RecursionError
+        code, out, _ = run(capsys, "ml", "--alpha", "0.1", "--beta", "101", "--x-range=-5:-5:1")
+        assert code == EXIT_OK
+        header, rows = parse_csv(out)
+        assert header == ["x", "value"]
+        assert math.isfinite(float(rows[0][1]))
+        assert float(rows[0][1]) == ml_eval(MLOrder(0.1, 101.0), -5.0)
 
     def test_usage_error(self, capsys):
         for x_range in ("oops", "0:1", "0:1:2:3", "a:1:3", "0:1:n"):
@@ -510,6 +540,10 @@ class TestMeanVariance:
         _, scaled = parse_csv(run(capsys, "variance", "--method", "quadrature", "--alpha",
                                   "1", "--t", "0.5", "--x", "1", "--sigma", "2")[1])
         assert float(scaled[0][2]) == 4.0 * float(rows[0][2])
+        # at the defaults t = lambda = sigma = 1: the double nearest 1/sqrt(2 pi)
+        code, out, _ = run(capsys, "variance", "--method", "quadrature", "--alpha", "1")
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == "1,-3,0.3989422804014327,var_quadrature"
 
     def test_variance_series_resonance_exit_four(self, capsys):
         code, _, err = run(
@@ -584,6 +618,22 @@ class TestMeanVariance:
         assert [r[2] for r in rows] == ["var_series"] * 3
         assert [r[4] for r in rows] == ["var_quadrature"] * 3
         assert float(rows[0][5]) == var_frac_quadrature(1.0, 1.0, 0.6, 1.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_limits_warn_nothing(self, capsys):
+        # x^2 / (4 t) overflows at t = 1e-310, where the kernel is exactly 0;
+        # at t = 1e-309 the closed variance over the quadrature's is beyond
+        # the float range, so the ratio is inf
+        code, out, err = run(capsys, "mean", "--method", "heat_kernel", "--t", "1e-310",
+                             "--x-range=0:1:3")
+        assert (code, err) == (EXIT_OK, "")
+        assert [r[2] for r in parse_csv(out)[1]] == ["2.8209479177387872e+154", "0", "0"]
+        code, _, err = run(capsys, "variance", "--method", "closed", "--alpha", "1", "--t",
+                           "1e-309", "--x=0")
+        assert code == EXIT_OK
+        assert err == ("t,x,method_a,value_a,method_b,value_b,ratio\n"
+                       "1.0000000000000019e-309,0,var_closed,4.4603102903819224e+153,"
+                       "var_quadrature,1.2615662610100721e-155,inf\n")
 
     def test_crosscheck_exact_zeros_have_ratio_one(self, capsys):
         code, _, err = run(capsys, "variance", "--method", "series", "--alpha", "0.6",
@@ -703,14 +753,31 @@ class TestSimulateCli:
             assert code == EXIT_OK
             assert hashlib.sha256(out.encode()).hexdigest() == digest, threads
 
-    def test_default_grid_ensemble_on_one_and_two_threads(self, capsys, monkeypatch):
+    def test_uneven_lanes_do_not_change_ensemble(self, capsys, monkeypatch):
+        # 37 paths make nine full 4-seed blocks and a partial one, which two
+        # to four lanes share unevenly
+        from fracfield import simulate
+
+        argv = ["simulate", "--samples", "37", "--n-points", "64", "--n-steps", "16",
+                "--seed", "7"]
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
+        outputs = []
+        for threads in ("1", "2", "3", "4"):
+            monkeypatch.setenv("FRACFIELD_THREADS", threads)
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            outputs.append(out)
+        assert outputs[1:] == outputs[:1] * 3
+
+    def test_default_grid_ensemble_on_one_to_three_threads(self, capsys, monkeypatch):
+        # three lanes take the 16 blocks 6, 5 and 5
         import hashlib
 
         from fracfield import simulate
 
         argv, digest, _ = GOLDEN_WRITER_SHA256["simulate_default_grid_super"]
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-        for threads in ("1", "2"):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        for threads in ("1", "2", "3"):
             monkeypatch.setenv("FRACFIELD_THREADS", threads)
             code, out, _ = run(capsys, *argv)
             assert code == EXIT_OK
@@ -823,28 +890,36 @@ class TestSimulateCli:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_config_file(self, capsys, tmp_path):
-        cfg = {
-            "version": 1,
-            "params": {"alpha": 1.0, "lambda": 1.0, "sigma": 1.0},
-            "kernel": {"type": "gaussian", "scale": 1.0},
-            "grid": {"half_length": 5.0, "n_points": 64, "n_steps": 16},
-            "seed": 42,
-        }
+        cases = [
+            ({"version": 1,
+              "params": {"alpha": 1.0, "lambda": 1.0, "sigma": 1.0},
+              "kernel": {"type": "gaussian", "scale": 1.0},
+              "grid": {"half_length": 5.0, "n_points": 64, "n_steps": 16},
+              "seed": 42},
+             self.ARGS, {"alpha": 1.0, "lambda": 1.0, "mu": 0.0, "sigma": 1.0, "dim": 1}),
+            ({"version": 1,
+              "params": {"alpha": 0.8, "mu": 0.5},
+              "grid": {"half_length": 5, "n_points": 64, "n_steps": 16},
+              "samples": 3, "seed": 42},
+             ["simulate", "--alpha", "0.8", "--mu", "0.5", "--half-length", "5", "--n-points",
+              "64", "--n-steps", "16", "--samples", "3", "--seed", "42"],
+             {"alpha": 0.8, "lambda": 1.0, "mu": 0.5, "sigma": 1.0, "dim": 1}),
+        ]
         # the flags are read as the config they stand for: the same bytes
         # and the same manifest, up to its wall time
         path = tmp_path / "run.json"
-        path.write_text(json.dumps(cfg))
-        runs = []
-        for i, argv in enumerate([["simulate", "--config", str(path)], self.ARGS]):
-            meta_path = tmp_path / f"meta{i}.json"
-            code, out, err = run(capsys, *argv, "--meta-out", str(meta_path))
-            assert (code, err) == (EXIT_OK, "")
-            meta = json.loads(meta_path.read_text())
-            del meta["wall_time_s"]
-            runs.append((out, meta))
-        assert runs[0] == runs[1]
-        assert runs[0][1]["params"] == {"alpha": 1.0, "lambda": 1.0, "mu": 0.0, "sigma": 1.0,
-                                        "dim": 1}
+        for cfg, flags, params in cases:
+            path.write_text(json.dumps(cfg))
+            runs = []
+            for i, argv in enumerate([["simulate", "--config", str(path)], flags]):
+                meta_path = tmp_path / f"meta{i}.json"
+                code, out, err = run(capsys, *argv, "--meta-out", str(meta_path))
+                assert (code, err) == (EXIT_OK, "")
+                meta = json.loads(meta_path.read_text())
+                del meta["wall_time_s"]
+                runs.append((out, meta))
+            assert runs[0] == runs[1]
+            assert runs[0][1]["params"] == params
 
     def test_meta_out_kernel_round_trip(self, capsys, tmp_path):
         cfg = {

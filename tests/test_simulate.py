@@ -258,12 +258,12 @@ class TestSimulatePath:
         # sum over every copy in closed form (2.5e-12 to 1.2e-10 of the peak
         # with the Gaussian kernel's copies and no such term); at mu = 1000
         # the mean is wide, so the box is L = 80 and the reference holds the
-        # images at +-2L (6e-10 of the peak at t = 1)
+        # images at +-2L (6e-10 of the peak at t = 1); t = 1/8 .. 1
         prm = params(0.8, mu=mu, sigma=0.0)
         kernel = KernelSpec("uniform", 1.0)
         half_length, bound = (80.0, 1e-12) if mu > 100.0 else (20.0, 1e-13)
         grid = GridSpec(half_length=half_length, n_points=1024, n_steps=16)
-        path = simulate_path(prm, kernel, grid, seed=1, snapshot_steps=[4, 16])
+        path = simulate_path(prm, kernel, grid, seed=1, snapshot_steps=[2, 4, 8, 16])
         x = grid.positions()
         near = np.abs(x) <= 5.0
         for t, f in zip(path.times, path.values):

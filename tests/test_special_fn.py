@@ -507,6 +507,31 @@ class TestMainardi:
         with pytest.raises(NoConvergenceError, match="cancellation"):
             mainardi_series(0.5, np.array([[0.0, 1.0], [2.0, u]]))
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    def test_accepted_values_against_60_digits(self, alpha):
+        # the sum rounds once per term, so its error follows the sum of the
+        # terms' magnitudes: a bound on the largest term alone accepted
+        # 2.1e-12 (alpha = 0.5, u = 14.8) and 2.4e-12 (alpha = 0.9,
+        # u = 21.35) of max(|sum|, peak) on this grid
+        peak, worst, refused = 1.0 / math.gamma(1.0 - alpha), 0.0, []
+        with mp.workdps(60):
+            a, coef = mp.mpf(alpha), []
+            while not coef or coef[-1] * mp.mpf(900) ** (len(coef) - 1) > mp.mpf(10) ** -40:
+                k = len(coef)
+                coef.append(1 / (mp.gamma(a * k + 1 - a) * mp.factorial(2 * k)))
+            for u in np.arange(601) * 0.05:
+                try:
+                    value = mainardi_series(alpha, u)
+                except NoConvergenceError:
+                    refused.append(u)
+                    continue
+                z, ref = -mp.mpf(u) ** 2, mp.mpf(0)
+                for c in reversed(coef):
+                    ref = ref * z + c
+                worst = max(worst, abs(value - float(ref)) / max(abs(float(ref)), peak))
+        assert worst <= 1e-12
+        assert min(refused) > 8.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             mainardi_series(1.5, 1.0)

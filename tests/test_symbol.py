@@ -18,6 +18,10 @@ from fracfield.symbol import (
 )
 from fracfield.special_fn import MLOrder, gamma_fn, ml_eval
 
+# QUADPACK's accuracy warnings fail the test: a reference that warns is no
+# reference
+pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+
 
 GAUSS = KernelSpec("gaussian", 1.0)
 UNIF = KernelSpec("uniform", math.pi)
