@@ -151,6 +151,10 @@ def prop_superdiffusive_condition(alpha: float, n: int) -> bool:
 # numerical probes
 
 _PANELS_PER_DECADE = 4
+# Table points per ml_eval call in _radial: its arguments and values stay at
+# 32 KiB, below glibc's 128 KiB mmap and trim threshold, from which a
+# long-lived process would fault in fresh pages for them on every probe.
+_TABLE_BLOCK = 1 << 12
 # a step ratio of at least this reads as divergent: a tail that shrinks by
 # less than 4.3e-4 decades per decade of the cutoff is not told from none
 _RATIO_MAX = 1.0 - 1e-3
@@ -182,9 +186,10 @@ def _radial(params, kernel, order, power, s_alphas, cutoffs):
     for each cutoff K and its array of s^alpha values.
 
     Radial Gauss-Legendre nodes on [0, min(1, K)] plus geometric panels up
-    to K.  The entries pool their nodes: one ml_eval call covers every
-    (s^alpha, r) pair some entry needs, once, and each entry sums its own
-    sub-grid of that table.  For cutoffs that are powers of ten the r-edges
+    to K.  The entries pool their nodes: one table holds every
+    (s^alpha, r) pair some entry needs, evaluated once (by ml_eval on
+    blocks of _TABLE_BLOCK points), and each entry sums its own sub-grid of
+    that table.  For cutoffs that are powers of ten the r-edges
     step by a quarter decade from 1, so a schedule whose s-nodes nest too
     has its coarser grids inside the finest one, at no extra evaluation.
     ml_eval is pointwise, so every sum equals that of an evaluation on the
@@ -197,8 +202,12 @@ def _radial(params, kernel, order, power, s_alphas, cutoffs):
     need = np.zeros((s_pool.size, r_pool.size), dtype=bool)
     for si, ri in zip(s_index, r_index):
         need[np.ix_(si, ri)] = True
+    a = symbol_a(params, kernel, r_pool)
     table = np.empty(need.shape)
-    table[need] = ml_eval(order, -np.outer(s_pool, symbol_a(params, kernel, r_pool))[need])
+    rows = max(1, _TABLE_BLOCK // r_pool.size)
+    for lo in range(0, s_pool.size, rows):
+        blk = need[lo : lo + rows]
+        table[lo : lo + rows][blk] = ml_eval(order, -np.outer(s_pool[lo : lo + rows], a)[blk])
     return [_surface_factor(params.dim)
             * ((table[np.ix_(si, ri)] ** power * r ** (params.dim - 1)) @ w)
             for (r, w), ri, si in zip(grids, r_index, s_index)]
@@ -257,7 +266,7 @@ def probe_m2(
     panels accumulating at s = 0.  Where t and every eps are powers of ten the
     time edges step by a quarter decade down from t, so the coarser entries'
     s-nodes are among the finest entry's; _radial pools them, and at t = 1
-    the default schedule costs one ml_eval call on its finest 160 x 170 grid.
+    the default schedule costs one evaluation of its finest 160 x 170 grid.
     """
     if not t > 0:
         raise DomainError("probe_m2 requires t > 0")

@@ -249,7 +249,11 @@ _LOG_MACH = math.log(np.finfo(float).eps)
 _PHI_CAP = 4.0 * (_LOG_TOL - _LOG_MACH)  # ~6.02; round-off caps the contour there
 _N_BINS = 50
 _BIN_EDGES = _PHI_CAP * 2.0 ** np.arange(1.0 - _N_BINS, 1.0)
-_CHUNK_ELEMS = 1 << 14  # bounds the (points x nodes) temporaries to 128 KB
+# Bounds the (points x nodes) temporaries to 64 KiB, below glibc's default
+# 128 KiB mmap and trim threshold: temporaries of that size are mapped (or
+# trimmed) afresh, so a long-lived process faults their pages in on most
+# calls, where smaller ones reuse its heap pages.
+_CHUNK_ELEMS = 1 << 13
 # beyond it _step_down steps beta down by E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z,
 # which multiplies rounding by about Gamma(b) / (Gamma(b-a) |z|) per step, so the
 # series serves the disc of _series_radius, and at most _MAX_BETA_STEPS steps run.
@@ -367,26 +371,36 @@ def _step_down(alpha, beta, z):
 
 
 def _contour(alpha, beta, z):
-    """E_{alpha,beta}(z) for a 1-d array z of nonzero reals, 0 < alpha <= 2."""
+    """E_{alpha,beta}(z) for a 1-d array z of nonzero reals, 0 < alpha <= 2.
+
+    The pole bins (r = |z|^(1/alpha), c, phi and a bin search per point) are
+    formed only when a pole can lie right of the contour, that is when
+    alpha > 1 or some z > 0; otherwise every point takes bin -1.
+    """
     if beta > alpha + _MAX_BETA_GAP:
         return _step_down(alpha, beta, z)
     # At large |z| the leading terms of the direct sum cancel for beta = alpha;
     # E_{a,a}(z) = E_{a,0}(z) / z keeps the relative accuracy.
     b = 0.0 if beta == alpha else beta
     pos = z > 0
-    with np.errstate(over="ignore"):
-        r = np.abs(z) ** (1.0 / alpha)
-    c = np.where(pos, 1.0, math.cos(math.pi / alpha))
-    phi = np.where(pos | (alpha > 1.0), 0.5 * r * (1.0 + c), 0.0)
-    bins = np.where(phi > 0.0, _N_BINS - np.searchsorted(_BIN_EDGES, phi, side="right"), -1)
+    if alpha > 1.0 or pos.any():
+        with np.errstate(over="ignore"):
+            r = np.abs(z) ** (1.0 / alpha)
+        c = np.where(pos, 1.0, math.cos(math.pi / alpha))
+        phi = np.where(pos | (alpha > 1.0), 0.5 * r * (1.0 + c), 0.0)
+        bins = np.where(phi > 0.0, _N_BINS - np.searchsorted(_BIN_EDGES, phi, side="right"), -1)
+    else:
+        bins = np.full(z.size, -1)
     # Beyond |z| = 1e150 every node sum equals -sum(w.re) / z to double
-    # precision; evaluating it at the clamped point and rescaling keeps d^2 finite.
-    zc = np.clip(z, -1e150, 1e150)
+    # precision; evaluating it at the clamped point and rescaling keeps d^2
+    # finite.  any() and not max(), which a NaN anywhere in z would poison.
+    huge = (np.abs(z) > 1e150).any()
+    zc = np.clip(z, -1e150, 1e150) if huge else z
     out = np.empty_like(z)
     for bin_ in np.flatnonzero(np.bincount(bins + 1)) - 1:
         (wr, gr, wg, gi2), residues = _nodes(alpha, b, int(bin_))
         sel = np.nonzero(bins == bin_)[0]
-        chunk = min(4096, _CHUNK_ELEMS // gr.size)
+        chunk = max(1, _CHUNK_ELEMS // gr.size)
         for lo in range(0, sel.size, chunk):
             i = sel[lo : lo + chunk]
             d = gr - zc[i, None]  # two temporaries, in place as in _series
@@ -395,7 +409,10 @@ def _contour(alpha, beta, z):
             d *= d
             d += gi2
             num /= d
-            out[i] = num.sum(axis=1) * (zc[i] / z[i])
+            v = num.sum(axis=1)
+            if huge:
+                v *= zc[i] / z[i]
+            out[i] = v
         if residues:  # s*^(1-b) e^(s*) / a summed over s* = r (z > 0) or r e^(+-i pi/a) (z < 0)
             p, ri = pos[sel], r[sel]
             with np.errstate(over="ignore", invalid="ignore"):

@@ -332,8 +332,8 @@ def _m2_per_entry(p, kernel, t, sched):
 
 
 class TestPooledNodes:
-    """The probes pool the nodes of all schedule entries into one ml_eval
-    call; each value must equal the per-entry evaluation bit for bit."""
+    """The probes pool the nodes of all schedule entries into one table;
+    each value must equal the per-entry evaluation bit for bit."""
 
     M2_SCHEDULES = [
         (((1e2, 1e-2), (1e3, 1e-3), (1e4, 1e-4)), 1.0),  # the default
@@ -354,10 +354,11 @@ class TestPooledNodes:
             got = probe_m1(p, GAUSS, t, ks).values
             assert np.array_equal(got, _m1_per_entry(p, GAUSS, t, ks)), ks
 
-    def test_one_ml_eval_call_per_probe(self, monkeypatch):
+    def test_each_table_point_evaluated_once(self, monkeypatch):
         # the default schedules are nested at t = 1: 160 s-nodes x 170 r-nodes
         # for M2 (the per-entry grids held 7,200 + 15,600 + 27,200 points),
-        # and 170 r-nodes for M1 (90 + 130 + 170)
+        # in ml_eval calls of at most _TABLE_BLOCK points, and 170 r-nodes
+        # for M1 (90 + 130 + 170)
         sizes = []
 
         def counting(order, x):
@@ -366,7 +367,7 @@ class TestPooledNodes:
 
         monkeypatch.setattr(mildness, "ml_eval", counting)
         probe_m2(params(0.8, 1.0, 0.0, 1), GAUSS, 1.0)
-        assert sizes == [27_200]
+        assert sum(sizes) == 27_200 and max(sizes) <= mildness._TABLE_BLOCK
         sizes.clear()
         probe_m1(params(0.8, 1.0, 0.0, 1), GAUSS, 1.0)
         assert sizes == [170]
@@ -374,4 +375,4 @@ class TestPooledNodes:
         # at t = 2 the entries share no s-node, and each needed (s, r) pair is
         # still evaluated once: 9,000 + 18,200 + 30,600, not 420 x 170
         probe_m2(params(0.8, 1.0, 0.0, 1), GAUSS, 2.0)
-        assert sizes == [57_800]
+        assert sum(sizes) == 57_800 and max(sizes) <= mildness._TABLE_BLOCK

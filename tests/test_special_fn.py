@@ -308,13 +308,44 @@ class TestEval:
         assert np.array_equal(vals, [ml_eval(order, float(v)) for v in x])
         assert np.array_equal(vals[::-1], ml_eval(order, x[::-1].reshape(-1, 3)).ravel())
 
+    @pytest.mark.parametrize("alpha", [0.6, 0.8, 1.5, 1.9])
+    @pytest.mark.parametrize("beta_is_alpha", [False, True])
+    def test_huge_and_special_arguments(self, alpha, beta_is_alpha):
+        # Both arrays hold a NaN next to the huge points, so the contour's
+        # clamp must be decided without a max(); the second has no z > 0, so
+        # for alpha <= 1 it takes the pole-free path.
+        beta = alpha if beta_is_alpha else 1.0
+        order = MLOrder(alpha, beta)
+        huge = [-1e151, -1e200, -1e300, -1.7e308]
+        special = huge + [-np.inf, np.nan, 0.0, -0.0]
+        for x in (np.array([-3.0, -0.3, -40.0, 2.0, np.inf] + special),
+                  np.array([-3.0, -1e4] + special + [-0.7])):
+            with np.errstate(all="ignore"):
+                vals = ml_eval(order, x)
+                scalars = np.array([ml_eval(order, float(v)) for v in x])
+            assert vals.tobytes() == scalars.tobytes()
+            for z in huge + ([-np.inf] if alpha <= 1.0 else []):
+                v = vals[list(x).index(z)]
+                if beta_is_alpha:  # -1 / (Gamma(-alpha) z^2), zero where it underflows
+                    lead = -1.0 / math.gamma(-alpha) / z / z
+                    rel = 2.5e-13
+                else:
+                    lead = -(1.0 / math.gamma(beta - alpha)) / z
+                    rel = 1.5e-14
+                if lead == 0.0:
+                    assert v == 0.0
+                else:
+                    assert v == pytest.approx(lead, rel=rel, abs=0.0)
+
     @pytest.mark.parametrize("alpha,beta", [(0.8, 1.0), (1.5, 1.5), (1.0, 1.0), (2.0, 1.0)])
     def test_blocks_do_not_move_values(self, monkeypatch, alpha, beta):
         x = -np.geomspace(1e-3, 1e4, 2000).reshape(40, 50)
         x[::3] *= -0.01
         ref = ml_eval(MLOrder(alpha, beta), x)
-        monkeypatch.setattr(special_fn, "_EVAL_BLOCK", 7)
-        assert ml_eval(MLOrder(alpha, beta), x).tobytes() == ref.tobytes()
+        for name, value in [("_EVAL_BLOCK", 7), ("_CHUNK_ELEMS", 37), ("_CHUNK_ELEMS", 1 << 10)]:
+            with monkeypatch.context() as m:
+                m.setattr(special_fn, name, value)
+                assert ml_eval(MLOrder(alpha, beta), x).tobytes() == ref.tobytes()
 
     def test_temporaries_do_not_scale_with_input(self):
         # blocks of _EVAL_BLOCK points: a 256k-point call allocates its 2 MB
