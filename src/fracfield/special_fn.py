@@ -2,13 +2,13 @@
 Mainardi functions, with numpy and the standard library only.
 
 The two-parameter Mittag-Leffler function E_{alpha,beta}(z) has one
-evaluator with two paths: the power series for |z| <= 0.5 (a larger disc
-when beta > alpha + 1.75, see _series_radius), and everywhere else the
-trapezoid rule on a parabolic Bromwich contour for the inverse Laplace
-transform of s^(alpha-beta) / (s^alpha - z), plus the residues of the poles
-s^alpha = z that lie right of the contour.  It covers 0 < alpha <= 2, every
-finite beta > 0 and both signs of z; beta > alpha + 1.75 reaches the contour
-through a recurrence in beta of at most 10,000 steps.
+evaluator with two paths: the power series for |z| <= 0.5, and everywhere
+else the trapezoid rule on a parabolic Bromwich contour for the inverse
+Laplace transform of s^(alpha-beta) / (s^alpha - z), plus the residues of
+the poles s^alpha = z that lie right of the contour.  It covers
+0 < alpha <= 2, every finite beta > 0 and both signs of z.  Up to
+beta = alpha + 1.75 the contour follows Garrappa's rules; beyond, it passes
+through the saddle point s = beta - alpha of e^s s^(alpha-beta).
 
 Against the mpmath series oracle (tests/ml_oracle.py) on 11 orders alpha in
 [0.1, 1.95], beta in {1, alpha, alpha+1, 0.5, 1.7} and 29 log-spaced |z| in
@@ -17,9 +17,9 @@ largest error is 2.6e-13, relative where |E| > 1e-3 and absolute below.
 For beta > alpha + 1.75 the error is graded relative, as such values are
 often far below 1e-3: on alpha in {0.1, 0.3, 0.5, 0.8, 1.2, 1.5, 1.9}, beta
 in {2.5, 3, 4, 5, 8, 12, 20, 30, 100} and |z| in [0.3, 1000] (both signs,
-where the oracle series reaches) it is at most 3.2e-12 for beta <= 30
-(alpha = 0.1, beta = 8, z = 1.16) and 1.8e-11 at beta = 100 (alpha = 1.5,
-z = -1000).
+where the oracle series reaches) it is at most 1.5e-13 for beta <= 30
+(alpha = 0.8, beta = 4, z = 131.6) and 1.2e-13 at beta = 100 (alpha = 1.5,
+z = 1000).
 
 Gamma and erfc are the standard library's.  Against mpmath on 20,000
 random points per range: 1/Gamma (_rgamma, 0 at the poles) is within
@@ -243,6 +243,17 @@ def _ml_coef(alpha, beta):
 # r = |z|^(1/a), c = 1 or cos(pi/a); for z < 0 and a <= 1 there is none.  Node
 # sets depend on phi only through halving bins below _PHI_CAP, each designed
 # for the bin edge nearest its poles.
+#
+# Beyond beta = alpha + _MAX_BETA_GAP the origin singularity s^(a-b) defeats
+# those rules (no admissible contour, or thousands of nodes), so the parabola
+# passes through the saddle point s = q = b - a of e^s s^-q instead, where that
+# factor is smallest along the real axis (Schmelzer and Trefethen, SIAM J.
+# Numer. Anal. 45 (2007)): mu on the rung q (1 + d)^(2k), k in
+# {-1, 0, 1}, d = min(0.5, q^-1/2), step h = pi d / ln 1e15 and nodes up to
+# u = sqrt(ln 1e15 / mu), where e^s has fallen by 1e15.  A pole lies
+# 1 - sqrt(phi/mu) off a rung in u and costs the sum about
+# exp(-2 pi |1 - sqrt(phi/mu)| / h), 1e-15 at d/2: a point whose pole lies
+# within d/2 of the saddle rung takes the outer rung farther from the pole.
 
 _LOG_TOL = math.log(1e-15)
 _LOG_MACH = math.log(np.finfo(float).eps)
@@ -254,17 +265,7 @@ _BIN_EDGES = _PHI_CAP * 2.0 ** np.arange(1.0 - _N_BINS, 1.0)
 # trimmed) afresh, so a long-lived process faults their pages in on most
 # calls, where smaller ones reuse its heap pages.
 _CHUNK_ELEMS = 1 << 13
-# beyond it _step_down steps beta down by E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z,
-# which multiplies rounding by about Gamma(b) / (Gamma(b-a) |z|) per step, so the
-# series serves the disc of _series_radius, and at most _MAX_BETA_STEPS steps run.
-# Measured on 1 < |z| <= Gamma(alpha+beta)/Gamma(beta), alpha in [0.1, 0.8], beta in
-# [2, 12]: where the steps' gain at |z| = 1 was at most 130 they were within 1e-13 of
-# the oracle, and 5 to 5000 times closer than the series for alpha <= 0.5; near 5000
-# the two were within a factor 3 (13 at alpha = 0.8); from 3.6e5 on the series won by
-# 20 to 3000 times.  _STEP_GAIN splits them.
-_MAX_BETA_GAP = 1.75
-_MAX_BETA_STEPS = 10_000
-_STEP_GAIN = 1000.0
+_MAX_BETA_GAP = 1.75  # Garrappa's rules up to beta = alpha + 1.75, saddle rungs beyond
 
 
 def _params_left_of_pole(phi, p):
@@ -324,71 +325,77 @@ def _params_right_of(phi, p):
 @functools.lru_cache(maxsize=256)
 def _nodes(alpha, beta, bin_):
     """Trapezoid weights w_k and values g_k = s_k^alpha in the real form the
-    sum uses, and whether the bin's poles lie right of the contour (their
-    residues are then added).
+    sum uses, and the phi beyond which a pole lies right of the contour (its
+    residue is then added).
 
-    bin_ < 0: no pole; 0: phi >= _PHI_CAP; j: phi in [_PHI_CAP 2^-j, _PHI_CAP 2^(1-j)).
-    Conjugate symmetry folds nodes -N..N onto 0..N (weights doubled for k >= 1).
+    For beta <= alpha + _MAX_BETA_GAP, Garrappa's bins: bin_ < 0: no pole;
+    0: phi >= _PHI_CAP; j: phi in [_PHI_CAP 2^-j, _PHI_CAP 2^(1-j)), and the
+    poles of a bin lie all right of its contour (phi 0) or none (phi inf).
+    Beyond, bin_ in {-1, 0, 1} is the saddle rung k.  Conjugate symmetry
+    folds nodes -N..N onto 0..N (weights doubled for k >= 1).
     """
-    p0 = max(0.0, 2.0 * (beta - alpha - 1.0))  # strength of the origin singularity
-    if bin_ < 0:
-        cands = [_params_right_of(0.0, p0) + (False,)]
+    saddle = beta > alpha + _MAX_BETA_GAP
+    if saddle:
+        d = min(0.5, (beta - alpha) ** -0.5)
+        mu, h = (beta - alpha) * (1.0 + d) ** (2 * bin_), math.pi * d / -_LOG_TOL
+        n, right_of = math.ceil(math.sqrt(-_LOG_TOL / mu) / h), mu
     else:
-        cands = [_params_left_of_pole(_PHI_CAP * 2.0**-bin_, p0) + (True,)]
-        if bin_ > 0:
-            cands.append(_params_right_of(_PHI_CAP * 2.0 ** (1 - bin_), 1.0) + (False,))
-    n, mu, h, residues = min(cands)
-    if not math.isfinite(n):
-        raise NoConvergenceError(f"no admissible contour for alpha={alpha}, beta={beta}")
+        p0 = max(0.0, 2.0 * (beta - alpha - 1.0))  # strength of the origin singularity
+        if bin_ < 0:
+            cands = [_params_right_of(0.0, p0) + (math.inf,)]
+        else:
+            cands = [_params_left_of_pole(_PHI_CAP * 2.0**-bin_, p0) + (0.0,)]
+            if bin_ > 0:
+                cands.append(_params_right_of(_PHI_CAP * 2.0 ** (1 - bin_), 1.0) + (math.inf,))
+        n, mu, h, right_of = min(cands)
+        if not math.isfinite(n):
+            raise NoConvergenceError(f"no admissible contour for alpha={alpha}, beta={beta}")
     u = h * np.arange(n + 1)
     s = mu * (1.0 + 1j * u) ** 2
-    w = (h * mu / math.pi) * (1.0 + 1j * u) * np.exp(s) * s ** (alpha - beta)
+    # On a saddle rung e^s and s^(a-b) each leave the float range long before
+    # their product, and s^a does too past q = 1e154 (a = 2), where every
+    # weight is 0.
+    with np.errstate(over="ignore"):
+        if saddle:
+            w = (h * mu / math.pi) * (1.0 + 1j * u) * np.exp(s + (alpha - beta) * np.log(s))
+        else:
+            w = (h * mu / math.pi) * (1.0 + 1j * u) * np.exp(s) * s ** (alpha - beta)
+        g = s**alpha
+    g[w == 0.0] = 0.0  # a node of zero weight adds nothing, whatever its s^a
     w[1:] *= 2.0
-    g = s**alpha
     # Re(w / (g - z)) = (w.re d + w.im g.im) / (d^2 + g.im^2) with d = g.re - z
     arrays = (w.real.copy(), g.real.copy(), w.imag * g.imag, g.imag * g.imag)
     for a in arrays:
         a.setflags(write=False)  # shared by every caller through the cache
-    return arrays, residues
-
-
-def _step_down(alpha, beta, z):
-    """E_{alpha,beta}(z) for beta > alpha + _MAX_BETA_GAP, where the contour's
-    origin singularity s^(alpha-beta) would need too many nodes: beta steps
-    down by alpha to b <= alpha + _MAX_BETA_GAP, and E_{alpha,b} climbs back
-    up through E_{a,c+a}(z) = (E_{a,c}(z) - 1/Gamma(c)) / z.  More than
-    _MAX_BETA_STEPS steps raise DomainError."""
-    if beta - alpha - _MAX_BETA_GAP > _MAX_BETA_STEPS * alpha:
-        raise DomainError(f"E_({alpha},{beta}) off the series disc needs more than "
-                          f"{_MAX_BETA_STEPS} steps down in beta")
-    betas = [beta]
-    while betas[-1] > alpha + _MAX_BETA_GAP:
-        betas.append(betas[-1] - alpha)
-    out = _contour(alpha, betas[-1], z)
-    for c in reversed(betas[1:]):
-        out = (out - _rgamma(c)) / z
-    return out
+    return arrays, right_of
 
 
 def _contour(alpha, beta, z):
     """E_{alpha,beta}(z) for a 1-d array z of nonzero reals, 0 < alpha <= 2.
 
-    The pole bins (r = |z|^(1/alpha), c, phi and a bin search per point) are
-    formed only when a pole can lie right of the contour, that is when
-    alpha > 1 or some z > 0; otherwise every point takes bin -1.
+    For beta <= alpha + _MAX_BETA_GAP the pole bins (r = |z|^(1/alpha), c,
+    phi and a bin search per point) are formed only when a pole can lie right
+    of the contour, that is when alpha > 1 or some z > 0; otherwise every
+    point takes bin -1.  Beyond, every point takes the saddle rung 0 unless
+    its pole lies within d/2 of it in u, and then the outer rung farther from
+    the pole; the residue of a pole right of its rung is added in log form.
     """
-    if beta > alpha + _MAX_BETA_GAP:
-        return _step_down(alpha, beta, z)
+    saddle = beta > alpha + _MAX_BETA_GAP
     # At large |z| the leading terms of the direct sum cancel for beta = alpha;
     # E_{a,a}(z) = E_{a,0}(z) / z keeps the relative accuracy.
     b = 0.0 if beta == alpha else beta
     pos = z > 0
-    if alpha > 1.0 or pos.any():
+    if alpha > 1.0 or pos.any() or saddle:
         with np.errstate(over="ignore"):
             r = np.abs(z) ** (1.0 / alpha)
         c = np.where(pos, 1.0, math.cos(math.pi / alpha))
         phi = np.where(pos | (alpha > 1.0), 0.5 * r * (1.0 + c), 0.0)
-        bins = np.where(phi > 0.0, _N_BINS - np.searchsorted(_BIN_EDGES, phi, side="right"), -1)
+        if saddle:
+            off = 1.0 - np.sqrt(phi / (beta - alpha))
+            near = np.abs(off) < 0.5 * min(0.5, (beta - alpha) ** -0.5)
+            bins = np.where(near, np.where(off > 0.0, 1, -1), 0)
+        else:
+            bins = np.where(phi > 0.0, _N_BINS - np.searchsorted(_BIN_EDGES, phi, side="right"), -1)
     else:
         bins = np.full(z.size, -1)
     # Beyond |z| = 1e150 every node sum equals -sum(w.re) / z to double
@@ -398,7 +405,7 @@ def _contour(alpha, beta, z):
     zc = np.clip(z, -1e150, 1e150) if huge else z
     out = np.empty_like(z)
     for bin_ in np.flatnonzero(np.bincount(bins + 1)) - 1:
-        (wr, gr, wg, gi2), residues = _nodes(alpha, b, int(bin_))
+        (wr, gr, wg, gi2), right_of = _nodes(alpha, b, int(bin_))
         sel = np.nonzero(bins == bin_)[0]
         chunk = max(1, _CHUNK_ELEMS // gr.size)
         for lo in range(0, sel.size, chunk):
@@ -413,10 +420,13 @@ def _contour(alpha, beta, z):
             if huge:
                 v *= zc[i] / z[i]
             out[i] = v
-        if residues:  # s*^(1-b) e^(s*) / a summed over s* = r (z > 0) or r e^(+-i pi/a) (z < 0)
+        # s*^(1-b) e^(s*) / a summed over s* = r (z > 0) or r e^(+-i pi/a) (z < 0)
+        if right_of < math.inf:
+            sel = sel[phi[sel] > right_of]
             p, ri = pos[sel], r[sel]
             with np.errstate(over="ignore", invalid="ignore"):
-                amp = ri ** (1.0 - b) * np.exp(ri * c[sel]) / alpha
+                amp = (np.exp(ri * c[sel] + (1.0 - b) * np.log(ri)) if saddle
+                       else ri ** (1.0 - b) * np.exp(ri * c[sel])) / alpha
                 pair = 2.0 * np.cos(ri * math.sin(math.pi / alpha) + (1.0 - b) * math.pi / alpha)
                 out[sel] += amp * np.where(p, 1.0, pair)
     return out if b == beta else out / z
@@ -431,12 +441,12 @@ _EVAL_BLOCK = 8192
 def ml_eval(order: MLOrder, x):
     """Evaluate E_{alpha,beta}(x) on the real line (scalar or array).
 
-    The power series serves |x| <= 0.5 (the disc of _series_radius where
-    beta > alpha + 1.75), the Bromwich contour every other x (0 < alpha <= 2).  Each
-    value depends only on its own argument, so array and scalar calls agree
-    bit for bit, and the input is walked in blocks of _EVAL_BLOCK points, so
-    only the output scales with it.  alpha=1 (beta=1) short-circuits to exp,
-    alpha=2 (beta=1) to cosh/cos.
+    The power series serves |x| <= 0.5, the Bromwich contour every other x
+    (0 < alpha <= 2; through the saddle point of e^s s^(alpha-beta) where
+    beta > alpha + 1.75).  Each value depends only on its own argument, so
+    array and scalar calls agree bit for bit, and the input is walked in
+    blocks of _EVAL_BLOCK points, so only the output scales with it.
+    alpha=1 (beta=1) short-circuits to exp, alpha=2 (beta=1) to cosh/cos.
     """
     arr = np.asarray(x, dtype=float)
     z = arr.reshape(-1)
@@ -444,23 +454,6 @@ def ml_eval(order: MLOrder, x):
     for lo in range(0, z.size, _EVAL_BLOCK):
         _ml_block(order.alpha, order.beta, z[lo : lo + _EVAL_BLOCK], out[lo : lo + _EVAL_BLOCK])
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-@functools.lru_cache(maxsize=256)
-def _series_radius(alpha, beta):
-    """|z| up to which ml_eval sums the series when beta > alpha + _MAX_BETA_GAP.
-
-    _step_down's n steps to b = beta - n alpha multiply rounding by about
-    Gamma(beta) / (Gamma(b) |z|^n).  Where that is at most _STEP_GAIN at
-    |z| = 1 the series serves |z| <= 1; else it serves
-    |z| <= Gamma(alpha + beta) / Gamma(beta), on which its terms shrink from
-    the first one on.
-    """
-    steps = math.ceil((beta - alpha - _MAX_BETA_GAP) / alpha)
-    if (steps <= _MAX_BETA_STEPS
-            and math.lgamma(beta) - math.lgamma(beta - steps * alpha) <= math.log(_STEP_GAIN)):
-        return 1.0
-    return max(1.0, math.exp(math.lgamma(alpha + beta) - math.lgamma(beta)))
 
 
 def _ml_block(alpha, beta, z, out):
@@ -472,8 +465,7 @@ def _ml_block(alpha, beta, z, out):
         out[neg] = np.cos(np.sqrt(-z[neg]))
         out[~neg] = np.cosh(np.sqrt(z[~neg]))
     else:
-        near = np.abs(z) <= (_series_radius(alpha, beta) if beta > alpha + _MAX_BETA_GAP
-                             else _SERIES_RADIUS)
+        near = np.abs(z) <= _SERIES_RADIUS
         out[near] = _series(_ml_coef(alpha, beta), z[near])
         if not near.all():
             if alpha > 2.0:

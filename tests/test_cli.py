@@ -367,6 +367,28 @@ class TestMl:
         assert math.isfinite(float(rows[0][1]))
         assert float(rows[0][1]) == ml_eval(MLOrder(0.1, 101.0), -5.0)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.5, 1.9])
+    def test_large_beta_recurrence(self, capsys, alpha):
+        # E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z) with every term positive at
+        # z > 0, so it holds to full relative accuracy without an oracle;
+        # z = (b - a)^a puts the pole on the saddle rung of the b-a contour
+        def ml(beta, z):
+            code, out, _ = run(capsys, "ml", "--alpha", repr(alpha), "--beta", repr(beta),
+                               f"--x-range={z!r}:{z!r}:1")
+            assert code == EXIT_OK
+            return float(parse_csv(out)[1][0][1])
+
+        for beta in (4.0, 8.0, 30.0):
+            for z in [0.7, 3.0, 30.0] + [(beta - alpha) ** alpha * f for f in (0.97, 1.0, 1.03)]:
+                rhs = 1.0 / math.gamma(beta) + z * ml(alpha + beta, z)
+                assert ml(beta, z) == pytest.approx(rhs, rel=1e-12, abs=0.0)  # inf past 1.8e308
+
+    def test_beta_beyond_the_float_range(self, capsys):
+        # 1/Gamma(1e300) and the contour's weights underflow to 0
+        code, out, _ = run(capsys, "ml", "--alpha", "0.1", "--beta", "1e300", "--x-range=-5:-5:1")
+        assert code == EXIT_OK
+        assert parse_csv(out) == (["x", "value"], [["-5", "0"]])
+
     def test_usage_error(self, capsys):
         for x_range in ("oops", "0:1", "0:1:2:3", "a:1:3", "0:1:n"):
             code, out, err = run(capsys, "ml", "--alpha", "0.5", "--x-range", x_range)
