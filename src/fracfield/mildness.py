@@ -18,19 +18,24 @@ relevant Fourier integrals diverge, and no dimension is mild.
 `classify` decides by the inequality and labels the verdict by its regime;
 `probe_m1` / `probe_m2` evaluate the truncated integrals behind it on a
 refining cutoff schedule and read their limit by Aitken's delta^2 process.
+The cut-offs are powers of ten in the model's own units (K in units of
+1/l, l = sqrt(lambda t^alpha), and eps in units of t), so the values obey
+the model's scaling laws and the verdict does not move with lambda or t.
 The probes are numerical evidence, not proof.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateParametersError, DomainError
-from .special_fn import MLOrder, _distinct, gl_panels, ml_eval
+from .special_fn import MLOrder, gl_panels, ml_eval
 from .symbol import DiffusionParams, KernelSpec, symbol_a
 
 __all__ = [
@@ -149,8 +154,16 @@ def prop_superdiffusive_condition(alpha: float, n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # numerical probes
+#
+# The cut-offs are integer powers of ten in the model's own units: K in units
+# of 1/l, l = sqrt(lambda t^alpha) (kernel.scale sqrt(mu t^alpha) at
+# lambda = 0, where nothing decays), and eps in units of t.  The rules in
+# those units are fixed, 10 Gauss-Legendre nodes on [0, 1] and on each
+# quarter decade up to K (10 + 40 log10 K nodes), and on each quarter decade
+# from eps up to 1 (-40 log10 eps), so every schedule entry's grid is a
+# prefix in r and a suffix in s of the finest entry's grid, whatever t,
+# lambda, mu and the kernel.
 
-_PANELS_PER_DECADE = 4
 # Table points per ml_eval call in _radial: its arguments and values stay at
 # 32 KiB, below glibc's 128 KiB mmap and trim threshold, from which a
 # long-lived process would fault in fresh pages for them on every probe.
@@ -160,13 +173,16 @@ _TABLE_BLOCK = 1 << 12
 _RATIO_MAX = 1.0 - 1e-3
 # a last step below this fraction of the values is rounding, not a tail
 _ROUNDING = 1e-12
+# 10^d -> d for every power of ten a float holds
+_DECADES = {float(f"1e{d}"): d for d in range(-323, 309)}
 
 
-def _geometric_edges(lo: float, hi: float):
-    """Panel edges geometric between lo and hi (lo > 0), 4 panels per decade."""
-    decades = math.log10(hi / lo)
-    n = max(int(math.ceil(decades * _PANELS_PER_DECADE)), 4)
-    return np.geomspace(lo, hi, n + 1)
+@functools.lru_cache(maxsize=None)
+def _rule(lo, hi):
+    """Gauss-Legendre nodes and weights, 10 per panel, on the quarter decades
+    from 10^lo to 10^hi, after the panel [0, 1] when lo = 0 (the radial rule)."""
+    edges = 10.0 ** (np.arange(4 * lo, 4 * hi + 1) / 4)
+    return gl_panels(np.concatenate(([0.0], edges)) if lo == 0 else edges, 10)
 
 
 def _surface_factor(n: int) -> float:
@@ -174,43 +190,33 @@ def _surface_factor(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _pooled(arrays):
-    """Sorted distinct values of several 1-d arrays, and each array's indices
-    into them."""
-    pool = _distinct(np.concatenate(arrays))
-    return pool, [np.searchsorted(pool, a) for a in arrays]
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # _report refuses the result
+def _radial(params, kernel, t, order, power, s, entries):
+    """omega_{N-1} * int_0^K (E_order(-s^alpha a(r)))^power r^(N-1) dr for each
+    entry (m, d): K = 10^d / l and the times s[m:].
 
-
-def _radial(params, kernel, order, power, s_alphas, cutoffs):
-    """omega_{N-1} * int_0^K (E_order(-s^alpha a(r)))^power r^(N-1) dr per s^alpha,
-    for each cutoff K and its array of s^alpha values.
-
-    Radial Gauss-Legendre nodes on [0, min(1, K)] plus geometric panels up
-    to K.  The entries pool their nodes: one table holds every
-    (s^alpha, r) pair some entry needs, evaluated once (by ml_eval on
-    blocks of _TABLE_BLOCK points), and each entry sums its own sub-grid of
-    that table.  For cutoffs that are powers of ten the r-edges
-    step by a quarter decade from 1, so a schedule whose s-nodes nest too
-    has its coarser grids inside the finest one, at no extra evaluation.
+    One table holds the integrand E^power r^(N-1) on the finest grid, filled
+    by ml_eval in blocks of _TABLE_BLOCK points, and each entry sums its
+    corner table[m:, :n] (its n = 10 + 40 d radial nodes) as one matrix.
     ml_eval is pointwise, so every sum equals that of an evaluation on the
-    entry's grid alone, nested or not.
+    entry's grid alone.
     """
-    grids = [gl_panels(np.concatenate(([0.0], _geometric_edges(min(1.0, k), k))), 10)
-             for k in cutoffs]
-    r_pool, r_index = _pooled([r for r, _ in grids])
-    s_pool, s_index = _pooled(s_alphas)
-    need = np.zeros((s_pool.size, r_pool.size), dtype=bool)
-    for si, ri in zip(s_index, r_index):
-        need[np.ix_(si, ri)] = True
-    a = symbol_a(params, kernel, r_pool)
-    table = np.empty(need.shape)
-    rows = max(1, _TABLE_BLOCK // r_pool.size)
-    for lo in range(0, s_pool.size, rows):
-        blk = need[lo : lo + rows]
-        table[lo : lo + rows][blk] = ml_eval(order, -np.outer(s_pool[lo : lo + rows], a)[blk])
-    return [_surface_factor(params.dim)
-            * ((table[np.ix_(si, ri)] ** power * r ** (params.dim - 1)) @ w)
-            for (r, w), ri, si in zip(grids, r_index, s_index)]
+    if not t > 0:
+        raise DomainError("the probes require t > 0")
+    if params.lam == 0 and params.mu == 0:
+        raise DegenerateParametersError("lambda = mu = 0 leaves no spatial operator")
+    ell = math.sqrt((params.lam or params.mu * kernel.scale**2) * t**params.alpha)
+    s_alpha = s**params.alpha
+    rho, omega = _rule(0, entries[-1][1])
+    r, w = rho / ell, omega / ell
+    a, r_power = symbol_a(params, kernel, r), r ** (params.dim - 1)
+    table = np.empty((s_alpha.size, r.size))
+    rows = max(1, _TABLE_BLOCK // r.size)
+    for lo in range(0, s_alpha.size, rows):
+        e = ml_eval(order, -np.outer(s_alpha[lo : lo + rows], a))
+        np.multiply(e**power, r_power, out=table[lo : lo + rows])
+    return [_surface_factor(params.dim) * (table[m:, : 10 + 40 * d] @ w[: 10 + 40 * d])
+            for m, d in entries]
 
 
 def _report(quantity, cutoffs, scales, values):
@@ -221,7 +227,9 @@ def _report(quantity, cutoffs, scales, values):
     the limit v3 + d2 r / (1 - r) and the exponent p = log|r| / log(q), q
     being the scales' ratio per step (the geometric mean of the last two).
     The values converge when |r| < _RATIO_MAX, or when d2 is at rounding
-    level (then the limit is v3 and no exponent can be read).
+    level (then the limit is v3 and no exponent can be read).  The values
+    scale as l^-N; where one or the limit leaves the range of normal
+    floats, DomainError.
     """
     v1, v2, v3 = values[-3:]
     d1, d2 = v2 - v1, v3 - v2
@@ -231,6 +239,8 @@ def _report(quantity, cutoffs, scales, values):
         r = d2 / d1 if d1 else math.inf
         fit = math.log(abs(r)) / (0.5 * math.log(scales[-1] / scales[-3]))
         limit = v3 + d2 * r / (1.0 - r) if abs(r) < _RATIO_MAX else None
+    if not all(sys.float_info.min <= abs(v) < math.inf for v in (*values, limit or 1.0)):
+        raise DomainError(f"{quantity} leaves the floating-point range: {values}, limit {limit}")
     status = "diverges" if limit is None else "converges"
     return ProbeReport(quantity, tuple(cutoffs), tuple(values), fit, limit is None, status, limit)
 
@@ -241,14 +251,14 @@ def probe_m1(
     t: float,
     cutoff_schedule=(1e2, 1e3, 1e4),
 ) -> ProbeReport:
-    """Truncated first-moment frequency integral int_{|xi|<=K} E_alpha(-a t^alpha) dxi."""
-    if not t > 0:
-        raise DomainError("probe_m1 requires t > 0")
+    """Truncated first-moment frequency integral int_{|xi|<=K} E_alpha(-a t^alpha) dxi,
+    K in units of 1/l."""
     ks = [float(k) for k in cutoff_schedule]
-    if len(ks) < 3 or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise DomainError("cutoff schedule must be >= 3 strictly increasing values")
-    t_alpha = np.array([t**params.alpha])
-    radial = _radial(params, kernel, MLOrder(params.alpha, 1.0), 1, [t_alpha] * len(ks), ks)
+    ds = [_DECADES.get(k, -1) for k in ks]
+    if len(ks) < 3 or any(b <= a for a, b in zip(ks, ks[1:])) or min(ds) < 0:
+        raise DomainError("cutoffs must be >= 3 increasing powers of ten, K >= 1 (units of 1/l)")
+    radial = _radial(params, kernel, t, MLOrder(params.alpha, 1.0), 1, np.array([t]),
+                     [(0, d) for d in ds])
     return _report("M1_L1_tail", ks, ks, [float(v[0]) for v in radial])
 
 
@@ -262,27 +272,23 @@ def probe_m2(
 
     sigma^2 (2 pi)^(-N) int_eps^t s^(2 alpha - 2)
         int_{|xi|<=K} (E_{alpha,alpha}(-s^alpha a(xi)))^2 dxi ds,
-    evaluated on a jointly refining (K, eps) schedule with geometric time
-    panels accumulating at s = 0.  Where t and every eps are powers of ten the
-    time edges step by a quarter decade down from t, so the coarser entries'
-    s-nodes are among the finest entry's; _radial pools them, and at t = 1
-    the default schedule costs one evaluation of its finest 160 x 170 grid.
+    evaluated on a jointly refining (K, eps) schedule, K in units of 1/l and
+    eps in units of t, with quarter-decade time panels accumulating at s = 0.
+    The coarser entries' nodes are among the finest entry's, so the default
+    schedule costs one evaluation of its finest 160 x 170 grid at every t.
     """
-    if not t > 0:
-        raise DomainError("probe_m2 requires t > 0")
     sched = [(float(k), float(e)) for k, e in cutoff_schedule]
-    if len(sched) < 3:
-        raise DomainError("cutoff schedule must have length >= 3")
-    for (k0, e0), (k1, e1) in zip(sched, sched[1:]):
-        if k1 < k0 or e1 > e0 or (k1 == k0 and e1 == e0):
-            raise DomainError("schedule must refine: K nondecreasing, eps nonincreasing")
-
-    grids = [gl_panels(_geometric_edges(eps, t), 10) for _, eps in sched]
-    radial = _radial(params, kernel, MLOrder(params.alpha, params.alpha), 2,
-                     [s**params.alpha for s, _ in grids], [k for k, _ in sched])
+    ds = [(_DECADES.get(k, -1), _DECADES.get(e, 0)) for k, e in sched]
+    if len(ds) < 3 or min(d for d, _ in ds) < 0 or max(e for _, e in ds) > -1 or any(
+            d1 < d0 or e1 > e0 or (d1, e1) == (d0, e0) for (d0, e0), (d1, e1) in zip(ds, ds[1:])):
+        raise DomainError("schedule must refine through >= 3 powers of ten: K >= 1 (in units "
+                          "of 1/l) nondecreasing, eps <= 0.1 (in units of t) nonincreasing")
+    s, ws = (t * a for a in _rule(ds[-1][1], 0))
+    entries = [(40 * (e - ds[-1][1]), d) for d, e in ds]
+    radial = _radial(params, kernel, t, MLOrder(params.alpha, params.alpha), 2, s, entries)
     norm = params.sigma**2 * (2.0 * math.pi) ** (-params.dim)
-    values = [norm * float(np.dot(w, s ** (2.0 * params.alpha - 2.0) * rad))
-              for (s, w), rad in zip(grids, radial)]
+    values = [norm * float(np.dot(ws[m:], s[m:] ** (2.0 * params.alpha - 2.0) * rad))
+              for (m, _), rad in zip(entries, radial)]
     # the scale of the tail: K when it refines, otherwise 1/eps
     k_refines = sched[-1][0] > sched[0][0]
     scales = [k if k_refines else 1.0 / e for k, e in sched]

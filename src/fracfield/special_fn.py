@@ -257,6 +257,7 @@ def _ml_coef(alpha, beta):
 
 _LOG_TOL = math.log(1e-15)
 _LOG_MACH = math.log(np.finfo(float).eps)
+_FLOAT_MAX = np.finfo(float).max
 _PHI_CAP = 4.0 * (_LOG_TOL - _LOG_MACH)  # ~6.02; round-off caps the contour there
 _N_BINS = 50
 _BIN_EDGES = _PHI_CAP * 2.0 ** np.arange(1.0 - _N_BINS, 1.0)
@@ -428,8 +429,15 @@ def _contour(alpha, beta, z):
                 amp = (np.exp(ri * c[sel] + (1.0 - b) * np.log(ri)) if saddle
                        else ri ** (1.0 - b) * np.exp(ri * c[sel])) / alpha
                 pair = 2.0 * np.cos(ri * math.sin(math.pi / alpha) + (1.0 - b) * math.pi / alpha)
-                out[sel] += amp * np.where(p, 1.0, pair)
-    return out if b == beta else out / z
+                term = amp * np.where(p, 1.0, pair)
+            # 0 * inf or cos(inf) where r or e^(r c) leaves the float range:
+            # e^(r c) decides, +inf for z > 0 and 0 for z < 0 below alpha = 2
+            lost = np.isnan(term) & (p | (alpha < 2.0))
+            term[lost] = np.where(p[lost], math.inf, 0.0)
+            out[sel] += term
+    # at z = +-inf out is already the limit (inf or 0), and so is its quotient
+    # by the largest float, where out / z would be inf / inf
+    return out if b == beta else out / np.clip(z, -_FLOAT_MAX, _FLOAT_MAX)
 
 
 # Points per pass of ml_eval.  Its masks, copies and the contour's per-point

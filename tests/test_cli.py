@@ -442,11 +442,17 @@ class TestMild:
         ["variance", "--method", "series", "--alpha", "0.6", "--t", "1e-300", "--x", "1"],
         '{"version": 1, "params": {"alpha": 1.5, "lambda": %s}}',
         '{"version": 1, "params": {"alpha": 1.5}, "kernel": {"type": "uniform", "half_width": %s}}',
+        ["mild", "--alpha", "1.5", "--dim", "3", "--lambda", "1e-200", "--probe"],
+        ["mild", "--alpha", "0.8", "--dim", "3", "--lambda", "1e300", "--probe"],
+        ["mild", "--alpha", "0.8", "--dim", "3", "--t", "1e-300", "--probe"],
     ], ids=["mean-lambda-1e200", "mean-t-1e300", "mean-lambda-1e-300", "variance-t-1e-300",
-            "config-lambda-1e400", "config-half-width-1e400"])
+            "config-lambda-1e400", "config-half-width-1e400", "mild-probe-lambda-1e-200",
+            "mild-probe-lambda-1e300", "mild-probe-t-1e-300"])
     def test_extreme_finite_inputs_exit_two(self, capsys, tmp_path, argv):
         # each died of an OverflowError or a ZeroDivisionError, exit 1; a
-        # config's integer 1e400 is exact in JSON and beyond every float
+        # config's integer 1e400 is exact in JSON and beyond every float.
+        # The probes' values scale as l^-N and here leave the float range,
+        # where a reading would print Infinity (not JSON) or a limit of 0
         if isinstance(argv, str):
             path = tmp_path / "big.json"
             path.write_text(argv % ("1" + "0" * 400))

@@ -1,11 +1,12 @@
 """Tests for the exact mildness classification and the numerical probes."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fracfield import mildness
+from fracfield import cli, mildness
 from fracfield.errors import DegenerateParametersError, DomainError
 from fracfield.mildness import (
     Rule,
@@ -171,6 +172,11 @@ class TestProbeM1:
             probe_m1(p, GAUSS, 1.0, cutoff_schedule=(10.0, 100.0, 100.0))
         with pytest.raises(DomainError):
             probe_m1(p, GAUSS, 0.0)
+        # cut-offs are integer powers of ten >= 1 (in units of 1/l), so that
+        # every entry's grid is a prefix of the finest one
+        for ks in ((50.0, 333.0, 1e3, 2e4), (0.1, 1.0, 10.0), (1e2, 1e3, math.inf)):
+            with pytest.raises(DomainError, match="powers of ten"):
+                probe_m1(p, GAUSS, 0.7, cutoff_schedule=ks)
 
 
 class TestProbeM2:
@@ -223,6 +229,12 @@ class TestProbeM2:
                 1.0,
                 cutoff_schedule=((1e2, 1e-2), (1e1, 1e-3), (1e3, 1e-4)),
             )
+        # K >= 1 and eps <= 0.1, integer powers of ten (in units of 1/l and t)
+        for sched in (((1e2, 1e-2), (3e2, 1e-2), (3e2, 3e-3), (1e4, 1e-5)),
+                      ((1e2, 1.0), (1e3, 1e-1), (1e4, 1e-2)),
+                      ((0.1, 1e-2), (1e3, 1e-3), (1e4, 1e-4))):
+            with pytest.raises(DomainError, match="powers of ten"):
+                probe_m2(p, GAUSS, 0.3, cutoff_schedule=sched)
 
     def test_json_shape(self):
         rep = probe_m2(params(1.5, 1.0, 0.0, 1), GAUSS, 1.0)
@@ -304,16 +316,27 @@ class TestRegimeSweep:
         assert wrong == self.M1_PRE_ASYMPTOTIC
 
 
-def _radial_grid(k):
-    return gl_panels(np.concatenate(([0.0], mildness._geometric_edges(min(1.0, k), k))), 10)
+def _radial_grid(k, ell):
+    """10 Gauss-Legendre nodes on [0, 1] and on each quarter decade up to k,
+    in units of ell."""
+    edges = np.geomspace(1.0, k, 4 * round(math.log10(k)) + 1)
+    r, w = gl_panels(np.concatenate(([0.0], edges)), 10)
+    return r / ell, w / ell
+
+
+def _time_grid(eps, t):
+    """10 Gauss-Legendre nodes on each quarter decade from eps up to 1, in units of t."""
+    s, w = gl_panels(np.geomspace(eps, 1.0, 4 * round(-math.log10(eps)) + 1), 10)
+    return t * s, t * w
 
 
 def _m1_per_entry(p, kernel, t, ks):
     """probe_m1's values with one ml_eval call per cutoff, on its own grid."""
     values = []
     for k in ks:
-        r, w = _radial_grid(k)
-        e = ml_eval(MLOrder(p.alpha, 1.0), -np.outer([t**p.alpha], symbol_a(p, kernel, r)))
+        r, w = _radial_grid(k, math.sqrt(p.lam * t**p.alpha))
+        t_alpha = np.array([t]) ** p.alpha
+        e = ml_eval(MLOrder(p.alpha, 1.0), -np.outer(t_alpha, symbol_a(p, kernel, r)))
         values.append(float(mildness._surface_factor(p.dim) * ((e * r ** (p.dim - 1)) @ w)[0]))
     return values
 
@@ -322,8 +345,8 @@ def _m2_per_entry(p, kernel, t, sched):
     """probe_m2's values with one ml_eval call per (K, eps), on its own grid."""
     values = []
     for k, eps in sched:
-        s, ws = gl_panels(mildness._geometric_edges(eps, t), 10)
-        r, w = _radial_grid(k)
+        s, ws = _time_grid(eps, t)
+        r, w = _radial_grid(k, math.sqrt(p.lam * t**p.alpha))
         e = ml_eval(MLOrder(p.alpha, p.alpha), -np.outer(s**p.alpha, symbol_a(p, kernel, r)))
         radial = mildness._surface_factor(p.dim) * ((e**2 * r ** (p.dim - 1)) @ w)
         total = float(np.dot(ws, s ** (2.0 * p.alpha - 2.0) * radial))
@@ -332,33 +355,38 @@ def _m2_per_entry(p, kernel, t, sched):
 
 
 class TestPooledNodes:
-    """The probes pool the nodes of all schedule entries into one table;
-    each value must equal the per-entry evaluation bit for bit."""
+    """The schedule entries share one table on the finest grid, each summing
+    its corner; each value must equal the per-entry evaluation bit for bit."""
 
-    M2_SCHEDULES = [
-        (((1e2, 1e-2), (1e3, 1e-3), (1e4, 1e-4)), 1.0),  # the default
-        (((1e4, 1e-2), (1e4, 1e-3), (1e4, 1e-4)), 1.0),  # criterion 6's eps-only
-        (((1e2, 1e-2), (3e2, 1e-2), (3e2, 3e-3), (1e4, 1e-5)), 0.3),  # not nested
+    # (schedule, t, lambda): every t and every lambda, each pair with a unit
+    # of length l != 1
+    M2_CASES = [
+        *((((1e2, 1e-2), (1e3, 1e-3), (1e4, 1e-4)), t, lam)  # the default
+          for t, lam in ((0.3, 1.0), (1.0, 1e6), (2.0, 1.0))),
+        (((1e4, 1e-2), (1e4, 1e-3), (1e4, 1e-4)), 2.0, 1e6),  # criterion 6's eps-only
+        # steps in K only and in eps only
+        (((1.0, 1e-1), (1e1, 1e-1), (1e3, 1e-2), (1e3, 1e-4)), 0.3, 1e6),
     ]
-    M1_SCHEDULES = [((1e2, 1e3, 1e4), 1.0), ((50.0, 333.0, 1e3, 2e4), 0.7)]
+    M1_CASES = [((1e2, 1e3, 1e4), 0.3, 1e6), ((1.0, 1e1, 1e3, 1e5), 2.0, 1.0)]
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.5])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("mu", [0.0, 0.5])
     def test_equal_to_per_entry_evaluation(self, alpha, dim, mu):
-        p = params(alpha, 1.0, mu, dim)
-        for sched, t in self.M2_SCHEDULES:
+        for sched, t, lam in self.M2_CASES:
+            p = params(alpha, lam, mu, dim)
             got = probe_m2(p, GAUSS, t, sched).values
-            assert np.array_equal(got, _m2_per_entry(p, GAUSS, t, sched)), sched
-        for ks, t in self.M1_SCHEDULES:
+            assert np.array_equal(got, _m2_per_entry(p, GAUSS, t, sched)), (sched, t, lam)
+        for ks, t, lam in self.M1_CASES:
+            p = params(alpha, lam, mu, dim)
             got = probe_m1(p, GAUSS, t, ks).values
-            assert np.array_equal(got, _m1_per_entry(p, GAUSS, t, ks)), ks
+            assert np.array_equal(got, _m1_per_entry(p, GAUSS, t, ks)), (ks, t, lam)
 
     def test_each_table_point_evaluated_once(self, monkeypatch):
-        # the default schedules are nested at t = 1: 160 s-nodes x 170 r-nodes
-        # for M2 (the per-entry grids held 7,200 + 15,600 + 27,200 points),
-        # in ml_eval calls of at most _TABLE_BLOCK points, and 170 r-nodes
-        # for M1 (90 + 130 + 170)
+        # the default schedules are nested at every t: 160 s-nodes x 170
+        # r-nodes for M2 (the per-entry grids hold 7,200 + 15,600 + 27,200
+        # points), in ml_eval calls of at most _TABLE_BLOCK points, and 170
+        # r-nodes for M1 (90 + 130 + 170)
         sizes = []
 
         def counting(order, x):
@@ -366,13 +394,73 @@ class TestPooledNodes:
             return ml_eval(order, x)
 
         monkeypatch.setattr(mildness, "ml_eval", counting)
-        probe_m2(params(0.8, 1.0, 0.0, 1), GAUSS, 1.0)
-        assert sum(sizes) == 27_200 and max(sizes) <= mildness._TABLE_BLOCK
-        sizes.clear()
-        probe_m1(params(0.8, 1.0, 0.0, 1), GAUSS, 1.0)
-        assert sizes == [170]
-        sizes.clear()
-        # at t = 2 the entries share no s-node, and each needed (s, r) pair is
-        # still evaluated once: 9,000 + 18,200 + 30,600, not 420 x 170
-        probe_m2(params(0.8, 1.0, 0.0, 1), GAUSS, 2.0)
-        assert sum(sizes) == 57_800 and max(sizes) <= mildness._TABLE_BLOCK
+        for t in (1.0, 2.0):
+            sizes.clear()
+            probe_m2(params(0.8, 1.0, 0.0, 1), GAUSS, t)
+            assert sum(sizes) == 27_200 and max(sizes) <= mildness._TABLE_BLOCK
+            sizes.clear()
+            probe_m1(params(0.8, 1.0, 0.0, 1), GAUSS, t)
+            assert sizes == [170]
+
+
+def _values_and_reading(rep):
+    return rep.values, (rep.status, rep.tail_exponent_fit)
+
+
+class TestScalingLaws:
+    """The symbol enters only through a t^alpha, and the cut-offs are read in
+    units of l = sqrt(lambda t^alpha) and t, so the probes obey the model's
+    scaling laws."""
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_length_law_bit_for_bit(self, alpha, mu):
+        # x, l and the kernel scale times c (lambda times c^2): a power of two
+        # scales every node and weight exactly, and each value by c^-N
+        for dim in (1, 2, 3):
+            ref = params(alpha, 1.0, mu, dim)
+            base = [_values_and_reading(probe(ref, GAUSS, 1.0)) for probe in (probe_m1, probe_m2)]
+            for c in (2.0**-10, 2.0, 2.0**10):
+                p = params(alpha, c * c, mu, dim)
+                kernel = KernelSpec("gaussian", c)
+                for probe, (values, reading) in zip((probe_m1, probe_m2), base):
+                    got, got_reading = _values_and_reading(probe(p, kernel, 1.0))
+                    assert [v * c**dim for v in got] == list(values), (dim, c, probe)
+                    assert got_reading == reading
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_time_law(self, alpha, mu):
+        # t times 2 with lambda and mu times 2^-alpha: a t^alpha is unchanged,
+        # so M1 is, and M2 gains s^(2 alpha - 2) ds, a factor 2^(2 alpha - 1)
+        c = 2.0 ** -alpha
+        for dim in (1, 2, 3):
+            p, q = params(alpha, 1.0, mu, dim), params(alpha, c, mu * c, dim)
+            for probe, gain in ((probe_m1, 1.0), (probe_m2, 2.0 ** (2 * alpha - 1))):
+                ref, got = probe(p, GAUSS, 1.0).values, probe(q, GAUSS, 2.0).values
+                assert got == pytest.approx([v * gain for v in ref], rel=1e-15, abs=0.0)
+
+    def test_large_and_small_lambda(self, capsys):
+        # the limits are V / sqrt(lambda); with absolute cut-offs probe_m2 read
+        # "diverges" at lambda = 1e6 and converged to 4525.7 at 1e-6
+        def limits(lam):
+            assert cli.main(["mild", "--alpha", "0.8", "--lambda", lam, "--probe"]) == 0
+            obj = json.loads(capsys.readouterr().out)
+            assert obj["probe_m1"]["status"] == obj["probe_m2"]["status"] == "converges"
+            return obj["probe_m1"]["limit"], obj["probe_m2"]["limit"]
+
+        ref = limits("1")
+        for lam in ("1e-6", "1e6", "1e8"):
+            got = [v * math.sqrt(float(lam)) for v in limits(lam)]
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), lam
+
+    def test_degenerate_and_out_of_range(self):
+        with pytest.raises(DegenerateParametersError):
+            probe_m1(params(0.8, 0.0, 0.0, 1), GAUSS, 1.0)
+        with pytest.raises(DegenerateParametersError):
+            probe_m2(params(0.8, 0.0, 0.0, 1), GAUSS, 1.0)
+        # values scale as l^-N: past the float range at both ends
+        with pytest.raises(DomainError, match="floating-point range"):
+            probe_m2(params(1.5, 1e-200, 0.0, 3), GAUSS, 1.0)
+        with pytest.raises(DomainError, match="floating-point range"):
+            probe_m1(params(0.8, 1e300, 0.0, 3), GAUSS, 1.0)

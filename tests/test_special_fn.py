@@ -347,7 +347,7 @@ class TestEval:
                 vals = ml_eval(order, x)
                 scalars = np.array([ml_eval(order, float(v)) for v in x])
             assert vals.tobytes() == scalars.tobytes()
-            for z in huge + ([-np.inf] if alpha <= 1.0 else []):
+            for z in huge + [-np.inf]:
                 v = vals[list(x).index(z)]
                 if beta_is_alpha:  # -1 / (Gamma(-alpha) z^2), zero where it underflows
                     lead = -1.0 / math.gamma(-alpha) / z / z
@@ -359,6 +359,11 @@ class TestEval:
                     assert v == 0.0
                 else:
                     assert v == pytest.approx(lead, rel=rel, abs=0.0)
+        # E grows like exp(z^(1/alpha)) as z -> +inf: past the float range
+        # at every beta, where r^(1-beta) e^r was 0 * inf for beta > 1
+        for b in (beta, 1.7, alpha + 1.0):
+            vals = ml_eval(MLOrder(alpha, b), np.array([1e200, 1e300, 1.7e308, np.inf]))
+            assert (vals == np.inf).all(), b
 
     @pytest.mark.parametrize("alpha,beta", [(0.8, 1.0), (1.5, 1.5), (1.0, 1.0), (2.0, 1.0)])
     def test_blocks_do_not_move_values(self, monkeypatch, alpha, beta):
