@@ -219,9 +219,11 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
     array x, by Kummer subtraction: S(k) = sum_p d_p (k^2 + c^2)^(-p)
     (_matern_terms) matches E = E_alpha(-a(k) t^alpha) up to O(k^-8) for
     large k.  E - S is integrated on a Gauss-Legendre grid over [0, K],
-    K = max(240, _tail_onset), with E_alpha evaluated once, and the
-    transform of S over [0, inf) is added in closed form
+    K = max(240 / sqrt(lam t^alpha), _tail_onset), with E_alpha evaluated
+    once, and the transform of S over [0, inf) is added in closed form
     (_matern_transform); the O(k^-8) remainder of E - S beyond K is left out.
+    The floor is u = lam K^2 t^alpha = 240^2 in the model's units, so K
+    scales as the field's width does.
     S takes a(k) = lam k^2 + mu, so where mu > 0 the kernel's j_hat is left
     out beyond K, which _tail_onset places for either kernel.  For the
     uniform kernel, with m = mu/lam, d_1 m j_hat(k) (k^2 + c^2)^-2 is
@@ -238,7 +240,7 @@ def mean_fourier(params: DiffusionParams, kernel: KernelSpec, t: float, x):
         )
     alpha, lam, ta = params.alpha, params.lam, t**params.alpha
     c, d = _matern_terms(alpha, lam, params.mu, t)
-    cutoff = max(240.0, _tail_onset(params, kernel, t))
+    cutoff = max(240.0 / math.sqrt(lam * ta), _tail_onset(params, kernel, t))
     m = params.mu / lam
     ax = np.abs(np.asarray(x, dtype=float))
     # a 32-node panel spans at most 4 widths of E near k = 0, 32 radians of

@@ -115,14 +115,31 @@ class TestMeanFourier:
         ratio = mean_fourier(p, GAUSS, 4.0, 0.0) / mean_fourier(p, GAUSS, 1.0, 0.0)
         assert ratio == pytest.approx(4.0 ** (-0.3), abs=1e-4)
 
-    @pytest.mark.parametrize("alpha", [0.6, 1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 1.2, 1.5, 1.8])
     def test_peak_closed_form(self, alpha):
         # mu = 0: Z0(t, 0) = 1 / (2 Gamma(1 - alpha/2) sqrt(lam t^alpha)); the
-        # frequency tail beyond the cutoff is algebraic on both sides of alpha = 1
-        p = local_params(alpha)
-        for t in (0.5, 1.0):
-            ref = 1.0 / (2.0 * gamma_fn(1.0 - alpha / 2.0) * math.sqrt(t**alpha))
-            assert mean_fourier(p, GAUSS, t, 0.0) == pytest.approx(ref, rel=1e-9)
+        # frequency tail beyond the cutoff is algebraic on both sides of alpha = 1,
+        # and the cutoff's floor 240 / sqrt(lam t^alpha) is in units of the
+        # field's width (an absolute 240 left 1.4e-13 at alpha = 1.8)
+        for lam in (1e-4, 1.0, 1e4):
+            p = local_params(alpha, lam)
+            for t in 2.0 ** np.arange(-3, 4):
+                ref = 1.0 / (2.0 * gamma_fn(1.0 - alpha / 2.0) * math.sqrt(lam * t**alpha))
+                assert mean_fourier(p, GAUSS, float(t), 0.0) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 10.0])
+    def test_length_law_bit_for_bit(self, kind, mu):
+        # x and the kernel scale times c, lambda times c^2: for c a power of
+        # two every node and weight scales exactly, and the mean by 1/c
+        x = np.linspace(0.0, 4.0, 9)
+        for alpha in (0.8, 1.5):
+            ref = mean_fourier(DiffusionParams(alpha, 1.0, mu, 1.0, 1), KernelSpec(kind, 1.0),
+                               1.0, x)
+            for c in (2.0, 2.0**10):
+                p = DiffusionParams(alpha, c * c, mu, 1.0, 1)
+                got = mean_fourier(p, KernelSpec(kind, c), 1.0, c * x)
+                assert (got * c).tobytes() == ref.tobytes(), (alpha, c)
 
     @pytest.mark.parametrize("alpha", [0.6, 1.2, 1.5])
     def test_against_mainardi_oracle(self, alpha):

@@ -31,7 +31,7 @@ from fracfield.special_fn import MLOrder, ml_asymptotic_neg, ml_bounds, ml_eval
 from fracfield.symbol import DiffusionParams, KernelSpec, kernel_from_json
 
 
-GOLDEN_PATH_SHA256 = "cddb572cf5cdcac02a4886eaaf5c47c6aa36731aeb4a535283f8e93a9369a2df"
+GOLDEN_PATH_SHA256 = "034162688c61f5142e3d3f9046871732b39ee189387a4d7ded840f66a52a4074"
 
 # stdout digest of a noise-free ensemble: its mean is the synthesized Dirac
 # rows and its variance zero, so no ensemble reduction may move a bit of it
@@ -45,25 +45,25 @@ GOLDEN_ENSEMBLE_SIGMA0_SHA256 = (
 GOLDEN_ENSEMBLE_19_SHA256 = (
     ["simulate", "--alpha", "1.5", "--samples", "19", "--n-points", "64", "--n-steps", "16",
      "--seed", "7"],
-    "8b1b1d4ab5cecfe993ef949022d3ef6b885bbdcd028b8b02c2a744e11b0df5cb")
+    "f5c2842946ca04fefcd2bdf1d87103b505ea5db90274a75d47735ca50db25983")
 
 # stdout digests of analytic commands, pinned so that refactors of the
 # evaluators behind them move no output bit
 GOLDEN_ANALYTIC_SHA256 = {
     "ml_alpha_0.6": (
         ["ml", "--alpha", "0.6", "--x-range=-40:2:85", "--bounds"],
-        "cbe00e147846e306ac358537c210dc79f79c5c389f6db37f5c714bdfa471cc46"),
+        "f3bdc80328e39ba3c15dcabc2f6b90f8e65712207963297c4ec6ee2930c5f966"),
     "ml_alpha_beta_1.8": (
         ["ml", "--alpha", "1.8", "--beta", "1.8", "--x-range=-40:2:85"],
-        "c7bcdf3b36fcdb47b2c1e506c38d1187fc95bc40887f4a7907f179f98ca2f90d"),
+        "c0f0c0f20131aab97a387f6b81cc4e5ebb02692d15dc1c697f2aab48392ce6b1"),
     "mean_fourier": (
         ["mean", "--method", "fourier", "--alpha", "1.5", "--t-list", "0.5,1",
          "--x-range=0:2:5"],
-        "2a357e2f3dfd2e7bb30f70a2f3e244c7c252f5d4cc2b18be07ce97c3535e4ba6"),
+        "63e087b8ecc0d59b990b7dfba759921573697711fbfcaa1bf2075db8a2ad535c"),
     "variance_quadrature": (
         ["variance", "--method", "quadrature", "--alpha", "0.6", "--t", "1",
          "--x-range=0:3:7"],
-        "9302b549915977ac338d70cecae86789e8c355011c80289efe7b08ec53ed026d"),
+        "620ffc56d4ebced74b3d1920f6ee6eef16ddad1852bd3184c055c6e2a9a8027c"),
     "variance_fig5": (
         ["variance", "--preset", "fig5"],
         "327380a95dbc1df69ac668e6ce1e46df876d34c634449172794e25863f927ad0"),
@@ -86,11 +86,11 @@ GOLDEN_WRITER_SHA256 = {
         _EMPTY_SHA256),
     "simulate_default_grid_sub": (
         ["simulate", "--alpha", "0.8", "--mu", "0.5", "--samples", "8", "--seed", "5"],
-        "edfde63732675309562a8a86d4dec11bc457cf29df21d22c41387d95fc5a12a1",
+        "cc89b2ebc71a7a0edef750e76ca519bb839173ac57796aaedac3d3e441735abd",
         _EMPTY_SHA256),
     "simulate_default_grid_super": (
         ["simulate", "--alpha", "1.5", "--samples", "64", "--seed", "5"],
-        "354594b7106d725169cc31dacb5d8259b80e267c58fb5756c7f2ffe472c99e22",
+        "60ed2ea54592220e5129c1204edf0ee8848db42fd99dd3d2c24604d9d8e0f9ca",
         _EMPTY_SHA256),
     "variance_closed_crosscheck": (
         ["variance", "--method", "closed", "--alpha", "1", "--x-range=-3:3:13"],
@@ -547,6 +547,16 @@ class TestMeanVariance:
         assert (code, out_file, err_file) == (EXIT_OK, "", warning)
         assert out_path.read_text() == out
         assert (tmp_path / "mean.crosscheck.csv").read_text() == report
+
+    def test_mean_cutoff_in_the_models_units(self, capsys):
+        # the peak scales as 1/sqrt(lambda); an absolute cut-off of 240
+        # refused lambda = 1e8 with 600000 panels
+        def peak(*argv):
+            code, out, _ = run(capsys, "mean", "--alpha", "0.8", "--x", "0", *argv)
+            assert code == EXIT_OK
+            return float(parse_csv(out)[1][0][2])
+
+        assert peak("--lambda", "1e8") * 1e4 == pytest.approx(peak(), rel=1e-14, abs=0.0)
 
     def test_mean_has_no_sigma(self, capsys):
         # no mean route reads sigma: the flag is refused, not ignored

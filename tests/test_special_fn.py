@@ -122,22 +122,6 @@ class TestSeries:
         with pytest.raises(NoConvergenceError):
             mainardi_series(0.5, 1e4)
 
-    # (alpha, beta, reach): a typical order, slow orders near the disc edge, and
-    # beta > alpha + 1.75, which the series serves up to |z| = 1
-    @pytest.mark.parametrize("alpha,beta,reach", [(0.8, 0.8, 0.5), (0.1, 1.0, 0.5),
-                                                  (0.1, 0.1, 0.5), (0.1, 2.0, 1.0),
-                                                  (0.5, 4.0, 1.0), (0.3, 8.0, 1.0)])
-    def test_block_size_sets_work_not_values(self, monkeypatch, alpha, beta, reach):
-        # every point stops at its own first stop index, so the number of
-        # terms per pass must not move a single bit
-        z = np.concatenate((np.linspace(-reach, reach, 1601),
-                            reach * (1.0 - np.geomspace(1e-9, 0.1, 400))))
-        coef = _ml_coef(alpha, beta)
-        ref = _series(coef, z)
-        for block in (8, 64):
-            monkeypatch.setattr(special_fn, "_SERIES_BLOCK", block)
-            assert _series(coef, z).tobytes() == ref.tobytes()
-
 
 class TestEval:
     def test_exponential_identity(self):
@@ -217,6 +201,21 @@ class TestEval:
                         # relative where |ref| > 1e-3, absolute below
                         worst = max(worst, err / (abs(ref) if abs(ref) > 1e-3 else 1.0))
         assert worst <= 1e-11
+
+    def test_disc_against_oracle(self):
+        # the series on |z| <= 0.5 sums a table fixed per order to rounding
+        # level, for slow (alpha = 0.1) and fast (alpha = 3) orders alike;
+        # graded relative where |E| > 1e-3 and absolute below
+        x = np.geomspace(1e-10, 0.5, 40)
+        worst = 0.0
+        for alpha in (0.1, 0.2, 0.3, 0.5, 0.6, 0.9, 1.2, 1.5, 1.9, 2.5, 3.0):
+            for beta in {1.0, alpha, 0.1, 0.5, 1.7, alpha + 1.0, alpha + 1.8, 5.0, 20.0}:
+                z = np.concatenate((-x, x))
+                got = ml_eval(MLOrder(alpha, beta), z)
+                for v, zi in zip(got, z):
+                    ref = ml_oracle(alpha, beta, float(zi))
+                    worst = max(worst, abs(v - ref) / (abs(ref) if abs(ref) > 1e-3 else 1.0))
+        assert worst <= 3e-14
 
     def test_large_beta_near_unit_circle(self):
         # beta > alpha + 1.75 leaves the series at |z| = 0.5, as every order
@@ -321,7 +320,8 @@ class TestEval:
         assert ml_eval(MLOrder(0.8, 0.8), 60.0) == pytest.approx(1.16e73, rel=1e-2)
 
     @pytest.mark.parametrize("alpha,beta", [(0.8, 1.0), (0.6, 0.6), (1.5, 1.0), (1.05, 0.5),
-                                            (0.3, 2.4), (1.9, 1.9), (0.3, 8.0), (1.5, 30.0)])
+                                            (0.3, 2.4), (1.9, 1.9), (0.3, 8.0), (1.5, 30.0),
+                                            (0.1, 1.0), (0.1, 0.1)])
     def test_array_matches_scalar_bitwise(self, alpha, beta):
         rng = np.random.default_rng(7)
         x = np.concatenate([-np.exp(rng.uniform(-7.0, 9.0, 300)),
