@@ -8,22 +8,26 @@ the trapezoid rule on a parabolic Bromwich contour for the inverse
 Laplace transform of s^(alpha-beta) / (s^alpha - z), plus the residues of
 the poles s^alpha = z that lie right of the contour.  It covers
 0 < alpha <= 2, every finite beta > 0 and both signs of z.  Up to
-beta = alpha + 1.75 the contour follows Garrappa's rules; beyond, it passes
-through the saddle point s = beta - alpha of e^s s^(alpha-beta).
+beta = alpha + 1, where s^(alpha-beta) is regular at the origin, the contour
+follows Garrappa's rules; beyond, it passes through the saddle point
+s = beta - alpha of e^s s^(alpha-beta).
 
 Against the mpmath series oracle (tests/ml_oracle.py) on 11 orders alpha in
 [0.1, 1.95], beta in {1, alpha, alpha+1, 0.5, 1.7} and 29 log-spaced |z| in
 [1e-3, 1e4] (2522 points the oracle series reaches, both signs), the
-largest error is 2.6e-13, relative where |E| > 1e-3 and absolute below.
-For beta > alpha + 1.75 the error is graded relative, as such values are
-often far below 1e-3: on alpha in {0.1, 0.3, 0.5, 0.8, 1.2, 1.5, 1.9}, beta
-in {2.5, 3, 4, 5, 8, 12, 20, 30, 100} and |z| in [0.3, 1000] (both signs,
-where the oracle series reaches) it is at most 1.5e-13 for beta <= 30
-(alpha = 0.8, beta = 4, z = 131.6) and 1.2e-13 at beta = 100 (alpha = 1.5,
-z = 1000).  On the disc alone, for alpha in [0.1, 3], beta in {1, alpha,
-0.1, 0.5, 1.7, alpha+1, alpha+1.8, 5, 20} and 40 log-spaced |z| in
-[1e-10, 0.5] (both signs), it is at most 1.3e-14 (alpha = 0.3, beta = 0.1,
-z = -0.5), graded as the first grid.
+largest error is 2.6e-13, relative where |E| > 1e-3 and absolute below
+(1.7e-13 on the orders beta = 1.7 > alpha + 1, alpha <= 0.65, past the
+disc).  For beta > alpha + 1 the error is graded relative, as such values
+are often far below 1e-3: on alpha in {0.1, 0.3, 0.5, 0.8, 1.2, 1.5, 1.9},
+beta in {2.5, 3, 4, 5, 8, 12, 20, 30, 100} and |z| in [0.3, 1000] (both
+signs, where the oracle series reaches) it is at most 1.5e-13 for
+beta <= 30 (alpha = 0.8, beta = 4, z = 131.6) and 1.2e-13 at beta = 100
+(alpha = 1.5, z = 1000); on the same alpha, beta - alpha in {1.0001, 1.01,
+1.1, 1.3, 1.5, 1.7} and 14 log-spaced |z| in [0.51, 1000] it is at most
+1.3e-13 (alpha = 0.8, beta = 2.1, z = 97.0).  On the disc alone, for alpha
+in [0.1, 3], beta in {1, alpha, 0.1, 0.5, 1.7, alpha+1, alpha+1.8, 5, 20}
+and 40 log-spaced |z| in [1e-10, 0.5] (both signs), it is at most 1.3e-14
+(alpha = 0.3, beta = 0.1, z = -0.5), graded as the first grid.
 
 Gamma and erfc are the standard library's.  Against mpmath on 20,000
 random points per range: 1/Gamma (_rgamma, 0 at the poles) is within
@@ -204,16 +208,17 @@ def _ml_coef(alpha, beta):
 # sets depend on phi only through halving bins below _PHI_CAP, each designed
 # for the bin edge nearest its poles.
 #
-# Beyond beta = alpha + _MAX_BETA_GAP the origin singularity s^(a-b) defeats
-# those rules (no admissible contour, or thousands of nodes), so the parabola
-# passes through the saddle point s = q = b - a of e^s s^-q instead, where that
-# factor is smallest along the real axis (Schmelzer and Trefethen, SIAM J.
-# Numer. Anal. 45 (2007)): mu on the rung q (1 + d)^(2k), k in
-# {-1, 0, 1}, d = min(0.5, q^-1/2), step h = pi d / ln 1e15 and nodes up to
-# u = sqrt(ln 1e15 / mu), where e^s has fallen by 1e15.  A pole lies
-# 1 - sqrt(phi/mu) off a rung in u and costs the sum about
-# exp(-2 pi |1 - sqrt(phi/mu)| / h), 1e-15 at d/2: a point whose pole lies
-# within d/2 of the saddle rung takes the outer rung farther from the pole.
+# Garrappa's rules serve beta <= alpha + 1, where s^(a-b) is regular at the
+# origin.  Beyond, the origin is singular with strength 2 (b - a - 1), which
+# those rules meet with thousands of nodes or no contour at all as beta grows,
+# so the parabola passes through the saddle point s = q = b - a of e^s s^-q
+# instead, where that factor is smallest along the real axis (Schmelzer and
+# Trefethen, SIAM J. Numer. Anal. 45 (2007)): mu on the rung q (1 + d)^(2k),
+# k in {-1, 0, 1}, d = min(0.5, q^-1/2), step h = pi d / ln 1e15 and nodes up
+# to u = sqrt(ln 1e15 / mu), where e^s has fallen by 1e15 (at most 195 nodes,
+# as q -> 1).  A pole lies 1 - sqrt(phi/mu) off a rung in u and costs the sum
+# about exp(-2 pi |1 - sqrt(phi/mu)| / h), 1e-15 at d/2: a point whose pole
+# lies within d/2 of the saddle rung takes the outer rung farther from the pole.
 
 _LOG_TOL = math.log(1e-15)
 _LOG_MACH = math.log(np.finfo(float).eps)
@@ -226,31 +231,18 @@ _BIN_EDGES = _PHI_CAP * 2.0 ** np.arange(1.0 - _N_BINS, 1.0)
 # trimmed) afresh, so a long-lived process faults their pages in on most
 # calls, where smaller ones reuse its heap pages.
 _CHUNK_ELEMS = 1 << 13
-_MAX_BETA_GAP = 1.75  # Garrappa's rules up to beta = alpha + 1.75, saddle rungs beyond
 
 
-def _params_left_of_pole(phi, p):
-    """(N, mu, h) for a contour between the origin (singular with strength p)
-    and a pole at phi <= _PHI_CAP: Garrappa's OptimalParam_RB."""
+def _params_left_of_pole(phi):
+    """(N, mu, h) for a contour between the origin (regular, beta <= alpha + 1)
+    and a pole at phi <= _PHI_CAP: Garrappa's OptimalParam_RB at p = 0."""
     f_max = math.exp(_LOG_TOL - _LOG_MACH)
-    sq1 = math.sqrt(phi)
-    if p == 0.0:
-        f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
-        sq0, sq1 = 0.0, 2.0 * sq1 / (2.0 + 1.0 / f_bar)
-    else:
-        f_min = 1.01 * sq1 ** (1.0 - max(p, 1.0))
-        if f_min >= f_max:
-            return math.inf, 0.0, 0.0
-        f_min = max(f_min, 1.5)
-        f_bar = f_min + f_min / f_max * (f_max - f_min)
-        fp, fq = f_bar ** (-1.0 / p), 1.0 / f_bar
-        w = -phi / _LOG_TOL
-        den = 2.0 + w - (1.0 + w) * fp + fq
-        sq0, sq1 = fp * sq1 / den, (2.0 + w - (1.0 + w) * fp) * sq1 / den
+    f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
+    sq1 = 2.0 * math.sqrt(phi) / (2.0 + 1.0 / f_bar)
     log_tol = _LOG_TOL - math.log(f_bar)
     w = -sq1 * sq1 / log_tol
-    mu = (((1.0 + w) * sq0 + sq1) / (2.0 + w)) ** 2
-    h = -2.0 * math.pi / log_tol * (sq1 - sq0) / ((1.0 + w) * sq0 + sq1)
+    mu = (sq1 / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol
     return math.ceil(math.sqrt(1.0 - log_tol / mu) / h), mu, h
 
 
@@ -289,28 +281,25 @@ def _nodes(alpha, beta, bin_):
     sum uses, and the phi beyond which a pole lies right of the contour (its
     residue is then added).
 
-    For beta <= alpha + _MAX_BETA_GAP, Garrappa's bins: bin_ < 0: no pole;
-    0: phi >= _PHI_CAP; j: phi in [_PHI_CAP 2^-j, _PHI_CAP 2^(1-j)), and the
-    poles of a bin lie all right of its contour (phi 0) or none (phi inf).
+    For beta <= alpha + 1, where the origin is regular, Garrappa's bins:
+    bin_ < 0: no pole; 0: phi >= _PHI_CAP; j: phi in [_PHI_CAP 2^-j,
+    _PHI_CAP 2^(1-j)), and the poles of a bin lie all right of its contour
+    (phi 0) or none (phi inf).
     Beyond, bin_ in {-1, 0, 1} is the saddle rung k.  Conjugate symmetry
     folds nodes -N..N onto 0..N (weights doubled for k >= 1).
     """
-    saddle = beta > alpha + _MAX_BETA_GAP
+    saddle = beta > alpha + 1.0
     if saddle:
         d = min(0.5, (beta - alpha) ** -0.5)
         mu, h = (beta - alpha) * (1.0 + d) ** (2 * bin_), math.pi * d / -_LOG_TOL
         n, right_of = math.ceil(math.sqrt(-_LOG_TOL / mu) / h), mu
+    elif bin_ < 0:
+        n, mu, h, right_of = _params_right_of(0.0, 0.0) + (math.inf,)
     else:
-        p0 = max(0.0, 2.0 * (beta - alpha - 1.0))  # strength of the origin singularity
-        if bin_ < 0:
-            cands = [_params_right_of(0.0, p0) + (math.inf,)]
-        else:
-            cands = [_params_left_of_pole(_PHI_CAP * 2.0**-bin_, p0) + (0.0,)]
-            if bin_ > 0:
-                cands.append(_params_right_of(_PHI_CAP * 2.0 ** (1 - bin_), 1.0) + (math.inf,))
+        cands = [_params_left_of_pole(_PHI_CAP * 2.0**-bin_) + (0.0,)]
+        if bin_ > 0:
+            cands.append(_params_right_of(_PHI_CAP * 2.0 ** (1 - bin_), 1.0) + (math.inf,))
         n, mu, h, right_of = min(cands)
-        if not math.isfinite(n):
-            raise NoConvergenceError(f"no admissible contour for alpha={alpha}, beta={beta}")
     u = h * np.arange(n + 1)
     s = mu * (1.0 + 1j * u) ** 2
     # On a saddle rung e^s and s^(a-b) each leave the float range long before
@@ -334,14 +323,14 @@ def _nodes(alpha, beta, bin_):
 def _contour(alpha, beta, z):
     """E_{alpha,beta}(z) for a 1-d array z of nonzero reals, 0 < alpha <= 2.
 
-    For beta <= alpha + _MAX_BETA_GAP the pole bins (r = |z|^(1/alpha), c,
-    phi and a bin search per point) are formed only when a pole can lie right
-    of the contour, that is when alpha > 1 or some z > 0; otherwise every
-    point takes bin -1.  Beyond, every point takes the saddle rung 0 unless
+    For beta <= alpha + 1 the pole bins (r = |z|^(1/alpha), c, phi and a bin
+    search per point) are formed only when a pole can lie right of the
+    contour, that is when alpha > 1 or some z > 0; otherwise every point
+    takes bin -1.  Beyond, every point takes the saddle rung 0 unless
     its pole lies within d/2 of it in u, and then the outer rung farther from
     the pole; the residue of a pole right of its rung is added in log form.
     """
-    saddle = beta > alpha + _MAX_BETA_GAP
+    saddle = beta > alpha + 1.0
     # At large |z| the leading terms of the direct sum cancel for beta = alpha;
     # E_{a,a}(z) = E_{a,0}(z) / z keeps the relative accuracy.
     b = 0.0 if beta == alpha else beta
@@ -411,7 +400,7 @@ def ml_eval(order: MLOrder, x):
 
     The power series serves |x| <= 0.5, the Bromwich contour every other x
     (0 < alpha <= 2; through the saddle point of e^s s^(alpha-beta) where
-    beta > alpha + 1.75).  Each value depends only on its own argument, so
+    beta > alpha + 1).  Each value depends only on its own argument, so
     array and scalar calls agree bit for bit, and the input is walked in
     blocks of _EVAL_BLOCK points, so only the output scales with it.
     alpha=1 (beta=1) short-circuits to exp, alpha=2 (beta=1) to cosh/cos.

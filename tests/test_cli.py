@@ -111,10 +111,11 @@ GOLDEN_WRITER_SHA256 = {
 }
 
 
-def _fresh_stdout(*args):
-    """stdout of python args in a fresh interpreter that imports this package."""
+def _fresh_stdout(*args, **env):
+    """stdout of python args in a fresh interpreter that imports this package,
+    with the variables env added to its environment."""
     src = os.path.dirname(os.path.dirname(fracfield.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, **env}
     done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return done.stdout
@@ -239,6 +240,48 @@ def test_golden_writer_output(capsys, argv, out_digest, err_digest):
     assert hashlib.sha256(err.encode()).hexdigest() == err_digest
 
 
+def test_blas_free_digests_on_other_kernels():
+    """The pinned outputs whose bytes pass through no BLAS or LAPACK result
+    keep them on the OpenBLAS kernels every x86-64 CPU can run: Prescott, and
+    Haswell where the CPU lists avx2.  OPENBLAS_CORETYPE picks the kernel, one fresh
+    interpreter per kernel runs every such command.  Where numpy is not linked
+    to OpenBLAS the variable does nothing and the test passes trivially.
+
+    The Mittag-Leffler evaluator calls no BLAS, so its digests hold on every
+    kernel.  The pinned paths through BLAS are left out until they stop
+    depending on the kernel: mean_fourier, mild_probe, simulate_samples_4,
+    simulate_default_grid_sub, simulate_default_grid_super and the golden
+    sample path move under Prescott.
+    """
+    pinned = {name: (GOLDEN_ANALYTIC_SHA256[name][0], GOLDEN_ANALYTIC_SHA256[name][1], None)
+              for name in ("ml_alpha_0.6", "ml_alpha_beta_1.8", "variance_quadrature",
+                           "variance_fig5")}
+    pinned.update((name, GOLDEN_WRITER_SHA256[name])
+                  for name in ("variance_closed_crosscheck", "ml_bounds_asymptotic",
+                               "variance_fig4", "ml_zeros"))
+    pinned["simulate_sigma_zero"] = (*GOLDEN_ENSEMBLE_SIGMA0_SHA256, None)
+    probe = ("import contextlib, hashlib, io, json\n"
+             "from fracfield.cli import main\n"
+             "digests = {}\n"
+             f"for name, argv in {[(n, argv) for n, (argv, _, _) in pinned.items()]!r}:\n"
+             "    out, err = io.StringIO(), io.StringIO()\n"
+             "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+             "        assert main(argv) == 0, argv\n"
+             "    digests[name] = [hashlib.sha256(s.getvalue().encode()).hexdigest()\n"
+             "                     for s in (out, err)]\n"
+             "print(json.dumps(digests))")
+    try:
+        with open("/proc/cpuinfo") as f:
+            avx2 = "avx2" in f.read().split()
+    except OSError:
+        avx2 = False
+    for kernel in ["Prescott"] + ["Haswell"] * avx2:
+        digests = json.loads(_fresh_stdout("-c", probe, OPENBLAS_CORETYPE=kernel))
+        for name, (_, out_digest, err_digest) in pinned.items():
+            assert digests[name][0] == out_digest, (kernel, name)
+            assert err_digest is None or digests[name][1] == err_digest, (kernel, name)
+
+
 def test_parser_reused_across_calls(capsys):
     # one parser serves every call of a process; no call may leak into the
     # next, a usage error and a preset (its arguments parsed after the given
@@ -358,7 +401,7 @@ class TestMl:
         assert "argument --interval: " in err and message in err
 
     def test_far_beta_value(self, capsys):
-        # beta = 101 is far above alpha + 1.75 at alpha = 0.1; stepping beta
+        # beta = 101 is far above alpha + 1 at alpha = 0.1; stepping beta
         # down to reach it once died of a RecursionError
         code, out, _ = run(capsys, "ml", "--alpha", "0.1", "--beta", "101", "--x-range=-5:-5:1")
         assert code == EXIT_OK

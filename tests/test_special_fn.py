@@ -188,19 +188,27 @@ class TestEval:
     def test_oracle_sweep(self):
         # alpha on both sides of 1, beta off {1, alpha, alpha+1}, both signs of
         # x, wherever the oracle's series reaches (the full 11-order sweep
-        # takes minutes; this subset keeps its extremes)
-        worst = 0.0
+        # takes minutes; this subset keeps its extremes); and, graded relative
+        # off the disc, orders just past beta = alpha + 1, where the origin
+        # turns singular and the saddle contour takes over
+        worst = worst_saddle = 0.0
         for alpha in (0.1, 0.7, 1.05, 1.5, 1.95):
-            for beta in (1.0, alpha, alpha + 1.0, 0.5, 1.7):
-                for x in np.logspace(-3, 4, 8):
+            orders = [(beta, np.logspace(-3, 4, 8), False)
+                      for beta in (1.0, alpha, alpha + 1.0, 0.5, 1.7)]
+            orders += [(alpha + gap, np.logspace(0, 3, 4), True) for gap in (1.0001, 1.3, 1.75)]
+            for beta, xs, saddle in orders:
+                for x in xs:
                     for z in (-float(x), float(x)):
                         if abs(z) ** (1.0 / alpha) > 600:
                             continue  # oracle needs > 260 extra digits, or overflow
                         ref = ml_oracle(alpha, beta, z)
                         err = abs(ml_eval(MLOrder(alpha, beta), z) - ref)
-                        # relative where |ref| > 1e-3, absolute below
-                        worst = max(worst, err / (abs(ref) if abs(ref) > 1e-3 else 1.0))
+                        if saddle:
+                            worst_saddle = max(worst_saddle, err / abs(ref))
+                        else:  # relative where |ref| > 1e-3, absolute below
+                            worst = max(worst, err / (abs(ref) if abs(ref) > 1e-3 else 1.0))
         assert worst <= 1e-11
+        assert worst_saddle <= 3e-13
 
     def test_disc_against_oracle(self):
         # the series on |z| <= 0.5 sums a table fixed per order to rounding
@@ -218,7 +226,7 @@ class TestEval:
         assert worst <= 3e-14
 
     def test_large_beta_near_unit_circle(self):
-        # beta > alpha + 1.75 leaves the series at |z| = 0.5, as every order
+        # beta > alpha + 1 leaves the series at |z| = 0.5, as every order
         # does, for the saddle contour
         worst = 0.0
         for alpha in (0.1, 0.3):
@@ -249,12 +257,13 @@ class TestEval:
         # A pole within d/2 of the saddle rung mu = q = beta - alpha (in u)
         # moves the point to the outer rung farther from it: poles on each
         # side of the saddle and on it, real (z > 0, phi = z^(1/alpha)) and a
-        # conjugate pair (z < 0, alpha > 1, phi = r (1 + cos(pi/alpha)) / 2)
+        # conjugate pair (z < 0, alpha > 1, phi = r (1 + cos(pi/alpha)) / 2),
+        # down to q just above 1, where the saddle contour starts
         worst = 0.0
         for alpha in (0.5, 0.8, 1.2, 1.5, 1.9):
-            for beta in (4.0, 8.0, 30.0):
+            for beta in (4.0, 8.0, 30.0, alpha + 1.0001, alpha + 1.3, alpha + 1.75):
                 q = beta - alpha
-                if q <= 1.75:
+                if q <= 1.0:
                     continue
                 zs = [q**alpha * f for f in (0.8, 0.9, 0.97, 1.0, 1.03, 1.1, 1.25)]
                 if alpha > 1.0:
