@@ -63,8 +63,11 @@ def _positions(spec: str) -> np.ndarray:
     a, b, n = spec.split(":")
     if int(n) < 1:
         raise argparse.ArgumentTypeError("range point count must be >= 1")
-    with np.errstate(over="ignore", invalid="ignore"):  # b - a may overflow
-        return _finite(spec, np.linspace(float(a), float(b), int(n)))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # b - a may overflow
+            return _finite(spec, np.linspace(float(a), float(b), int(n)))
+    except MemoryError as exc:  # argparse reports only ArgumentTypeError, TypeError, ValueError
+        raise argparse.ArgumentTypeError(f"{int(n)} points do not fit in memory ({exc})")
 
 
 def _point(spec: str) -> np.ndarray:
@@ -469,7 +472,7 @@ def main(argv=None) -> int:
     except NotMildError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_MILD
-    except (FracfieldError, OSError, ValueError) as exc:
+    except (FracfieldError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # finite inputs whose arithmetic leaves the float range

@@ -9,15 +9,17 @@ Laplace transform of s^(alpha-beta) / (s^alpha - z), plus the residues of
 the poles s^alpha = z that lie right of the contour.  It covers
 0 < alpha <= 2, every finite beta > 0 and both signs of z.  Up to
 beta = alpha + 1, where s^(alpha-beta) is regular at the origin, the contour
-follows Garrappa's rules; beyond, it passes through the saddle point
-s = beta - alpha of e^s s^(alpha-beta).
+passes left of the poles by Garrappa's rules or right of them on the
+parabola where round-off caps it; beyond, it passes through the saddle
+point s = beta - alpha of e^s s^(alpha-beta).
 
-Against the mpmath series oracle (tests/ml_oracle.py) on 11 orders alpha in
-[0.1, 1.95], beta in {1, alpha, alpha+1, 0.5, 1.7} and 29 log-spaced |z| in
-[1e-3, 1e4] (2522 points the oracle series reaches, both signs), the
-largest error is 2.6e-13, relative where |E| > 1e-3 and absolute below
-(1.7e-13 on the orders beta = 1.7 > alpha + 1, alpha <= 0.65, past the
-disc).  For beta > alpha + 1 the error is graded relative, as such values
+Against the mpmath series oracle (tests/ml_oracle.py) on 11 evenly spaced
+orders alpha in [0.1, 1.95], beta in {1, alpha, alpha+1, 0.5, 1.7} and 29
+log-spaced |z| in [1e-3, 1e4] (2550 points the oracle series reaches, both
+signs), the largest error is 2.2e-13 (alpha = beta = 0.47, z = 17.8),
+relative where |E| > 1e-3 and absolute below (2.1e-13 on the orders
+beta = 1.7 > alpha + 1, alpha <= 0.65, past the disc); with a pole at the
+middle of each bin 3-20 (114 points) it is 1.0e-14.  For beta > alpha + 1 the error is graded relative, as such values
 are often far below 1e-3: on alpha in {0.1, 0.3, 0.5, 0.8, 1.2, 1.5, 1.9},
 beta in {2.5, 3, 4, 5, 8, 12, 20, 30, 100} and |z| in [0.3, 1000] (both
 signs, where the oracle series reaches) it is at most 1.5e-13 for
@@ -42,6 +44,7 @@ All functions are pure and deterministic.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -166,7 +169,7 @@ def _hurwitz_zeta(s: float, q):
 # power series, |z| <= _SERIES_RADIUS
 
 _SERIES_RADIUS = 0.5
-_SERIES_MAX_TERMS = 500  # coefficients computed before a table is cut to length
+_SERIES_MAX_TERMS = 500  # bounds a table, reached where every term underflows to 0
 
 
 def _series(coef, z):
@@ -187,30 +190,40 @@ def _frozen(values):
 
 @functools.lru_cache(maxsize=256)
 def _ml_coef(alpha, beta):
-    """1 / Gamma(alpha k + beta), up to the first k past which every term
-    c_k 0.5^k on the disc is below 2^-60 of the largest (53 terms at
-    alpha = 0.1, beta = 1; 12 at alpha = 1.5, beta = 1)."""
-    coef = np.array([_rgamma(alpha * k + beta) for k in range(_SERIES_MAX_TERMS)])
-    terms = np.abs(coef) * _SERIES_RADIUS ** np.arange(coef.size)
-    return _frozen(coef[: np.flatnonzero(terms >= 2.0**-60 * terms.max())[-1] + 1])
+    """1 / Gamma(alpha k + beta), up to the first term c_k 0.5^k on the disc
+    below 2^-60 of the largest before it (53 terms at alpha = 0.1, beta = 1;
+    12 at alpha = 1.5, beta = 1).  log Gamma is convex, so log(c_k 0.5^k) is
+    concave in k and every later term is smaller still."""
+    coef, peak = [], 0.0
+    for k in range(_SERIES_MAX_TERMS):
+        c = _rgamma(alpha * k + beta)
+        term = abs(c) * _SERIES_RADIUS**k
+        if term < 2.0**-60 * peak:
+            break
+        coef.append(c)
+        peak = max(peak, term)
+    return _frozen(coef)
 
 
 # ---------------------------------------------------------------------------
 # Bromwich contour, |z| > _SERIES_RADIUS
 #
 # E_{a,b}(z) = (1/2 pi i) int e^s s^(a-b) / (s^a - z) ds, by the trapezoid rule
-# on the parabola s(u) = mu (1 + iu)^2, with mu, step h and node count from
-# Garrappa's rules (SIAM J. Numer. Anal. 53 (2015) 1350-1369).  The parabola
-# through a point s has mu = phi(s) = (Re s + |s|) / 2, so phi measures where a
-# pole s* (s*^a = z) sits relative to the contour.  There is one real pole for
-# z > 0 and a conjugate pair for z < 0 when a > 1, with phi = r (1 + c) / 2,
+# on the parabola s(u) = mu (1 + iu)^2.  The parabola through a point s has
+# mu = phi(s) = (Re s + |s|) / 2, so phi measures where a pole s* (s*^a = z)
+# sits relative to the contour.  There is one real pole for z > 0 and a
+# conjugate pair for z < 0 when a > 1, with phi = r (1 + c) / 2,
 # r = |z|^(1/a), c = 1 or cos(pi/a); for z < 0 and a <= 1 there is none.  Node
 # sets depend on phi only through halving bins below _PHI_CAP, each designed
-# for the bin edge nearest its poles.
+# for the bin edge nearest its poles.  A contour left of the poles follows
+# Garrappa's rules (SIAM J. Numer. Anal. 53 (2015) 1350-1369); one right of
+# them lies on the round-off parabola mu_max with the step the pole's distance
+# sets (Trefethen and Weideman, SIAM Rev. 56 (2014)), which from bin _N_BINS on
+# is the no-pole contour's.  A bin takes the contour with fewer nodes.
 #
-# Garrappa's rules serve beta <= alpha + 1, where s^(a-b) is regular at the
-# origin.  Beyond, the origin is singular with strength 2 (b - a - 1), which
-# those rules meet with thousands of nodes or no contour at all as beta grows,
+# Both serve beta <= alpha + 1, where s^(a-b) is regular at the origin.
+# Beyond, the origin is singular with strength 2 (b - a - 1), which Garrappa's
+# rules meet with thousands of nodes or no contour at all as beta grows,
 # so the parabola passes through the saddle point s = q = b - a of e^s s^-q
 # instead, where that factor is smallest along the real axis (Schmelzer and
 # Trefethen, SIAM J. Numer. Anal. 45 (2007)): mu on the rung q (1 + d)^(2k),
@@ -224,7 +237,7 @@ _LOG_TOL = math.log(1e-15)
 _LOG_MACH = math.log(np.finfo(float).eps)
 _FLOAT_MAX = np.finfo(float).max
 _PHI_CAP = 4.0 * (_LOG_TOL - _LOG_MACH)  # ~6.02; round-off caps the contour there
-_N_BINS = 50
+_N_BINS = 20
 _BIN_EDGES = _PHI_CAP * 2.0 ** np.arange(1.0 - _N_BINS, 1.0)
 # Bounds the (points x nodes) temporaries to 64 KiB, below glibc's default
 # 128 KiB mmap and trim threshold: temporaries of that size are mapped (or
@@ -246,33 +259,22 @@ def _params_left_of_pole(phi):
     return math.ceil(math.sqrt(1.0 - log_tol / mu) / h), mu, h
 
 
-def _params_right_of(phi, p):
-    """(N, mu, h) for a contour right of a singularity at phi of strength p:
-    Garrappa's OptimalParam_RU."""
-    sq0 = math.sqrt(phi)
-    phib = phi * 1.01 if phi > 0 else 0.01
-    for _ in range(100):
-        ratio = _LOG_TOL / phib
-        n = math.ceil(phib / math.pi * (1.0 - 1.5 * ratio + math.sqrt(1.0 - 2.0 * ratio)))
-        a = math.pi * n / phib
-        sq_mu = math.sqrt(phib) * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
-        if p == 0.0 or 1.0 < ((math.sqrt(phib) - sq0) / sq_mu) ** (-p) < 10.0:
-            break
-        phib = (5.0 ** (-1.0 / p) * sq_mu + sq0) ** 2
-    mu = sq_mu * sq_mu
-    h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
+def _params_right_of(phi):
+    """(N, mu, h) for a contour right of a pole at phi, or N = inf where no
+    such contour exists (phi >= mu_max).
+
+    The parabola mu_max = ln 1e-15 - ln eps, the largest mu whose round-off
+    eps e^mu stays at 1e-15, on |u| <= w, where e^s has fallen to 1e-15.
+    The pole lies 1 - sqrt(phi/mu_max) = 1 - u w off it in u, so the step
+    h = w / N keeps its error exp(-2 pi (1 - u w) / h) at 1e-15.
+    """
     mu_max = _LOG_TOL - _LOG_MACH
-    if mu > mu_max:  # keep round-off from exp(mu) under control
-        q = 0.0 if p == 0.0 else 5.0 ** (-1.0 / p) * math.sqrt(mu)
-        phib = (q + sq0) ** 2
-        if phib >= mu_max:
-            return math.inf, 0.0, 0.0
-        w = math.sqrt(_LOG_MACH / (_LOG_MACH - _LOG_TOL))
-        u = math.sqrt(-phib / _LOG_MACH)
-        mu = mu_max
-        n = math.ceil(w * _LOG_TOL / (2.0 * math.pi) / (u * w - 1.0))
-        h = w / n
-    return n, mu, h
+    if phi >= mu_max:
+        return math.inf, 0.0, 0.0
+    w = math.sqrt(_LOG_MACH / (_LOG_MACH - _LOG_TOL))
+    u = math.sqrt(-phi / _LOG_MACH)
+    n = math.ceil(w * _LOG_TOL / (2.0 * math.pi) / (u * w - 1.0))
+    return n, mu_max, w / n
 
 
 @functools.lru_cache(maxsize=256)
@@ -281,10 +283,13 @@ def _nodes(alpha, beta, bin_):
     sum uses, and the phi beyond which a pole lies right of the contour (its
     residue is then added).
 
-    For beta <= alpha + 1, where the origin is regular, Garrappa's bins:
+    For beta <= alpha + 1, where the origin is regular, the pole bins:
     bin_ < 0: no pole; 0: phi >= _PHI_CAP; j: phi in [_PHI_CAP 2^-j,
-    _PHI_CAP 2^(1-j)), and the poles of a bin lie all right of its contour
-    (phi 0) or none (phi inf).
+    _PHI_CAP 2^(1-j)), the last bin _N_BINS taking every phi below that.
+    The poles of a bin lie all right of its contour (phi 0) or none (phi
+    inf); from bin 4 on the contour right of them has fewer nodes (92 at
+    bin 4, 28 at bins 13-19, bin -1's 27 from bin 20 on), below that the
+    one left of them (37 at bin 0 to 99 at bin 3).
     Beyond, bin_ in {-1, 0, 1} is the saddle rung k.  Conjugate symmetry
     folds nodes -N..N onto 0..N (weights doubled for k >= 1).
     """
@@ -294,11 +299,11 @@ def _nodes(alpha, beta, bin_):
         mu, h = (beta - alpha) * (1.0 + d) ** (2 * bin_), math.pi * d / -_LOG_TOL
         n, right_of = math.ceil(math.sqrt(-_LOG_TOL / mu) / h), mu
     elif bin_ < 0:
-        n, mu, h, right_of = _params_right_of(0.0, 0.0) + (math.inf,)
+        n, mu, h, right_of = _params_right_of(0.0) + (math.inf,)
     else:
         cands = [_params_left_of_pole(_PHI_CAP * 2.0**-bin_) + (0.0,)]
         if bin_ > 0:
-            cands.append(_params_right_of(_PHI_CAP * 2.0 ** (1 - bin_), 1.0) + (math.inf,))
+            cands.append(_params_right_of(_PHI_CAP * 2.0 ** (1 - bin_)) + (math.inf,))
         n, mu, h, right_of = min(cands)
     u = h * np.arange(n + 1)
     s = mu * (1.0 + 1j * u) ** 2
@@ -550,11 +555,12 @@ def ml_real_zeros(alpha: float, x_min: float) -> ZeroList:
 
 @functools.lru_cache(maxsize=256)
 def _mainardi_coef(alpha):
-    """1 / (Gamma(alpha k + 1 - alpha) (2k)!) up to the last that is nonzero:
-    1/(2k)! underflows, at k = 79 for alpha = 0.5."""
-    coef = np.array([_rgamma(alpha * k + 1.0 - alpha) * _rgamma(2.0 * k + 1.0)
-                     for k in range(_SERIES_MAX_TERMS)])
-    return _frozen(coef[: np.flatnonzero(coef)[-1] + 1])
+    """1 / (Gamma(alpha k + 1 - alpha) (2k)!) up to the first that underflows
+    to 0, at k = 79 for alpha = 0.5; log-concave in k, so every later one
+    does too."""
+    coef = (_rgamma(alpha * k + 1.0 - alpha) * _rgamma(2.0 * k + 1.0)
+            for k in range(_SERIES_MAX_TERMS))
+    return _frozen(list(itertools.takewhile(bool, coef)))
 
 
 def mainardi_series(alpha: float, u):

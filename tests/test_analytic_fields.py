@@ -33,6 +33,7 @@ from fracfield.analytic_fields import (
 from fracfield.errors import (
     DomainError,
     NonIntegrableSymbolError,
+    QuadratureError,
     ResonanceError,
 )
 from fracfield.special_fn import MLOrder, gamma_fn, ml_eval
@@ -103,6 +104,12 @@ class TestMeanFourier:
         p = DiffusionParams(alpha=0.6, lam=0.0, mu=1.0, sigma=1.0, dim=1)
         with pytest.raises(NonIntegrableSymbolError):
             mean_fourier(p, GAUSS, 1.0, 0.0)
+
+    def test_non_finite_sum_rejected(self, monkeypatch):
+        # a NaN from the evaluator reaches the sum; it is refused, not printed
+        monkeypatch.setattr(analytic_fields, "ml_eval", lambda order, z: np.full_like(z, np.nan))
+        with pytest.raises(QuadratureError, match="frequency quadrature failed"):
+            mean_fourier(local_params(0.6), GAUSS, 1.0, 0.0)
 
     def test_dirac_concentration(self):
         p = local_params(0.6)
@@ -363,6 +370,11 @@ class TestClassicalVariance:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert var_classical_closed(1.0, 60.0, 1.0, 1.0) < 1e-20
 
+    def test_closed_form_domain(self):
+        for t, lam in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(DomainError):
+                var_classical_closed(t, 0.0, lam, 1.0)
+
     def test_routes_disagree_by_design(self):
         # the printed integral's value and the printed closed form do not
         # coincide; both are exposed, consumers see the cross-check
@@ -474,6 +486,9 @@ class TestFracVariance:
             var_frac_quadrature(1.0, 1.0, 1.2, 1.0, 1.0)
         with pytest.raises(DomainError):
             var_frac_quadrature(1.0, -1.0, 0.6, 1.0, 1.0)
+        for t in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                var_frac_quadrature(t, 1.0, 0.6, 1.0, 1.0)
 
 
 class TestSeriesRoute:
@@ -489,6 +504,13 @@ class TestSeriesRoute:
         assert resonance_set(0.5, 30) == [1]
         assert resonance_set(0.25, 30) == [3]
         assert resonance_set(0.6, 30) == []
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            beta_coeff(-1, 0.6)
+        for alpha in (1.0, 1.2):
+            with pytest.raises(DomainError):
+                var_series(1.0, 1.0, alpha, 1.0, 1.0)
 
     def test_resonance_error(self):
         with pytest.raises(ResonanceError) as ei:

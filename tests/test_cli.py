@@ -31,6 +31,10 @@ from fracfield.special_fn import MLOrder, ml_asymptotic_neg, ml_bounds, ml_eval
 from fracfield.symbol import DiffusionParams, KernelSpec, kernel_from_json
 
 
+# pins the noise realization: the seeded draw layout of simulate_path and
+# the Dirac rows, at alpha=0.8, mu=0.5 on the 64 x 16 grid
+GOLDEN_PATH_ARGV = ["simulate", "--alpha", "0.8", "--mu", "0.5", "--half-length", "5",
+                    "--n-points", "64", "--n-steps", "16", "--seed", "42"]
 GOLDEN_PATH_SHA256 = "034162688c61f5142e3d3f9046871732b39ee189387a4d7ded840f66a52a4074"
 
 # stdout digest of a noise-free ensemble: its mean is the synthesized Dirac
@@ -45,7 +49,7 @@ GOLDEN_ENSEMBLE_SIGMA0_SHA256 = (
 GOLDEN_ENSEMBLE_19_SHA256 = (
     ["simulate", "--alpha", "1.5", "--samples", "19", "--n-points", "64", "--n-steps", "16",
      "--seed", "7"],
-    "f5c2842946ca04fefcd2bdf1d87103b505ea5db90274a75d47735ca50db25983")
+    "836fd00f0e155144104e21cecbc83919156216607e15f01247ca031c39d7ecaf")
 
 # stdout digests of analytic commands, pinned so that refactors of the
 # evaluators behind them move no output bit
@@ -55,11 +59,11 @@ GOLDEN_ANALYTIC_SHA256 = {
         "f3bdc80328e39ba3c15dcabc2f6b90f8e65712207963297c4ec6ee2930c5f966"),
     "ml_alpha_beta_1.8": (
         ["ml", "--alpha", "1.8", "--beta", "1.8", "--x-range=-40:2:85"],
-        "c0f0c0f20131aab97a387f6b81cc4e5ebb02692d15dc1c697f2aab48392ce6b1"),
+        "9347312036b515fc8d81e15a1a1da0bbc8a55d01d35889ca479618eeb9f869d1"),
     "mean_fourier": (
         ["mean", "--method", "fourier", "--alpha", "1.5", "--t-list", "0.5,1",
          "--x-range=0:2:5"],
-        "63e087b8ecc0d59b990b7dfba759921573697711fbfcaa1bf2075db8a2ad535c"),
+        "13712300fd597b9e500516758adfa64fb5a9226f8dfd710369f9099bb4a22c8f"),
     "variance_quadrature": (
         ["variance", "--method", "quadrature", "--alpha", "0.6", "--t", "1",
          "--x-range=0:3:7"],
@@ -90,7 +94,7 @@ GOLDEN_WRITER_SHA256 = {
         _EMPTY_SHA256),
     "simulate_default_grid_super": (
         ["simulate", "--alpha", "1.5", "--samples", "64", "--seed", "5"],
-        "60ed2ea54592220e5129c1204edf0ee8848db42fd99dd3d2c24604d9d8e0f9ca",
+        "517d9935e5d6092df35f5b5361abbbb97b590898059c40c6e9801762e257f374",
         _EMPTY_SHA256),
     "variance_closed_crosscheck": (
         ["variance", "--method", "closed", "--alpha", "1", "--x-range=-3:3:13"],
@@ -106,7 +110,7 @@ GOLDEN_WRITER_SHA256 = {
         _EMPTY_SHA256),
     "ml_zeros": (
         ["ml", "--alpha", "1.5", "--zeros"],
-        "1197be7f9c8b6cf20aae8c7d61c0ff36cba8acaa34f83a601a46db40db11aa1b",
+        "4a38d7aa6fabd6ba72f609061201a25175688277c293563094c7a65b8e3c83b9",
         _EMPTY_SHA256),
 }
 
@@ -761,6 +765,24 @@ def test_non_finite_positions_and_times_exit_two(capsys, argv, line):
     assert err.splitlines()[-1] == f"fracfield {argv[0]}: error: argument {line}"
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["ml", "--alpha", "0.5", "--x-range=0:1:1000000000000000000"],
+     "fracfield ml: error: argument --x-range: 1000000000000000000 points do not fit in memory"),
+    (["mean", "--x-range=0:1:1000000000000000000"],
+     "fracfield mean: error: argument --x-range: 1000000000000000000 points do not fit in memory"),
+    (["ml", "--alpha", "1.5", "--zeros", "--interval=-1e16:0"], "error: Unable to allocate"),
+], ids=["ml_x_range", "mean_x_range", "zeros_interval"])
+def test_impossible_point_counts_exit_two(capsys, argv, line):
+    # 10^18 positions (8 EB) and a zero scan of 2 x 10^17 points (1.6 EB)
+    # exceed every 64-bit address space, so numpy's allocation fails at once;
+    # the MemoryError ended in a traceback
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines()[-1].startswith(line)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["mean", "--x-range=0:1:0"], "range point count must be >= 1"),
     (["variance", "--x-range", "0:1:0"], "range point count must be >= 1"),
@@ -796,8 +818,10 @@ def test_profile_input_checks(capsys, argv, message):
     (["variance", "--t", "0"], "var_classical_quadrature requires t > 0 and lambda > 0"),
     (["variance", "--method", "series", "--alpha", "0.6", "--t", "0"],
      "var_series requires t > 0 and lambda > 0"),
+    (["variance", "--method", "series", "--alpha", "1.2"], "var_series requires 0 < alpha < 1"),
 ], ids=["ml_alpha_above_2", "zeros_positive_interval", "asymptotic_beta", "mean_panels",
-        "mean_t0", "mainardi_t0", "mainardi_cancellation", "variance_t0", "series_t0"])
+        "mean_t0", "mainardi_t0", "mainardi_cancellation", "variance_t0", "series_t0",
+        "series_alpha"])
 def test_error_exits(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
@@ -952,13 +976,9 @@ class TestSimulateCli:
         assert replay == out
 
     def test_golden_sample_path(self, capsys):
-        # pins the noise realization: the seeded draw layout of simulate_path
-        # and the Dirac rows, at alpha=0.8, mu=0.5 on the 64 x 16 grid
         import hashlib
 
-        code, out, _ = run(capsys, "simulate", "--alpha", "0.8", "--mu", "0.5",
-                           "--half-length", "5", "--n-points", "64", "--n-steps", "16",
-                           "--seed", "42")
+        code, out, _ = run(capsys, *GOLDEN_PATH_ARGV)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PATH_SHA256
 

@@ -460,6 +460,34 @@ class TestSnapshotLaw:
         assert np.array_equal(law.mean(), path.values)
         assert law.times == path.times
 
+    @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_scaling_laws(self, alpha, mu):
+        # The symbol enters only through a t^alpha.  Length by c: L and the
+        # kernel scale times c, lambda times c^2, and the mean and variance
+        # fall by c.  Time by c: t_end (or t) times c, lambda and mu times
+        # c^-alpha, and the mean holds while the variance gains c^(2 alpha - 1).
+        # Each holds to rounding relative to the peak, for snapshot_law and
+        # for mean_fourier's time law.
+        def check(got, ref):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (alpha, mu, c)
+
+        law = snapshot_law(params(alpha, mu=mu), GAUSS, SMALL)
+        mean, variance = law.mean(), law.variance()
+        x = np.linspace(0.0, 3.0, 7)
+        fourier = mean_fourier(params(alpha, mu=mu), GAUSS, 0.5, x)
+        for c in (2.0, 3.0, 2.0**10):
+            grid = GridSpec(half_length=c * SMALL.half_length, n_points=64, n_steps=16)
+            longer = snapshot_law(params(alpha, lam=c * c, mu=mu), KernelSpec("gaussian", c), grid)
+            check(c * longer.mean(), mean)
+            check(c * longer.variance(), variance)
+            slow = params(alpha, lam=c**-alpha, mu=mu * c**-alpha)
+            grid = GridSpec(half_length=SMALL.half_length, n_points=64, n_steps=16, t_end=c)
+            slower = snapshot_law(slow, GAUSS, grid)
+            check(slower.mean(), mean)
+            check(slower.variance(), c ** (2.0 * alpha - 1.0) * variance)
+            check(mean_fourier(slow, GAUSS, 0.5 * c, x), fourier)
+
     def test_refinement_table(self):
         # the scheme's V(1) as it is: at a fixed step, refining n converges
         # even where the continuum diverges (alpha <= 2/3); the divergence

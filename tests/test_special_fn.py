@@ -48,6 +48,10 @@ class TestGammaErfc:
             with pytest.raises(DomainError):
                 gamma_fn(x)
 
+    def test_gamma_overflow(self):
+        # past x = 171.6 Gamma exceeds the largest double
+        assert gamma_fn(171.7) == gamma_fn(1e300) == math.inf
+
     def test_erfc_values(self):
         assert erfc(0.0) == 1.0
         assert erfc(1.0) == pytest.approx(float(mp.erfc(1)), rel=1e-12)
@@ -99,6 +103,30 @@ class TestElementaryOracles:
         assert coef is _ml_coef(0.6, 1.0)
         assert not coef.flags.writeable
         assert coef.tolist() == [_rgamma(0.6 * k + 1.0) for k in range(coef.size)]
+
+    def test_series_tables_stop_at_their_cut(self):
+        # The tables stop at their first term past the cut.  The reference
+        # computes 500 terms and cuts after the last that passes: below
+        # 2^-60 of the largest c_k 0.5^k for E_{alpha,beta}, zero for Mainardi.
+        def cut_ml(alpha, beta):
+            coef = np.array([_rgamma(alpha * k + beta) for k in range(500)])
+            terms = np.abs(coef) * 0.5 ** np.arange(500)
+            return coef[: np.flatnonzero(terms >= 2.0**-60 * terms.max())[-1] + 1]
+
+        def cut_mainardi(alpha):
+            coef = np.array([_rgamma(alpha * k + 1.0 - alpha) * _rgamma(2.0 * k + 1.0)
+                             for k in range(500)])
+            return coef[: np.flatnonzero(coef)[-1] + 1]
+
+        for alpha in np.geomspace(1e-3, 50.0, 23).tolist():
+            for beta in (1e-3, 0.1, 1.0, 10.0, 1e3, 170.0, 180.0, 200.0, 1e300,
+                         alpha, alpha + 1.0):
+                got = special_fn._ml_coef.__wrapped__(alpha, beta)
+                assert got.tobytes() == cut_ml(alpha, beta).tobytes(), (alpha, beta)
+        assert special_fn._ml_coef.__wrapped__(0.1, 1e300).tolist() == [0.0] * 500
+        for alpha in np.linspace(0.01, 0.99, 33).tolist():
+            got = special_fn._mainardi_coef.__wrapped__(alpha)
+            assert got.tobytes() == cut_mainardi(alpha).tobytes(), alpha
 
 
 def _ml_series(alpha, beta, z):
@@ -274,6 +302,42 @@ class TestEval:
                     worst = max(worst, abs(ml_eval(MLOrder(alpha, beta), z) - ref) / abs(ref))
         assert worst <= 1e-12
 
+    def test_pole_bins(self):
+        # each bin takes the contour with fewer nodes: left of its poles
+        # through bin 3, right of them from bin 4 on, where the step shrinks
+        # as the pole nears the parabola; from bin _N_BINS = 20 on, and for
+        # every phi below its upper edge, that is bin -1's no-pole contour
+        counts = [special_fn._nodes(0.5, 1.0, j)[0][1].size - 1
+                  for j in range(-1, special_fn._N_BINS + 1)]
+        assert counts == [27, 37, 51, 71, 99, 92, 54, 42, 36, 33, 31, 30, 29, 29] + [28] * 7 + [27]
+        for alpha, beta in ((0.5, 1.0), (1.5, 0.0), (1.05, 2.05)):
+            no_pole, last = (special_fn._nodes(alpha, beta, j) for j in (-1, special_fn._N_BINS))
+            assert last[1] == no_pole[1] == math.inf
+            assert all(np.array_equal(a, b) for a, b in zip(last[0], no_pole[0]))
+        edge = special_fn._BIN_EDGES[0]
+        assert edge == special_fn._PHI_CAP * 2.0 ** (1 - special_fn._N_BINS)
+        for phi in np.geomspace(1e-300, edge, 60):
+            assert special_fn._params_right_of(float(phi)) == special_fn._params_right_of(0.0)
+        assert special_fn._params_right_of(2.0 * edge) != special_fn._params_right_of(0.0)
+
+    def test_poles_near_the_origin(self):
+        # poles at the middle of bins 3-20, where the contour right of them
+        # takes over from the one left of them: real (z = phi^alpha > 0) and,
+        # for alpha > 1, a conjugate pair (z < 0); graded as test_oracle_sweep
+        worst = 0.0
+        for alpha in (0.1, 0.5, 0.9, 1.05, 1.2, 1.5):
+            for j in range(3, 21):
+                phi = 1.5 * special_fn._PHI_CAP * 2.0**-j
+                zs = [phi**alpha]
+                if alpha > 1.0:
+                    zs.append(-(2.0 * phi / (1.0 + math.cos(math.pi / alpha))) ** alpha)
+                for z in (z for z in zs if abs(z) > 0.5):
+                    for beta in (1.0, alpha, alpha + 1.0):
+                        ref = ml_oracle(alpha, beta, z)
+                        err = abs(ml_eval(MLOrder(alpha, beta), z) - ref)
+                        worst = max(worst, err / (abs(ref) if abs(ref) > 1e-3 else 1.0))
+        assert worst <= 1.5e-14
+
     def test_large_beta_residue_in_range(self):
         # the residue r^(1-beta) e^r / alpha at r = 2^10 = 1024 is 4.9e144, but
         # e^r alone overflows: it is summed in log form
@@ -441,12 +505,19 @@ class TestBoundsAsymptotics:
             ml_bounds(1.2, 1.0)
         with pytest.raises(DomainError):
             ml_bounds(0.5, -1.0)
+        for args in ((0.0, 1.0), (1.0, 1.0), (0.5, np.array([1.0, -1.0])), (0.5, 1.0, 0.5),
+                     (0.5, 1.0, 0.4)):
+            with pytest.raises(DomainError):
+                ml_bounds_two(*args)
 
     def test_kappa(self):
         assert kappa_alpha(1.0) == pytest.approx(0.0, abs=1e-15)
         assert kappa_alpha(0.5) == pytest.approx(gamma_fn(1.5) / math.pi, rel=1e-12)
         assert kappa_alpha(1.5) == pytest.approx(-gamma_fn(2.5) / math.pi, rel=1e-12)
         assert kappa_alpha(0.3) > 0 and kappa_alpha(1.7) < 0
+        for alpha in (0.0, 2.0, -0.5):
+            with pytest.raises(DomainError):
+                kappa_alpha(alpha)
 
     def test_asymptotic_leading_terms(self):
         x = 1e4
@@ -471,6 +542,12 @@ class TestBoundsAsymptotics:
     def test_asymptotic_alpha_one_rejected(self):
         with pytest.raises(DomainError):
             ml_asymptotic_neg(MLOrder(1.0, 1.0), 100.0)
+
+    @pytest.mark.parametrize("alpha,x", [(0.5, 0.0), (0.5, -1.0), (2.0, 100.0), (2.5, 100.0)])
+    def test_asymptotic_domain(self, alpha, x):
+        # the argument is -x with x > 0, and only alpha < 2 has a leading term
+        with pytest.raises(DomainError):
+            ml_asymptotic_neg(MLOrder(alpha, 1.0), x)
 
     def test_superdiffusive_two_parameter_term(self):
         # E_{alpha,alpha}(-x) for 1 < alpha < 2 is the oscillatory term plus
@@ -521,7 +598,7 @@ class TestZeros:
     def test_cosh_zeros(self):
         zl = ml_real_zeros(2.0, -30.0)
         expected = [-((math.pi / 2 + n * math.pi) ** 2) for n in (1, 0)]
-        assert len(zl.zeros) == 2
+        assert len(zl.zeros) == len(zl) == 2
         for z, e in zip(zl.zeros, sorted(expected)):
             assert abs(z - e) <= 1e-8
 
@@ -535,6 +612,10 @@ class TestZeros:
     def test_monotone_empty(self):
         assert ml_real_zeros(0.8, -100.0).zeros == ()
         assert ml_real_zeros(1.0, -100.0).zeros == ()
+
+    def test_alpha_above_two_rejected(self):
+        with pytest.raises(DomainError):
+            ml_real_zeros(2.5, -10.0)
 
     def test_count_nondecreasing(self):
         counts = [len(ml_real_zeros(a, -200.0).zeros) for a in (1.2, 1.5, 1.9)]
